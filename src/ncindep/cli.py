@@ -90,6 +90,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _attach_moments(argv) -> list:
+    """Rewrite ``--moments <list>`` as ``--moments=<list>``: argparse reads
+    a list that starts with a minus sign, such as ``-1,1``, as an option."""
+    argv = list(argv)
+    if "--moments" in argv[:-1]:
+        at = argv.index("--moments")
+        argv[at:at + 2] = ["--moments=" + argv[at + 1]]
+    return argv
+
+
 def _emit_error(code: str, message: str, context: dict) -> None:
     sys.stderr.write(
         json.dumps({"code": code, "message": message, "context": context}, sort_keys=True)
@@ -240,7 +250,7 @@ def _cmd_state(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_moments(sys.argv[1:] if argv is None else argv))
         if args.command is None:
             raise _UsageError("a subcommand is required (eval, check, clt, classical, state)")
         if args.command == "eval":

@@ -236,6 +236,8 @@ def signature_from_json(doc) -> AlgebraSignature:
         raise StateDocumentError("malformed algebra block: %s" % exc) from exc
     if not isinstance(unital, bool):
         raise StateDocumentError("algebra field 'unital' must be a boolean")
+    if any(isinstance(degree, bool) for _, degree in generators):
+        raise StateDocumentError("generator degrees must be 0 or 1, not booleans")
     try:
         return AlgebraSignature(name, unital, generators)
     except ValueError as exc:
@@ -262,7 +264,7 @@ def state_from_json(doc) -> MomentFunctional:
             raise StateDocumentError("state document is missing %r" % key)
     signature = signature_from_json(doc["algebra"])
     max_degree = doc["max_degree"]
-    if not isinstance(max_degree, int) or max_degree < 0:
+    if not isinstance(max_degree, int) or isinstance(max_degree, bool) or max_degree < 0:
         raise StateDocumentError("max_degree must be a nonnegative integer")
     moments = doc["moments"]
     if not isinstance(moments, dict):
@@ -274,7 +276,7 @@ def state_from_json(doc) -> MomentFunctional:
             monomial = Monomial(signature, letters)
         except (ValueError, RegimeMismatch) as exc:
             raise StateDocumentError("bad moment key %r: %s" % (key, exc)) from exc
-        if not isinstance(value, str) and not isinstance(value, int):
+        if not isinstance(value, (str, int)) or isinstance(value, bool):
             raise StateDocumentError("moment %r must be a string or integer" % key)
         try:
             table[monomial] = as_rational(value)

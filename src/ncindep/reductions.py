@@ -299,6 +299,10 @@ def reduction_sweep(kind: ReductionKind, seed: int, trials: int, max_word_len: i
 
     from .axioms import enumerate_words, gen_random_state
 
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    if max_word_len < 1:
+        raise ValueError("max_word_len must be positive")
     signatures = sweep_signatures(kind)
     words = list(enumerate_words(signatures, max_word_len))
     checked = 0

@@ -126,6 +126,15 @@ def test_clt_fermi_uses_the_graded_tensor(capsys):
     assert out.splitlines() == ["2", "normalized: 1"]
 
 
+@pytest.mark.parametrize("moments", [("--moments", "-1,1"), ("--moments=-1,1",)])
+def test_clt_accepts_a_moment_list_with_a_leading_minus(capsys, moments):
+    code, out, err = run(
+        capsys, "clt", "--product", "tensor", *moments, "--n", "2", "--order", "2"
+    )
+    assert code == 0 and err == ""
+    assert out.splitlines() == ["4", "normalized: 2"]
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -174,6 +183,15 @@ def test_check_output_is_deterministic(capsys):
     _, first, _ = run(capsys, *argv)
     _, second, _ = run(capsys, *argv)
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "bounds", [("--trials", "0"), ("--trials", "-3"), ("--max-len", "0", "--trials", "1")]
+)
+def test_check_reduction_rejects_an_empty_sweep(capsys, bounds):
+    code, out, err = run(capsys, "check", "reduction", "--kind", "monotone", *bounds)
+    assert code == 2 and out == ""
+    assert error_doc(err)["code"] == "usage"
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +319,25 @@ def test_regime_mismatch_is_exit_three(capsys, tmp_path):
     )
     assert code == 3
     assert error_doc(err)["code"] == "regime"
+
+
+@pytest.mark.parametrize("field", ["max_degree", "moment", "degree"])
+def test_json_booleans_are_document_errors(capsys, tmp_path, field):
+    # a degree bound and a moment of 1, so that reading true as 1 would pass
+    doc = json.loads(dump_state(total_state(P1, 1, {"a": 1})))
+    if field == "max_degree":
+        doc["max_degree"] = True
+    elif field == "moment":
+        doc["moments"]["a"] = True
+    else:
+        doc["algebra"]["generators"][0]["degree"] = False
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(
+        capsys, "eval", "--product", "boolean", "--state", str(path), "--expr", "A1.a"
+    )
+    assert code == 2
+    assert error_doc(err)["code"] == "document"
 
 
 def test_unknown_product_label_is_a_usage_error(capsys, pair_files):

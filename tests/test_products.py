@@ -7,6 +7,7 @@ import pytest
 
 from ncindep import (
     AlgebraSignature,
+    DegreeExceeded,
     EMPTY_WORD,
     JointFunctional,
     Monomial,
@@ -24,8 +25,9 @@ from ncindep import (
     parse_kind_label,
     sum_moment,
 )
+from ncindep.products import _sum_by_words
 from ncindep.rational import ONE, ZERO, as_rational
-from conftest import A1, A2, G1, G2, N1, N2, mono, total_state
+from conftest import A1, A2, A3, G1, G2, N1, N2, N3, mono, total_state
 
 # Single-generator factors so the worked fixtures read like the formulas.
 P1 = AlgebraSignature("A1", False, (("a", 0),))
@@ -391,6 +393,63 @@ def test_sum_moment_requires_designations_when_ambiguous():
         generators=("a", "x"),
     )
     assert value == as_rational(2)
+
+
+PLAIN_SUM_CASES = [
+    (kind, unital)
+    for kind in ProductKind
+    for unital in ((True, False) if kind in (ProductKind.TENSOR, ProductKind.FREE) else (False,))
+]
+
+
+@pytest.mark.parametrize("kind,unital", PLAIN_SUM_CASES, ids=lambda v: getattr(v, "value", v))
+def test_sum_moment_transforms_match_word_enumeration(kind, unital):
+    """The transform route equals the sum over all N^order words, with a
+    different random state per factor."""
+    rng = random.Random(kind_label(kind) + str(unital))
+    for n, order in ((1, 6), (2, 6), (3, 6), (4, 5), (4, 2)):
+        for _ in range(3):
+            states = [
+                gen_random_state(AlgebraSignature("S%d" % i, unital, (("x", 0),)), order, rng)
+                for i in range(n)
+            ]
+            letters = [Monomial(phi.algebra, ("x",)) for phi in states]
+            assert sum_moment(kind, states, order) == _sum_by_words(kind, states, letters, order)
+    # two generators per factor, the designated one passed explicitly
+    signatures = (A1, A2, A3) if unital else (N1, N2, N3)
+    states = [gen_random_state(sig, 4, rng) for sig in signatures]
+    generators = ("b", "x", "t")
+    letters = [Monomial(phi.algebra, (g,)) for phi, g in zip(states, generators)]
+    assert sum_moment(kind, states, 4, generators=generators) == _sum_by_words(
+        kind, states, letters, 4
+    )
+    with pytest.raises(DegreeExceeded):
+        sum_moment(kind, states, 5, generators=generators)
+
+
+def test_sum_moment_keeps_the_regime_rules():
+    for kind in (ProductKind.BOOLEAN, ProductKind.MONOTONE, ProductKind.DEGENERATE):
+        with pytest.raises(RegimeMismatch):
+            sum_moment(kind, (total_state(U1, 2), total_state(U2, 2)), 2)
+    with pytest.raises(RegimeMismatch):
+        sum_moment(ProductKind.FREE, (total_state(U1, 2), total_state(P2, 2)), 2)
+
+
+def test_sum_moment_of_a_thousand_coins_has_the_closed_forms():
+    n = 1000
+    coin = {"x": 0, "x x": 1, "x x x": 0, "x x x x": 1}
+    expected = {
+        ProductKind.TENSOR: 3 - as_rational(2) / n,
+        ProductKind.FREE: 2 - as_rational(1) / n,
+        ProductKind.BOOLEAN: ONE,
+        ProductKind.MONOTONE: as_rational(3) / 2 - as_rational(1) / (2 * n),
+        ProductKind.ANTI_MONOTONE: as_rational(3) / 2 - as_rational(1) / (2 * n),
+    }
+    for kind, value in expected.items():
+        unital = kind in (ProductKind.TENSOR, ProductKind.FREE)
+        sig = AlgebraSignature("S", unital, (("x", 0),))
+        states = [total_state(sig, 4, coin)] * n
+        assert sum_moment(kind, states, 4) / n**2 == value, kind
 
 
 def test_eval_product_is_the_functional_call():
