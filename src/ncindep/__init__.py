@@ -64,7 +64,6 @@ from .products import (
     ProductKind,
     QDeformed,
     eval_graded_tensor,
-    eval_product,
     free_centering_oracle,
     kind_label,
     parse_kind_label,
@@ -79,7 +78,6 @@ from .reductions import (
     ReductionKind,
     embed_word,
     fermi_split_pair,
-    reduce_state,
     reduced_product,
     reduction_sweep,
     tensor_value,

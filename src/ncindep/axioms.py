@@ -24,6 +24,9 @@ The laws:
 * symmetry - swapping the two factors leaves values unchanged.  Expected
   to fail for monotone and anti-monotone.
 * mirror - monotone and anti-monotone exchange under the factor swap.
+
+The graded tensor (fermi) is checked on algebras whose first generator is
+odd, with random substitutions that keep each generator's degree.
 """
 
 from __future__ import annotations
@@ -170,21 +173,34 @@ def gen_random_homomorphism(
     max_image_letters: int = 2,
 ) -> Homomorphism:
     """Random substitution: each generator maps to a 1- or 2-term polynomial
-    with monomials of length <= max_image_letters; unital regimes may also
-    receive a constant term.  ``seed`` may be an integer or a ``random.Random``."""
+    with monomials of length <= max_image_letters and of the generator's
+    degree; unital regimes may also give even generators a constant term.
+    ``seed`` may be an integer or a ``random.Random``."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     images = {}
     for name in source.generator_names:
+        degree = source.degree_of(name)
         poly = Polynomial.zero()
         for _ in range(rng.randint(1, 2)):
-            length = rng.randint(1, max_image_letters)
-            letters = tuple(rng.choice(target.generator_names) for _ in range(length))
+            monomial = _random_monomial(target, degree, max_image_letters, rng)
             coeff = Rational(rng.randint(-2, 2), rng.randint(1, 4))
-            poly = poly + Polynomial.from_monomial(Monomial(target, letters), 0, coeff)
-        if source.unital and rng.random() < 0.25:
+            poly = poly + Polynomial.from_monomial(monomial, 0, coeff)
+        if source.unital and rng.random() < 0.25 and not degree:
             poly = poly + Polynomial.from_word(EMPTY_WORD, Rational(rng.randint(-2, 2), 1))
         images[name] = poly
     return Homomorphism(source, target, images)
+
+
+def _random_monomial(target, degree, max_letters, rng) -> Monomial:
+    """A random monomial of the given degree, drawn again until the degree
+    fits; over an ungraded target the first draw of degree 0 always does."""
+    for _ in range(64):
+        length = rng.randint(1, max_letters)
+        letters = tuple(rng.choice(target.generator_names) for _ in range(length))
+        monomial = Monomial(target, letters)
+        if monomial.degree == degree:
+            return monomial
+    raise ValueError("found no monomial of degree %d over %r" % (degree, target.name))
 
 
 def enumerate_words(signatures: Sequence[AlgebraSignature], max_letters: int):
@@ -215,12 +231,15 @@ def _plain(kind) -> ProductKind:
 def _uses_unital(kind) -> bool:
     if isinstance(kind, QDeformed):
         return False
-    return kind in (ProductKind.TENSOR, ProductKind.FREE)
+    return kind in (ProductKind.TENSOR, ProductKind.FREE, ProductKind.FERMI)
 
 
-def _signatures(count: int, unital: bool):
+def _signatures(count: int, kind, names=_FACTOR_NAMES, gens=_FACTOR_GENS):
+    """The suite's factor algebras: unital for the unital kinds, and with an
+    odd first generator for the graded tensor."""
+    odd = int(kind is ProductKind.FERMI)
     return tuple(
-        AlgebraSignature.make(_FACTOR_NAMES[i], _FACTOR_GENS[i], unital=unital)
+        AlgebraSignature.make(names[i], ((gens[i][0], odd), gens[i][1]), unital=_uses_unital(kind))
         for i in range(count)
     )
 
@@ -270,7 +289,7 @@ def run_axiom_suite(
     if max_word_len < 1:
         raise ValueError("max_word_len must be positive")
     if axiom is Axiom.UNIT_LAW and not _uses_unital(kind):
-        raise RegimeMismatch("the unit law applies to unital kinds (tensor, free)")
+        raise RegimeMismatch("the unit law applies to unital kinds (tensor, free, fermi)")
     if axiom is Axiom.MIRROR and kind not in (
         ProductKind.MONOTONE,
         ProductKind.ANTI_MONOTONE,
@@ -289,7 +308,7 @@ def run_axiom_suite(
 
 
 def _trial_associativity(kind, rng, max_word_len):
-    signatures = _signatures(3, _uses_unital(kind))
+    signatures = _signatures(3, kind)
     states = [gen_random_state(sig, max_word_len, rng) for sig in signatures]
     left = JointFunctional(states, kind, bracketing="left")
     right = JointFunctional(states, kind, bracketing="right")
@@ -308,7 +327,7 @@ def _trial_associativity(kind, rng, max_word_len):
 
 
 def _trial_unit_law(kind, rng, max_word_len):
-    signature = _signatures(1, True)[0]
+    signature = _signatures(1, kind)[0]
     phi = gen_random_state(signature, max_word_len, rng)
     trivial_sig = AlgebraSignature.make("E", (), unital=True)
     delta = MomentFunctional(trivial_sig, max_word_len, {Monomial(trivial_sig, ()): ONE})
@@ -332,7 +351,7 @@ def _trial_unit_law(kind, rng, max_word_len):
 
 
 def _trial_inclusion(kind, rng, max_word_len):
-    signatures = _signatures(2, _uses_unital(kind))
+    signatures = _signatures(2, kind)
     states = [gen_random_state(sig, max_word_len, rng) for sig in signatures]
     joint = JointFunctional(states, kind)
     failures = []
@@ -349,12 +368,8 @@ def _trial_inclusion(kind, rng, max_word_len):
 
 
 def _trial_functoriality(kind, rng, max_word_len):
-    unital = _uses_unital(kind)
-    sources = (
-        AlgebraSignature.make("B1", ("u", "v"), unital=unital),
-        AlgebraSignature.make("B2", ("w", "z"), unital=unital),
-    )
-    targets = _signatures(2, unital)
+    sources = _signatures(2, kind, ("B1", "B2"), (("u", "v"), ("w", "z")))
+    targets = _signatures(2, kind)
     target_states = [gen_random_state(sig, 2 * max_word_len, rng) for sig in targets]
     homs = [
         gen_random_homomorphism(source, target, rng)
@@ -387,7 +402,7 @@ def _trial_functoriality(kind, rng, max_word_len):
 
 
 def _trial_factorization(kind, rng, max_word_len):
-    signatures = _signatures(2, _uses_unital(kind))
+    signatures = _signatures(2, kind)
     states = [gen_random_state(sig, max_word_len, rng) for sig in signatures]
     joint = JointFunctional(states, kind)
     failures = []
@@ -415,7 +430,7 @@ def _swap_factors(word: Word) -> Word:
 
 
 def _trial_symmetry(kind, rng, max_word_len):
-    signatures = _signatures(2, _uses_unital(kind))
+    signatures = _signatures(2, kind)
     states = [gen_random_state(sig, max_word_len, rng) for sig in signatures]
     joint = JointFunctional(states, kind)
     swapped = JointFunctional([states[1], states[0]], kind)
@@ -437,7 +452,7 @@ def _trial_mirror(kind, rng, max_word_len):
         if kind is ProductKind.MONOTONE
         else ProductKind.MONOTONE
     )
-    signatures = _signatures(2, False)
+    signatures = _signatures(2, kind)
     states = [gen_random_state(sig, max_word_len, rng) for sig in signatures]
     joint = JointFunctional(states, kind)
     mirrored = JointFunctional([states[1], states[0]], other)

@@ -17,24 +17,17 @@ parse error, 3 degree or regime error.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 
-from .algebra import AlgebraSignature, Monomial, normalize_word
+from .algebra import AlgebraSignature
 from .axioms import Axiom, expected_outcome, run_axiom_suite
 from .classical import independence_equivalence, load_space, load_variable
 from .errors import DegreeExceeded, ExpressionError, RegimeMismatch, StateDocumentError
 from .moments import MomentFunctional, dump_state, load_state, unitize
 from .parsing import format_word, parse_expression
-from .products import (
-    JointFunctional,
-    eval_graded_tensor,
-    parse_kind_label,
-    sum_moment,
-)
+from .products import JointFunctional, ProductKind, parse_kind_label, sum_moment
 from .rational import (
-    ZERO,
     as_rational,
     decimal_rendering,
     format_rational,
@@ -57,21 +50,21 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
     p_eval = sub.add_parser("eval", help="evaluate an expression under a product")
-    p_eval.add_argument("--product", required=True, help="tensor|free|boolean|monotone|antimonotone|degenerate|q:<base>:<q>|fermi")
+    p_eval.add_argument("--product", required=True, help="tensor|free|boolean|monotone|antimonotone|degenerate|fermi|q:<base>:<q>")
     p_eval.add_argument("--state", required=True, nargs="+", help="state document files, one per factor")
     p_eval.add_argument("--expr", required=True, help="expression over Algebra.generator letters")
 
     p_check = sub.add_parser("check", help="run an axiom suite or reduction sweep")
     p_check.add_argument("target", nargs="?", choices=["reduction"], help="'reduction' for reduction sweeps; omit for axiom checks")
     p_check.add_argument("--axiom", help="associativity|unitlaw|inclusion|functoriality|factorization|symmetry|mirror")
-    p_check.add_argument("--product", help="product kind for axiom checks")
+    p_check.add_argument("--product", help="product kind for axiom checks, as for eval")
     p_check.add_argument("--kind", help="fermi|boolean|monotone|antimonotone (reduction sweeps)")
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--trials", type=int, default=50)
     p_check.add_argument("--max-len", dest="max_len", type=int, default=None, help="maximum word length (default 6 for axioms, 5 for reductions)")
 
     p_clt = sub.add_parser("clt", help="moments of sums of independent copies")
-    p_clt.add_argument("--product", required=True)
+    p_clt.add_argument("--product", required=True, help="product kind, as for eval; x is odd for fermi")
     p_clt.add_argument("--moments", required=True, help="comma-separated m1,...,mD of one summand")
     p_clt.add_argument("--n", required=True, type=int, help="number of summands")
     p_clt.add_argument("--order", required=True, type=int, help="moment order to compute")
@@ -107,23 +100,11 @@ def _emit_error(code: str, message: str, context: dict) -> None:
     )
 
 
-def _parse_any_kind(label: str):
-    """A ProductKind, QDeformed, or the string 'fermi'."""
-    if label.strip().lower() == "fermi":
-        return "fermi"
-    return parse_kind_label(label)
-
-
 def _cmd_eval(args) -> int:
     states = [load_state(path) for path in args.state]
-    kind = _parse_any_kind(args.product)
+    kind = parse_kind_label(args.product)
     polynomial = parse_expression(args.expr, [phi.algebra for phi in states])
-    if kind == "fermi":
-        total = ZERO
-        for word, coeff in polynomial.items():
-            total += coeff * eval_graded_tensor(states, word)
-    else:
-        total = JointFunctional(states, kind).evaluate_polynomial(polynomial)
+    total = JointFunctional(states, kind).evaluate_polynomial(polynomial)
     print(format_rational(total))
     print("~ %s" % decimal_rendering(total))
     return 0
@@ -190,7 +171,7 @@ def _cmd_check_reduction(args) -> int:
 
 
 def _cmd_clt(args) -> int:
-    kind = _parse_any_kind(args.product)
+    kind = parse_kind_label(args.product)
     try:
         moments = [parse_rational(piece) for piece in args.moments.split(",")]
     except ValueError as exc:
@@ -201,19 +182,11 @@ def _cmd_clt(args) -> int:
         raise _UsageError("--n must be at least 1")
     if args.order < 1:
         raise _UsageError("--order must be at least 1")
-    degree = 1 if kind == "fermi" else 0
+    degree = 1 if kind is ProductKind.FERMI else 0
     signature = AlgebraSignature.make("X", (("x", degree),), unital=False)
     entries = {("x",) * (j + 1): value for j, value in enumerate(moments)}
     phi = MomentFunctional.from_entries(signature, len(moments), entries)
-    states = [phi] * args.n
-    if kind == "fermi":
-        letter = Monomial(signature, ("x",))
-        total = ZERO
-        for combo in itertools.product(range(args.n), repeat=args.order):
-            word = normalize_word((index, letter) for index in combo)
-            total += eval_graded_tensor(states, word)
-    else:
-        total = sum_moment(kind, states, args.order)
+    total = sum_moment(kind, [phi] * args.n, args.order)
     print(format_rational(total))
     if args.order % 2 == 0:
         normalized = total / as_rational(args.n) ** (args.order // 2)

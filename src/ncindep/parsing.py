@@ -58,6 +58,8 @@ class _Parser:
         self.index = 0
         self.factors = tuple(factors)
         self.by_name = {sig.name: (i, sig) for i, sig in enumerate(self.factors)}
+        if len(self.by_name) != len(self.factors):
+            raise ValueError("two factors share an algebra name, so one cannot be addressed")
 
     def peek(self):
         return self.tokens[self.index]
@@ -161,7 +163,9 @@ class _Parser:
 
 def parse_expression(text: str, factors) -> Polynomial:
     """Parse an expression over the given factor signatures (in order; the
-    position of a signature is its factor index in evaluated words)."""
+    position of a signature is its factor index in evaluated words).  The
+    signatures' names must differ, since an expression names a factor by
+    its algebra; a repeated name raises ``ValueError``."""
     return _Parser(text, factors).parse()
 
 

@@ -1,34 +1,43 @@
 """Joint functionals for the universal notions of independence.
 
 Given one moment functional per free-product factor, a
-:class:`JointFunctional` evaluates normal-form words under a chosen product:
+:class:`JointFunctional` evaluates normal-form words under a chosen product.
+Five kinds are one padding rule.  Cut the word into maximal runs of letters
+from one factor, gather each factor's runs into segments, and multiply the
+factors' moments of their segments.  A run of factor j closes the open
+segment of factor k, splitting k's letters there, when
 
-* ``TENSOR`` - classical: stable-partition the letters by factor, keeping
-  their internal order, and multiply the per-factor moments.
-* ``FREE`` - defined by the subset recursion: for a word with blocks
-  a_1 ... a_m alternating between the two sides,
+* ``TENSOR`` - never: each factor's letters are gathered in order
+  (classical independence);
+* ``BOOLEAN`` - always: every run is valued on its own;
+* ``MONOTONE`` - j < k: earlier factors are gathered, later ones split;
+* ``ANTI_MONOTONE`` - j > k: the mirror image of monotone;
+* ``FERMI`` - never, as for tensor, with the Koszul sign -1 for every pair
+  of odd letters that the gathering moves past each other.  Every factor
+  must be even, i.e. vanish on odd monomials.
+
+The other kinds nest a binary product:
+
+* ``FREE`` - the subset recursion: for a word with runs a_1 ... a_m
+  alternating between the two sides,
 
       value(a_1...a_m) = sum over proper subsets I of {1..m} of
           (-1)^(m - #I + 1) * value(product of a_k, k in I, re-normalized)
           * product of side-moments of a_k, k not in I,
 
   with the empty product valued 1.  Results are memoized per word.
-* ``BOOLEAN`` - the product of the blocks' individual moments.
-* ``MONOTONE`` - first side evaluated on the ordered product of all its
-  letters, second side on each of its blocks separately.
-* ``ANTI_MONOTONE`` - the mirror image of monotone.
-* ``DEGENERATE`` - the block's moment for single-block words, 0 otherwise.
+* ``DEGENERATE`` - a factor's moment for words over one factor, 0 otherwise.
 * :class:`QDeformed` - the one-parameter deformation of a symmetric base
   product: scale both inputs by 1/q, apply the base product, multiply by q.
 
-Tensor products of any arity are evaluated directly; every other kind is
-extended beyond two factors by iterating the binary product to the left,
-which the axiom suite independently checks to be associative.  Boolean,
+Beyond two factors the padding kinds join every factor in one node and the
+nested kinds build a balanced binary tree; the axiom suite checks
+independently that the left and right bracketings agree.  Boolean,
 monotone, anti-monotone, degenerate, and q-deformed products require the
 non-unital regime - they do not descend to algebras with identified units.
 
-Also here: an independent centering oracle for the free product, the graded
-(fermionic) tensor product, and moments of sums across factors.
+Also here: an independent centering oracle for the free product, and
+moments of sums across factors.
 """
 
 from __future__ import annotations
@@ -52,6 +61,7 @@ class ProductKind(Enum):
     MONOTONE = "monotone"
     ANTI_MONOTONE = "antimonotone"
     DEGENERATE = "degenerate"
+    FERMI = "fermi"
 
 
 _Q_BASES = (ProductKind.TENSOR, ProductKind.FREE, ProductKind.BOOLEAN)
@@ -61,6 +71,15 @@ _NON_UNITAL_ONLY = (
     ProductKind.ANTI_MONOTONE,
     ProductKind.DEGENERATE,
 )
+
+# Whether a run of child j splits the open segment of child k (j != k).
+_SPLITS = {
+    ProductKind.TENSOR: lambda j, k: False,
+    ProductKind.FERMI: lambda j, k: False,
+    ProductKind.BOOLEAN: lambda j, k: True,
+    ProductKind.MONOTONE: lambda j, k: j < k,
+    ProductKind.ANTI_MONOTONE: lambda j, k: j > k,
+}
 
 
 @dataclass(frozen=True)
@@ -79,9 +98,6 @@ class QDeformed:
         if q == ZERO:
             raise ValueError("deformation parameter q must be nonzero")
         object.__setattr__(self, "q", q)
-
-
-Kind = "ProductKind | QDeformed"
 
 
 def kind_label(kind) -> str:
@@ -109,23 +125,38 @@ def parse_kind_label(label: str):
 
 
 # ---------------------------------------------------------------------------
-# Evaluator tree.  Nodes own a set of factor indices and evaluate words whose
-# blocks all belong to owned factors.  The node protocol is eval_word(word).
+# Evaluator tree.  Nodes own a set of factor indices and value words whose
+# blocks all belong to owned factors.  A word reaches them as the bare tuple
+# ((factor, letters), ...) in normal form; the node protocol is
+# eval_blocks(blocks).
+
+
+def _append(blocks: list, block) -> None:
+    """Append a block, merging it into a last block of the same factor."""
+    if blocks and blocks[-1][0] == block[0]:
+        blocks[-1] = (block[0], blocks[-1][1] + block[1])
+    else:
+        blocks.append(block)
 
 
 class _Leaf:
-    __slots__ = ("phi", "factor", "owned")
+    __slots__ = ("phi", "factor", "table", "owned")
 
     def __init__(self, phi: MomentFunctional, factor: int):
         self.phi = phi
         self.factor = factor
+        self.table = phi.letters_table
         self.owned = frozenset((factor,))
 
-    def eval_word(self, word: Word) -> Rational:
-        if word.is_empty:
+    def eval_blocks(self, blocks) -> Rational:
+        if not blocks:
             return ONE
         # a normal-form word over one factor has exactly one block
-        return self.phi(word.blocks[0][1])
+        letters = blocks[0][1]
+        value = self.table.get(letters)
+        if value is None:
+            return self.phi.value_of_letters(letters)  # raises DegreeExceeded
+        return value
 
 
 class _Scaled:
@@ -138,178 +169,100 @@ class _Scaled:
         self.coeff = coeff
         self.owned = inner.owned
 
-    def eval_word(self, word: Word) -> Rational:
-        return self.coeff * self.inner.eval_word(word)
+    def eval_blocks(self, blocks) -> Rational:
+        return self.coeff * self.inner.eval_blocks(blocks)
 
 
-class _TensorAll:
-    """Direct n-ary tensor evaluation by stable partition."""
+class _Padding:
+    """The gather/split rule over any number of children in factor order.
 
-    __slots__ = ("phis", "owned")
+    Each child's blocks are gathered, in order, into an open segment; a run
+    of child j first closes the open segment of every other child k with
+    ``splits(j, k)``.  The value is the product of the children's values on
+    their segments.  ``odd``, given for the graded tensor, holds the odd
+    generator names of each factor and turns on the Koszul sign.
+    """
 
-    def __init__(self, phis: Sequence[MomentFunctional]):
-        self.phis = tuple(phis)
-        self.owned = frozenset(range(len(self.phis)))
+    __slots__ = ("children", "child_of", "owned", "splits", "odd")
 
-    def eval_word(self, word: Word) -> Rational:
-        buckets: dict[int, list] = {}
-        for factor, monomial in word.blocks:
-            buckets.setdefault(factor, []).extend(monomial.letters)
+    def __init__(self, kind: ProductKind, children, odd=None):
+        self.children = tuple(children)
+        self.child_of = {f: j for j, child in enumerate(self.children) for f in child.owned}
+        self.owned = frozenset(self.child_of)
+        self.splits = _SPLITS[kind]
+        self.odd = odd
+
+    def eval_blocks(self, blocks) -> Rational:
+        children, child_of, splits, odd = self.children, self.child_of, self.splits, self.odd
         total = ONE
-        for factor in sorted(buckets):
-            total *= self.phis[factor].value_of_letters(buckets[factor])
-        return total
+        segments: dict = {}
+        last = -1
+        parities = [0] * len(children)  # odd letters seen per child, mod 2
+        sign = 0
+        for block in blocks:
+            j = child_of[block[0]]
+            if j != last:
+                last = j
+                for k in [k for k in segments if k != j and splits(j, k)]:
+                    total *= children[k].eval_blocks(tuple(segments.pop(k)))
+            _append(segments.setdefault(j, []), block)
+            if odd is not None and sum(letter in odd[block[0]] for letter in block[1]) & 1:
+                # gathering moves this block's odd letters past those of
+                # the later children that came before it
+                sign ^= sum(parities[j + 1:]) & 1
+                parities[j] ^= 1
+        for k, segment in segments.items():
+            total *= children[k].eval_blocks(tuple(segment))
+        return -total if sign else total
 
 
-class _Binary:
-    """Binary product of two evaluator nodes for one non-q kind."""
+class _Pair:
+    __slots__ = ("sides", "side_of", "owned")
 
-    __slots__ = ("kind", "sides", "owned", "_memo", "_leaf_lookup")
-
-    def __init__(self, kind: ProductKind, left, right):
+    def __init__(self, left, right):
         if left.owned & right.owned:
             raise ValueError("left and right sides share factor indices")
-        self.kind = kind
         self.sides = (left, right)
+        self.side_of = {f: side for side in (0, 1) for f in self.sides[side].owned}
         self.owned = left.owned | right.owned
-        self._memo: dict = {}
-        # with two plain functionals the subset recursion can run on bare
-        # letter tuples, skipping word and monomial construction entirely
-        self._leaf_lookup = None
-        if (
-            kind is ProductKind.FREE
-            and isinstance(left, _Leaf)
-            and isinstance(right, _Leaf)
-        ):
-            self._leaf_lookup = {
-                left.factor: (left.phi.letters_table, left.phi),
-                right.factor: (right.phi.letters_table, right.phi),
-            }
 
-    def _runs(self, word: Word):
-        """Maximal runs of blocks belonging to one side, as sub-words."""
-        left_owned = self.sides[0].owned
-        runs: list[tuple[int, list]] = []
-        current = -1
-        for block in word.blocks:
-            side = 0 if block[0] in left_owned else 1
-            if side == current:
-                runs[-1][1].append(block)
-            else:
-                runs.append((side, [block]))
-                current = side
-        return [(side, Word(tuple(blocks))) for side, blocks in runs]
 
-    def eval_word(self, word: Word) -> Rational:
-        kind = self.kind
-        if kind is ProductKind.FREE:
-            if self._leaf_lookup is not None:
-                return self._free_fast(
-                    tuple((f, m.letters) for f, m in word.blocks)
-                )
-            return self._free_value(word)
-        runs = self._runs(word)
-        sides = self.sides
-        if kind is ProductKind.BOOLEAN:
-            total = ONE
-            for side, sub in runs:
-                total *= sides[side].eval_word(sub)
-            return total
-        if kind is ProductKind.MONOTONE:
-            gathered: list = []
-            total = ONE
-            for side, sub in runs:
-                if side == 0:
-                    gathered.extend(sub.blocks)
-                else:
-                    total *= sides[1].eval_word(sub)
-            if gathered:
-                total *= sides[0].eval_word(normalize_word(gathered))
-            return total
-        if kind is ProductKind.ANTI_MONOTONE:
-            gathered = []
-            total = ONE
-            for side, sub in runs:
-                if side == 1:
-                    gathered.extend(sub.blocks)
-                else:
-                    total *= sides[0].eval_word(sub)
-            if gathered:
-                total *= sides[1].eval_word(normalize_word(gathered))
-            return total
-        if kind is ProductKind.DEGENERATE:
-            if not runs:
-                return ONE
-            if len(runs) == 1:
-                side, sub = runs[0]
-                return sides[side].eval_word(sub)
+class _Degenerate(_Pair):
+    __slots__ = ()
+
+    def eval_blocks(self, blocks) -> Rational:
+        side_of = self.side_of
+        if len({side_of[factor] for factor, _ in blocks}) > 1:
             return ZERO
-        if kind is ProductKind.TENSOR:
-            total = ONE
-            for wanted in (0, 1):
-                gathered = [b for side, sub in runs if side == wanted for b in sub.blocks]
-                if gathered:
-                    total *= sides[wanted].eval_word(normalize_word(gathered))
-            return total
-        raise AssertionError("unhandled product kind %r" % kind)
+        return self.sides[side_of[blocks[0][0]]].eval_blocks(blocks) if blocks else ONE
 
-    def _free_value(self, word: Word) -> Rational:
-        memo = self._memo
-        hit = memo.get(word)
-        if hit is not None:
-            return hit
-        runs = self._runs(word)
-        m = len(runs)
-        if m == 0:
-            memo[word] = ONE
-            return ONE
-        sides = self.sides
-        values = [sides[side].eval_word(sub) for side, sub in runs]
-        total = ZERO
-        for bits in range((1 << m) - 1):  # every proper subset, full one excluded
-            scalar = ONE
-            for k in range(m):
-                if not (bits >> k) & 1:
-                    scalar *= values[k]
-            if not scalar:
-                continue
-            blocks: list = []
-            for k in range(m):
-                if (bits >> k) & 1:
-                    blocks.extend(runs[k][1].blocks)
-            inner = self._free_value(normalize_word(blocks))
-            if not inner:
-                continue
-            if (m - bits.bit_count() + 1) & 1:
-                total -= inner * scalar
-            else:
-                total += inner * scalar
-        memo[word] = total
-        return total
 
-    def _free_fast(self, blocks) -> Rational:
-        """Subset recursion on bare ``(factor, letters)`` tuples.
+class _Free(_Pair):
+    """Binary free product by the subset recursion over the word's runs."""
 
-        Equivalent to :meth:`_free_value` but skips word and monomial
-        construction, which dominates the cost on large sweeps.
-        """
+    __slots__ = ("_memo",)
+
+    def __init__(self, left, right):
+        super().__init__(left, right)
+        self._memo: dict = {}
+
+    def eval_blocks(self, blocks) -> Rational:
         memo = self._memo
         hit = memo.get(blocks)
         if hit is not None:
             return hit
-        m = len(blocks)
-        if m == 0:
-            memo[blocks] = ONE
-            return ONE
-        lookup = self._leaf_lookup
-        values = []
-        for factor, letters in blocks:
-            table, phi = lookup[factor]
-            value = table.get(letters)
-            if value is None:
-                value = phi.value_of_letters(letters)  # raises on long words
-            values.append(value)
-        total = ZERO
+        side_of = self.side_of
+        runs: list = []  # (side, blocks of one maximal run)
+        for block in blocks:
+            side = side_of[block[0]]
+            if runs and runs[-1][0] == side:
+                runs[-1][1].append(block)
+            else:
+                runs.append((side, [block]))
+        m = len(runs)
+        sides = self.sides
+        values = [sides[side].eval_blocks(tuple(run)) for side, run in runs]
+        total = ZERO if m else ONE
         for bits in range((1 << m) - 1):  # proper subsets only
             scalar = ONE
             for k in range(m):
@@ -320,12 +273,9 @@ class _Binary:
             kept: list = []
             for k in range(m):
                 if (bits >> k) & 1:
-                    factor, letters = blocks[k]
-                    if kept and kept[-1][0] == factor:
-                        kept[-1] = (factor, kept[-1][1] + letters)
-                    else:
-                        kept.append(blocks[k])
-            inner = self._free_fast(tuple(kept))
+                    for block in runs[k][1]:
+                        _append(kept, block)
+            inner = self.eval_blocks(tuple(kept))
             if not inner:
                 continue
             if (m - bits.bit_count() + 1) & 1:
@@ -344,12 +294,23 @@ def _scaled_state(node, coeff):
     return _Scaled(node, coeff)
 
 
-def _make_binary(kind, left, right):
+def _node(kind, children, odd=None):
+    """One product node over children in factor order; two children unless
+    the kind is a padding kind."""
     if isinstance(kind, QDeformed):
         inv = ONE / kind.q
-        inner = _Binary(kind.base, _scaled_state(left, inv), _scaled_state(right, inv))
+        inner = _node(kind.base, [_scaled_state(child, inv) for child in children])
         return _Scaled(inner, kind.q)
-    return _Binary(kind, left, right)
+    if kind in _SPLITS:
+        return _Padding(kind, children, odd)
+    return (_Free if kind is ProductKind.FREE else _Degenerate)(*children)
+
+
+def _balanced(kind, nodes):
+    if len(nodes) == 1:
+        return nodes[0]
+    mid = len(nodes) // 2
+    return _node(kind, (_balanced(kind, nodes[:mid]), _balanced(kind, nodes[mid:])))
 
 
 def _check_regime(kind, factors):
@@ -364,16 +325,25 @@ def _check_regime(kind, factors):
         raise RegimeMismatch(
             "%s products require the non-unital regime" % plain.value
         )
+    if plain is ProductKind.FERMI:
+        for phi in factors:
+            if not phi.is_even:
+                raise RegimeMismatch(
+                    "graded tensor products need even functionals (%r is not)" % (phi,)
+                )
 
 
 class JointFunctional:
     """One functional per factor, joined under a product kind.
 
-    ``bracketing`` selects how binary products are iterated when there are
-    more than two factors: ``None`` (the default) means direct evaluation
-    for tensor and left iteration for everything else, while ``"left"`` and
-    ``"right"`` force an explicit binary tree (used to test associativity).
-    Evaluation caches are internal and never change observable results.
+    ``bracketing`` selects the evaluator tree when there are more than two
+    factors.  ``None`` (the default) joins every factor in one node for the
+    padding kinds (tensor, boolean, monotone, anti-monotone, fermi) and
+    builds a balanced binary tree, ceil(log2 n) deep, for the nested ones
+    (free, degenerate, q-deformed).  ``"left"`` and ``"right"`` nest the
+    binary product to that side for every kind, which the associativity
+    law compares.  Evaluation caches are internal and never change
+    observable results.
     """
 
     def __init__(self, factors: Sequence[MomentFunctional], kind, bracketing=None):
@@ -385,17 +355,23 @@ class JointFunctional:
         _check_regime(kind, factors)
         self.factors = factors
         self.kind = kind
-        leaves = [_Leaf(phi, index) for index, phi in enumerate(factors)]
-        if bracketing is None and kind is ProductKind.TENSOR:
-            root = _TensorAll(factors)
-        elif bracketing in (None, "left"):
-            root = leaves[0]
-            for leaf in leaves[1:]:
-                root = _make_binary(kind, root, leaf)
+        odd = None
+        if kind is ProductKind.FERMI:
+            odd = [
+                frozenset(name for name, degree in phi.algebra.generators if degree)
+                for phi in factors
+            ]
+        nodes = [_Leaf(phi, index) for index, phi in enumerate(factors)]
+        if bracketing is None:
+            root = _node(kind, nodes, odd) if kind in _SPLITS else _balanced(kind, nodes)
+        elif bracketing == "left":
+            root = nodes[0]
+            for node in nodes[1:]:
+                root = _node(kind, (root, node), odd)
         elif bracketing == "right":
-            root = leaves[-1]
-            for leaf in reversed(leaves[:-1]):
-                root = _make_binary(kind, leaf, root)
+            root = nodes[-1]
+            for node in reversed(nodes[:-1]):
+                root = _node(kind, (node, root), odd)
         else:
             raise ValueError("bracketing must be None, 'left', or 'right'")
         self._root = root
@@ -419,7 +395,7 @@ class JointFunctional:
             raise RegimeMismatch(
                 "the empty word is the unit, which the non-unital regime lacks"
             )
-        return self._root.eval_word(word)
+        return self._root.eval_blocks(tuple((f, m.letters) for f, m in word.blocks))
 
     __call__ = evaluate
 
@@ -434,9 +410,10 @@ class JointFunctional:
         return "JointFunctional(%s; %s)" % (kind_label(self.kind), names)
 
 
-def eval_product(joint: JointFunctional, word: Word) -> Rational:
-    """Value of a normal-form word under the joint functional."""
-    return joint.evaluate(word)
+def eval_graded_tensor(factors: Sequence[MomentFunctional], word: Word) -> Rational:
+    """Value of a word under the graded (Fermi) tensor product of the
+    factors, i.e. under ``JointFunctional(factors, ProductKind.FERMI)``."""
+    return JointFunctional(factors, ProductKind.FERMI).evaluate(word)
 
 
 # ---------------------------------------------------------------------------
@@ -526,49 +503,6 @@ def free_centering_oracle(phi1: MomentFunctional, phi2: MomentFunctional, word: 
 
 
 # ---------------------------------------------------------------------------
-# Graded (fermionic) tensor product.
-
-
-def eval_graded_tensor(factors: Sequence[MomentFunctional], word: Word) -> Rational:
-    """Tensor value with Koszul signs from the Z2 grading.
-
-    The word's letters are stably sorted by factor; each transposition of
-    two letters from different factors contributes (-1)^(d1*d2) where the
-    d's are their degrees.  Every functional must be even - a functional
-    that sees odd elements cannot be part of a graded product state - and
-    with an all-degree-0 grading this reduces exactly to ``TENSOR``.
-    """
-    factors = tuple(factors)
-    for phi in factors:
-        if not phi.is_even:
-            raise RegimeMismatch(
-                "graded tensor products need even functionals (%r is not)" % (phi,)
-            )
-    exponent = 0
-    degrees = [0] * len(factors)
-    buckets: dict[int, list] = {}
-    for factor, monomial in word.blocks:
-        if factor >= len(factors):
-            raise ValueError("word uses factor %d beyond the %d given" % (factor, len(factors)))
-        if monomial.algebra != factors[factor].algebra:
-            raise ValueError("block over %r does not match factor %d" % (monomial.algebra.name, factor))
-        degree = monomial.degree
-        if degree:
-            crossed = 0
-            for other in range(factor + 1, len(factors)):
-                crossed ^= degrees[other]
-            exponent ^= crossed  # degree is 1 here, so the product is `crossed`
-        degrees[factor] ^= degree
-        buckets.setdefault(factor, []).extend(monomial.letters)
-    total = ONE
-    for factor in sorted(buckets):
-        total *= factors[factor].value_of_letters(buckets[factor])
-    if exponent:
-        total = -total
-    return total
-
-
-# ---------------------------------------------------------------------------
 # Moments of sums across factors.
 #
 # A summand enters as its truncated moment series M(w) = 1 + m_1 w + ... +
@@ -615,18 +549,29 @@ def _free_cumulants(given, inverse=False):
     return found
 
 
-def _sum_series(kind: ProductKind, series):
+def _convolve(a, b, weight=math.comb):
+    """[w^k] of sum_i weight(k, i) a_i b_(k-i) w^k: the moments of x + y from
+    those of x and y when yx = qxy, with q-binomial weights."""
+    return [sum(weight(k, i) * a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
+
+
+def _anti_comb(k, i):
+    """The q = -1 binomial coefficient, for anticommuting summands."""
+    return 0 if i & 1 and not k & 1 else math.comb(k // 2, i // 2)
+
+
+def _sum_series(kind: ProductKind, series, odd):
     """Moment series of the sum of summands, independent in the given order
-    under ``kind``, from the summands' moment series."""
-    if kind is ProductKind.TENSOR:
-        # the summands commute: binomial convolution
-        total = series[0]
-        for m in series[1:]:
-            total = [
-                sum(math.comb(k, i) * total[i] * m[k - i] for i in range(k + 1))
-                for k in range(len(m))
-            ]
-        return total
+    under ``kind``, from the summands' moment series; ``odd`` flags the
+    summands of odd degree in a graded sum."""
+    if kind in (ProductKind.TENSOR, ProductKind.FERMI):
+        # Summands commute and convolve binomially, except that odd ones
+        # anticommute with each other; even ones commute with everything.
+        unit = [ONE] + [ZERO] * (len(series[0]) - 1)
+        groups = [unit, unit]
+        for m, flag in zip(series, odd):
+            groups[flag] = _convolve(groups[flag], m, _anti_comb if flag else math.comb)
+        return _convolve(*groups)
     if kind is ProductKind.FREE:
         return _free_cumulants(_add(map(_free_cumulants, series)), inverse=True)
     if kind is ProductKind.BOOLEAN:
@@ -669,7 +614,9 @@ def sum_moment(kind, states: Sequence[MomentFunctional], order: int, generators=
     convolve binomially, free cumulants add, boolean eta-transforms
     1 - 1/M(w) add, monotone sums compose K(w) = w M(w) with the earlier
     factor outermost and anti-monotone sums with the later one, and
-    degenerate sums add the summands' own moments.  :class:`QDeformed`
+    degenerate sums add the summands' own moments.  Fermi sums convolve
+    the even summands binomially and the odd ones with q = -1 binomial
+    coefficients, then the two groups binomially.  :class:`QDeformed`
     kinds still enumerate: they sum the joint values of all N^order words
     x_{i_1} ... x_{i_order}.
     """
@@ -699,4 +646,5 @@ def sum_moment(kind, states: Sequence[MomentFunctional], order: int, generators=
         [ONE] + [phi(Monomial(phi.algebra, letter.letters * k)) for k in range(1, order + 1)]
         for phi, letter in zip(states, letters)
     ]
-    return _sum_series(kind, series)[order]
+    odd = [kind is ProductKind.FERMI and letter.degree == 1 for letter in letters]
+    return _sum_series(kind, series, odd)[order]

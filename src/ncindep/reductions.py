@@ -41,7 +41,7 @@ from typing import NamedTuple, Sequence
 from .algebra import Monomial, Word
 from .errors import RegimeMismatch
 from .moments import MomentFunctional
-from .products import JointFunctional, ProductKind, eval_graded_tensor
+from .products import JointFunctional, ProductKind
 from .rational import ONE, Rational
 
 
@@ -52,18 +52,10 @@ class ReductionKind(Enum):
     ANTI_MONOTONE = "antimonotone"
 
     @property
-    def product_kind(self):
-        """The product this reduction reproduces (None for fermi, whose
-        product is the graded tensor rather than one of the five)."""
-        return _PRODUCT_OF_REDUCTION[self]
+    def product_kind(self) -> ProductKind:
+        """The product this reduction reproduces."""
+        return ProductKind(self.value)
 
-
-_PRODUCT_OF_REDUCTION = {
-    ReductionKind.FERMI: None,
-    ReductionKind.BOOLEAN: ProductKind.BOOLEAN,
-    ReductionKind.MONOTONE: ProductKind.MONOTONE,
-    ReductionKind.ANTI_MONOTONE: ProductKind.ANTI_MONOTONE,
-}
 
 _M_KINDS = (ReductionKind.BOOLEAN, ReductionKind.MONOTONE, ReductionKind.ANTI_MONOTONE)
 
@@ -200,7 +192,9 @@ def fermi_split_pair(left: Monomial, right: Monomial, gpow: int = 0) -> ReducedW
 
 
 class ReducedState:
-    """Functional on one enlarged factor, induced by a moment functional."""
+    """Functional on one enlarged factor, induced by a moment functional:
+    the original functional on monomial parts, the auxiliary letters g and
+    p both valued 1."""
 
     def __init__(self, kind: ReductionKind, phi: MomentFunctional):
         if kind is ReductionKind.FERMI:
@@ -235,12 +229,6 @@ class ReducedState:
         return "ReducedState(%s, %r)" % (self.kind.value, self.phi.algebra.name)
 
 
-def reduce_state(kind: ReductionKind, phi: MomentFunctional) -> ReducedState:
-    """State on the enlarged factor: the original functional on monomial
-    parts, the auxiliary letters g and p both valued 1."""
-    return ReducedState(kind, phi)
-
-
 def tensor_value(states: Sequence[ReducedState], reduced: ReducedWord) -> Rational:
     """Ordinary tensor value of an embedded word: the carried sign times the
     product of each reduced state on its own slot."""
@@ -262,12 +250,9 @@ def verify_reduction(kind: ReductionKind, factors: Sequence[MomentFunctional], w
     """Compare the product value of a word with the tensor value of its
     embedded image; the two must agree exactly for every word."""
     factors = tuple(factors)
-    if kind is ReductionKind.FERMI:
-        lhs = eval_graded_tensor(factors, word)
-    else:
-        lhs = JointFunctional(factors, kind.product_kind).evaluate(word)
+    lhs = JointFunctional(factors, kind.product_kind).evaluate(word)
     reduced = embed_word(kind, len(factors), word)
-    states = [reduce_state(kind, phi) for phi in factors]
+    states = [ReducedState(kind, phi) for phi in factors]
     rhs = tensor_value(states, reduced)
     return ReductionCheck(lhs, rhs, lhs == rhs)
 

@@ -70,7 +70,8 @@ def test_core_conditions_hold_for_the_named_kinds():
 
 
 def test_functoriality_holds_for_the_named_kinds():
-    for kind in NAMED:
+    # fermi runs on graded algebras, with degree-keeping substitutions
+    for kind in NAMED + (ProductKind.FERMI,):
         report = run(Axiom.FUNCTORIALITY, kind, trials=3)
         assert report.passed, (kind, report.failures[:1])
 
@@ -105,6 +106,7 @@ def test_symmetry_fails_with_witness_for_monotone():
 def test_unit_law_runs_only_in_the_unital_regime():
     assert run(Axiom.UNIT_LAW, ProductKind.TENSOR).passed
     assert run(Axiom.UNIT_LAW, ProductKind.FREE).passed
+    assert run(Axiom.UNIT_LAW, ProductKind.FERMI).passed
     with pytest.raises(RegimeMismatch):
         run(Axiom.UNIT_LAW, ProductKind.BOOLEAN)
 
@@ -117,7 +119,7 @@ def test_mirror_applies_only_to_the_one_sided_kinds():
 
 
 def test_every_runnable_cell_of_the_table_matches_observation():
-    kinds = NAMED + (ProductKind.DEGENERATE, QDeformed(ProductKind.FREE, "1/3"))
+    kinds = NAMED + (ProductKind.DEGENERATE, ProductKind.FERMI, QDeformed(ProductKind.FREE, "1/3"))
     for axiom in (Axiom.ASSOCIATIVITY, Axiom.INCLUSION, Axiom.FACTORIZATION, Axiom.SYMMETRY):
         for kind in kinds:
             report = run(axiom, kind, trials=2)

@@ -89,6 +89,15 @@ def test_eval_fermi_signed_word(capsys, tmp_path):
     assert out.splitlines()[0] == "-1"
 
 
+def test_eval_rejects_two_factors_with_one_algebra_name(capsys, pair_files):
+    s1, _ = pair_files
+    code, out, err = run(
+        capsys, "eval", "--product", "tensor", "--state", s1, s1, "--expr", "A1.a A1.a"
+    )
+    assert code == 2 and out == ""
+    assert error_doc(err)["code"] == "usage"
+
+
 def test_eval_q_deformed_label(capsys, pair_files):
     s1, s2 = pair_files
     code, out, _ = run(
@@ -126,6 +135,31 @@ def test_clt_fermi_uses_the_graded_tensor(capsys):
     assert out.splitlines() == ["2", "normalized: 1"]
 
 
+def test_clt_fermi_sums_a_thousand_odd_copies(capsys):
+    # anticommuting copies: n m4 + n (n - 1) m2^2 = n^2 + 2n, so 1 + 2/n
+    code, out, err = run(
+        capsys, "clt", "--product", "fermi", "--moments", "0,1,0,3", "--n", "1000", "--order", "4"
+    )
+    assert code == 0 and err == ""
+    assert out.splitlines() == ["1002000", "normalized: 501/500"]
+
+
+def test_clt_fermi_rejects_odd_moments(capsys):
+    code, out, err = run(
+        capsys, "clt", "--product", "fermi", "--moments", "1,1", "--n", "3", "--order", "2"
+    )
+    assert code == 3 and out == ""
+    assert error_doc(err)["code"] == "regime"
+
+
+def test_clt_q_deformed_sum_of_many_copies_does_not_recurse_deeply(capsys):
+    code, out, err = run(
+        capsys, "clt", "--product", "q:tensor:2", "--moments", "0,1", "--n", "400", "--order", "1"
+    )
+    assert code == 0 and err == ""
+    assert out.splitlines() == ["0"]
+
+
 @pytest.mark.parametrize("moments", [("--moments", "-1,1"), ("--moments=-1,1",)])
 def test_clt_accepts_a_moment_list_with_a_leading_minus(capsys, moments):
     code, out, err = run(
@@ -140,13 +174,14 @@ def test_clt_accepts_a_moment_list_with_a_leading_minus(capsys, moments):
 
 
 def test_check_axiom_pass_is_exit_zero(capsys):
-    code, out, _ = run(
-        capsys, "check", "--axiom", "associativity", "--product", "free",
-        "--seed", "1", "--trials", "2", "--max-len", "4",
-    )
-    assert code == 0
-    assert "failures=0" in out
-    assert out.rstrip().splitlines()[-1] == "expected=pass observed=pass verdict=ok"
+    for product in ("free", "fermi"):
+        code, out, _ = run(
+            capsys, "check", "--axiom", "associativity", "--product", product,
+            "--seed", "1", "--trials", "2", "--max-len", "4",
+        )
+        assert code == 0, product
+        assert "failures=0" in out
+        assert out.rstrip().splitlines()[-1] == "expected=pass observed=pass verdict=ok"
 
 
 def test_check_axiom_expected_failure_is_exit_zero_with_witness(capsys):

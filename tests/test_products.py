@@ -17,7 +17,6 @@ from ncindep import (
     Word,
     enumerate_words,
     eval_graded_tensor,
-    eval_product,
     free_centering_oracle,
     gen_random_state,
     kind_label,
@@ -299,17 +298,30 @@ def test_evaluation_order_does_not_change_values():
 
 
 def test_three_factor_bracketings_agree():
-    from conftest import A3
-    phis = (
-        gen_random_state(A1, 4, 31),
-        gen_random_state(A2, 4, 32),
-        gen_random_state(A3, 4, 33),
-    )
-    for kind in (ProductKind.TENSOR, ProductKind.FREE):
-        left = JointFunctional(phis, kind, bracketing="left")
-        right = JointFunctional(phis, kind, bracketing="right")
-        for w in enumerate_words((A1, A2, A3), 3):
-            assert left.evaluate(w) == right.evaluate(w), (kind, w)
+    """The default tree (one padding node, or a balanced binary tree for the
+    nested kinds) agrees with the left and the right bracketing."""
+    G3 = AlgebraSignature("A3", True, (("s", 1), ("t", 0)))
+    for kind in list(ProductKind) + [QDeformed(ProductKind.FREE, "1/3")]:
+        if kind is ProductKind.FERMI:
+            signatures = (G1, G2, G3)
+        elif kind in (ProductKind.TENSOR, ProductKind.FREE):
+            signatures = (A1, A2, A3)
+        else:
+            signatures = (N1, N2, N3)
+        phis = [gen_random_state(sig, 4, 31 + i) for i, sig in enumerate(signatures)]
+        default, left, right = (
+            JointFunctional(phis, kind, bracketing=b) for b in (None, "left", "right")
+        )
+        for w in enumerate_words(signatures, 4):
+            assert default.evaluate(w) == left.evaluate(w) == right.evaluate(w), (kind, w)
+
+
+def test_a_free_product_of_four_hundred_factors_nests_shallowly():
+    signatures = [AlgebraSignature("F%d" % i, True, (("x", 0),)) for i in range(400)]
+    phis = [total_state(sig, 1, {"x": as_rational(1) / (i + 2)}) for i, sig in enumerate(signatures)]
+    joint = JointFunctional(phis, ProductKind.FREE)
+    word = Word(((0, Monomial(signatures[0], ("x",))), (399, Monomial(signatures[399], ("x",)))))
+    assert joint.evaluate(word) == as_rational("1/2") * as_rational("1/401")
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +407,11 @@ def test_sum_moment_requires_designations_when_ambiguous():
     assert value == as_rational(2)
 
 
+UNITAL_OR_NOT = (ProductKind.TENSOR, ProductKind.FREE, ProductKind.FERMI)
 PLAIN_SUM_CASES = [
     (kind, unital)
     for kind in ProductKind
-    for unital in ((True, False) if kind in (ProductKind.TENSOR, ProductKind.FREE) else (False,))
+    for unital in ((True, False) if kind in UNITAL_OR_NOT else (False,))
 ]
 
 
@@ -425,6 +438,18 @@ def test_sum_moment_transforms_match_word_enumeration(kind, unital):
     )
     with pytest.raises(DegreeExceeded):
         sum_moment(kind, states, 5, generators=generators)
+    if kind is ProductKind.FERMI:
+        # odd summands anticommute; odd alone, and mixed with even ones
+        for degrees in ((1, 1, 1), (1, 0, 1, 0), (0, 1, 1)):
+            states = [
+                gen_random_state(AlgebraSignature("S%d" % i, unital, (("x", d),)), 6, rng)
+                for i, d in enumerate(degrees)
+            ]
+            letters = [Monomial(phi.algebra, ("x",)) for phi in states]
+            for order in range(1, 7):
+                assert sum_moment(kind, states, order) == _sum_by_words(
+                    kind, states, letters, order
+                ), (degrees, order)
 
 
 def test_sum_moment_keeps_the_regime_rules():
@@ -433,6 +458,9 @@ def test_sum_moment_keeps_the_regime_rules():
             sum_moment(kind, (total_state(U1, 2), total_state(U2, 2)), 2)
     with pytest.raises(RegimeMismatch):
         sum_moment(ProductKind.FREE, (total_state(U1, 2), total_state(P2, 2)), 2)
+    odd = AlgebraSignature("A1", True, (("a", 1),))
+    with pytest.raises(RegimeMismatch):  # a graded sum needs even states
+        sum_moment(ProductKind.FERMI, (total_state(odd, 2, {"a": 1}), total_state(U2, 2)), 2)
 
 
 def test_sum_moment_of_a_thousand_coins_has_the_closed_forms():
@@ -450,10 +478,3 @@ def test_sum_moment_of_a_thousand_coins_has_the_closed_forms():
         sig = AlgebraSignature("S", unital, (("x", 0),))
         states = [total_state(sig, 4, coin)] * n
         assert sum_moment(kind, states, 4) / n**2 == value, kind
-
-
-def test_eval_product_is_the_functional_call():
-    phi1 = total_state(P1, 2, {"a": "1/2"})
-    phi2 = total_state(P2, 2, {"b": "1/3"})
-    joint = JointFunctional((phi1, phi2), ProductKind.BOOLEAN)
-    assert eval_product(joint, word_aba()) == joint(word_aba())

@@ -12,6 +12,7 @@ from ncindep import (
     MomentFunctional,
     Monomial,
     ProductKind,
+    ReducedState,
     ReducedWord,
     ReductionKind,
     RegimeMismatch,
@@ -22,7 +23,6 @@ from ncindep import (
     fermi_split_pair,
     gen_random_state,
     normalize_word,
-    reduce_state,
     reduced_product,
     reduction_sweep,
     tensor_value,
@@ -103,20 +103,20 @@ def test_embedding_rejects_out_of_range_factors():
 
 def test_enlarged_state_ignores_p_padding():
     phi = total_state(N1, 2, {"a": "1/2"})
-    state = reduce_state(ReductionKind.BOOLEAN, phi)
+    state = ReducedState(ReductionKind.BOOLEAN, phi)
     assert state.value((P, "a", P)) == as_rational("1/2")
 
 
 def test_enlarged_state_splits_runs_at_p():
     phi = total_state(N1, 2, {"a": "1/2", "b": "1/3"})
-    state = reduce_state(ReductionKind.MONOTONE, phi)
+    state = ReducedState(ReductionKind.MONOTONE, phi)
     assert state.value(("a", P, "b")) == as_rational("1/6")
     assert state.value(("a", "b")) == phi(Monomial(N1, ("a", "b")))
 
 
 def test_fermi_state_values_g_as_one():
     phi = total_state(G1, 2, {"a a": 1, "b": "1/2"})
-    state = reduce_state(ReductionKind.FERMI, phi)
+    state = ReducedState(ReductionKind.FERMI, phi)
     assert state.value(FermiSlot(("a", "a"), 0, 1)) == ONE
     assert state.value(FermiSlot(("b",), 0, 0)) == as_rational("1/2")
     assert state.value(FermiSlot((), 0, 1)) == ONE  # bare g
@@ -124,14 +124,14 @@ def test_fermi_state_values_g_as_one():
 
 def test_fermi_state_requires_evenness():
     with pytest.raises(RegimeMismatch):
-        reduce_state(ReductionKind.FERMI, total_state(G1, 1, {"a": 1}))
+        ReducedState(ReductionKind.FERMI, total_state(G1, 1, {"a": 1}))
 
 
 def test_m_reductions_require_the_non_unital_regime():
     unital = total_state(AlgebraSignature("A1", True, (("a", 0),)), 1)
     for kind in M_KINDS:
         with pytest.raises(RegimeMismatch):
-            reduce_state(kind, unital)
+            ReducedState(kind, unital)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +172,7 @@ def test_fermi_route_matches_on_the_signed_word():
 
 def test_inclusion_of_one_factor_preserves_moments():
     phi = total_state(G1, 3, {"a a": "2/3", "b": "1/5", "a b a": 0, "b b b": "7/8"})
-    state = reduce_state(ReductionKind.FERMI, phi)
+    state = ReducedState(ReductionKind.FERMI, phi)
     for letters in (("a", "a"), ("b",), ("b", "b", "b")):
         assert state.value(FermiSlot(letters, 0, 0)) == phi(Monomial(G1, letters))
 
