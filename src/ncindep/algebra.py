@@ -197,9 +197,6 @@ class Word:
     def num_letters(self) -> int:
         return sum(len(m) for _, m in self.blocks)
 
-    def factors_used(self) -> frozenset:
-        return frozenset(f for f, _ in self.blocks)
-
     def __repr__(self):
         if not self.blocks:
             return "Word(1)"
@@ -399,6 +396,8 @@ class Homomorphism:
         for name in self.source.generator_names:
             degree = self.source.degree_of(name)
             for word in images[name].terms:
+                if word.is_empty and not self.target.unital:
+                    raise RegimeMismatch("image of %r has a unit term, but no unit exists" % name)
                 if word.num_blocks > 1:
                     raise ValueError(
                         "image of %r is not a single-factor polynomial" % name
@@ -440,19 +439,6 @@ class Homomorphism:
                 result = result * self.images[letter]
         cache[monomial.letters] = result
         return result
-
-    def apply_polynomial(self, polynomial: Polynomial) -> Polynomial:
-        """Image of a single-factor polynomial over the source."""
-        total = Polynomial.zero()
-        for word, coeff in polynomial.items():
-            if word.is_empty:
-                total = total + Polynomial.from_word(EMPTY_WORD, coeff)
-                continue
-            if word.num_blocks != 1:
-                raise ValueError("polynomial is not single-factor")
-            _, monomial = word.blocks[0]
-            total = total + self.apply_monomial(monomial).scaled(coeff)
-        return total
 
 
 def _retag(polynomial: Polynomial, factor: int) -> Polynomial:

@@ -82,6 +82,7 @@ class AxiomReport:
     seed: int
     trials: int
     failures: tuple
+    checked: int  # word comparisons made
 
     @property
     def passed(self) -> bool:
@@ -89,8 +90,9 @@ class AxiomReport:
 
     def lines(self, max_witnesses: int = 3):
         out = [
-            "axiom=%s kind=%s seed=%d trials=%d failures=%d"
-            % (self.axiom.value, kind_label(self.kind), self.seed, self.trials, len(self.failures))
+            "axiom=%s kind=%s seed=%d trials=%d checked=%d failures=%d"
+            % (self.axiom.value, kind_label(self.kind), self.seed, self.trials, self.checked,
+               len(self.failures))
         ]
         for failure in self.failures[:max_witnesses]:
             out.append(
@@ -138,15 +140,14 @@ def gen_random_state(signature: AlgebraSignature, max_degree: int, seed) -> Mome
     ``seed`` may be an integer or a ``random.Random``."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     choice = rng.choice
-    table = {}
-    for monomial in all_monomials(signature, max_degree):
-        if monomial.is_unit:
-            table[monomial] = ONE
-        elif signature.graded and monomial.degree:
-            table[monomial] = ZERO
-        else:
-            table[monomial] = choice(_MOMENT_PALETTE)
-    return MomentFunctional(signature, max_degree, table)
+    odd = {name for name, degree in signature.generators if degree}
+    table = {(): ONE} if signature.unital else {}
+    # canonical order, as all_monomials: by length, then lexicographically
+    for length in range(1, max_degree + 1):
+        for letters in itertools.product(signature.generator_names, repeat=length):
+            parity = sum(letter in odd for letter in letters) & 1 if odd else 0
+            table[letters] = ZERO if parity else choice(_MOMENT_PALETTE)
+    return MomentFunctional._from_letters(signature, max_degree, table)
 
 
 def gen_random_word(signatures: Sequence[AlgebraSignature], max_letters: int, seed) -> Word:
@@ -224,10 +225,6 @@ _FACTOR_NAMES = ("A1", "A2", "A3")
 _FACTOR_GENS = (("a", "b"), ("x", "y"), ("s", "t"))
 
 
-def _plain(kind) -> ProductKind:
-    return kind.base if isinstance(kind, QDeformed) else kind
-
-
 def _uses_unital(kind) -> bool:
     if isinstance(kind, QDeformed):
         return False
@@ -297,10 +294,13 @@ def run_axiom_suite(
         raise RegimeMismatch("the mirror identity relates monotone and anti-monotone")
     runner = _TRIAL_RUNNERS[axiom]
     failures = []
+    checked = 0
     for trial in range(trials):
         rng = random.Random(seed * 1_000_003 + trial)
-        failures.extend(runner(kind, rng, max_word_len))
-    return AxiomReport(axiom, kind, seed, trials, tuple(failures))
+        count, found = runner(kind, rng, max_word_len)
+        checked += count
+        failures.extend(found)
+    return AxiomReport(axiom, kind, seed, trials, tuple(failures), checked)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +323,7 @@ def _trial_associativity(kind, rng, max_word_len):
             failures.append(
                 AxiomFailure(_word_inputs(states, word, bracketing="left-vs-right"), lhs, rhs)
             )
-    return failures
+    return len(words), failures
 
 
 def _trial_unit_law(kind, rng, max_word_len):
@@ -334,7 +334,8 @@ def _trial_unit_law(kind, rng, max_word_len):
     with_right_unit = JointFunctional([phi, delta], kind)
     with_left_unit = JointFunctional([delta, phi], kind)
     failures = []
-    for monomial in all_monomials(signature, max_word_len):
+    monomials = list(all_monomials(signature, max_word_len))
+    for monomial in monomials:
         expected = phi(monomial)
         as_first = normalize_word([(0, monomial)])
         as_second = normalize_word([(1, monomial)])
@@ -347,7 +348,7 @@ def _trial_unit_law(kind, rng, max_word_len):
                 failures.append(
                     AxiomFailure(_word_inputs([phi], word, side=side), got, expected)
                 )
-    return failures
+    return 2 * len(monomials), failures
 
 
 def _trial_inclusion(kind, rng, max_word_len):
@@ -355,8 +356,10 @@ def _trial_inclusion(kind, rng, max_word_len):
     states = [gen_random_state(sig, max_word_len, rng) for sig in signatures]
     joint = JointFunctional(states, kind)
     failures = []
+    checked = 0
     for index in (0, 1):
         for monomial in all_monomials(signatures[index], max_word_len):
+            checked += 1
             word = normalize_word([(index, monomial)])
             expected = ONE if monomial.is_unit else states[index](monomial)
             got = joint.evaluate(word)
@@ -364,7 +367,7 @@ def _trial_inclusion(kind, rng, max_word_len):
                 failures.append(
                     AxiomFailure(_word_inputs(states, word, factor=index), got, expected)
                 )
-    return failures
+    return checked, failures
 
 
 def _trial_functoriality(kind, rng, max_word_len):
@@ -398,7 +401,7 @@ def _trial_functoriality(kind, rng, max_word_len):
                     _word_inputs(target_states, word, homomorphisms=hom_doc), lhs, rhs
                 )
             )
-    return failures
+    return len(words), failures
 
 
 def _trial_factorization(kind, rng, max_word_len):
@@ -406,7 +409,8 @@ def _trial_factorization(kind, rng, max_word_len):
     states = [gen_random_state(sig, max_word_len, rng) for sig in signatures]
     joint = JointFunctional(states, kind)
     failures = []
-    for _ in range(8):
+    checks = 8
+    for _ in range(checks):
         first_len = rng.randint(1, max(1, max_word_len - 1))
         second_len = rng.randint(1, max(1, max_word_len - first_len))
         first = Monomial(
@@ -422,7 +426,7 @@ def _trial_factorization(kind, rng, max_word_len):
         rhs = states[0](first) * states[1](second)
         if lhs != rhs:
             failures.append(AxiomFailure(_word_inputs(states, word), lhs, rhs))
-    return failures
+    return checks, failures
 
 
 def _swap_factors(word: Word) -> Word:
@@ -443,7 +447,7 @@ def _trial_symmetry(kind, rng, max_word_len):
         rhs = swapped.evaluate(_swap_factors(word))
         if lhs != rhs:
             failures.append(AxiomFailure(_word_inputs(states, word), lhs, rhs))
-    return failures
+    return len(words), failures
 
 
 def _trial_mirror(kind, rng, max_word_len):
@@ -465,7 +469,7 @@ def _trial_mirror(kind, rng, max_word_len):
         rhs = mirrored.evaluate(_swap_factors(word))
         if lhs != rhs:
             failures.append(AxiomFailure(_word_inputs(states, word), lhs, rhs))
-    return failures
+    return len(words), failures
 
 
 _TRIAL_RUNNERS = {

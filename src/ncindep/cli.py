@@ -122,6 +122,8 @@ def _cmd_check_axiom(args) -> int:
     report = run_axiom_suite(axiom, kind, args.seed, args.trials, max_len)
     for line in report.lines():
         print(line)
+    if not report.checked:
+        raise _UsageError("the check compared no words")
     expected = expected_outcome(axiom, kind)
     as_expected = report.passed == expected
     print(

@@ -26,7 +26,7 @@ are exact rational literals, ``"p/q"`` or a bare integer.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
 from typing import Mapping
 
 from .algebra import (
@@ -40,25 +40,31 @@ from .errors import DegreeExceeded, RegimeMismatch, StateDocumentError
 from .rational import ONE, Rational, ZERO, as_rational, format_rational
 
 
-@dataclass(frozen=True, eq=False)
 class MomentFunctional:
     """A linear functional given by its moments up to ``max_degree``.
 
-    ``table`` maps every monomial of length <= ``max_degree`` to an exact
-    rational.  Unital algebras must map the unit to 1.  Evenness (vanishing
-    on odd monomials of a graded algebra) is not forced at construction;
-    it is a property some operations require and check via :attr:`is_even`.
+    Every monomial of length <= ``max_degree`` has an exact rational
+    moment, stored once keyed by letter tuples (:attr:`letters_table`);
+    :attr:`table`, keyed by :class:`Monomial`, is a view derived on first
+    access.  Unital algebras map the unit to 1.  The constructor validates
+    its table; the library's own complete tables skip that through
+    :meth:`_from_letters`.  Evenness (vanishing on odd monomials of a
+    graded algebra) is not forced; operations that need it check
+    :attr:`is_even`.
     """
 
-    algebra: AlgebraSignature
-    max_degree: int
-    table: Mapping[Monomial, Rational]
+    __slots__ = ("algebra", "max_degree", "_table", "_letters", "_even")
+
+    def __init__(self, algebra: AlgebraSignature, max_degree: int, table: Mapping[Monomial, Rational]):
+        self.algebra, self.max_degree, self._table = algebra, max_degree, table
+        self.__post_init__()
 
     def __post_init__(self):
+        # the validating body, apart from __init__ so that it can be wrapped
         if self.max_degree < 0:
             raise ValueError("max_degree must be nonnegative")
         clean: dict[Monomial, Rational] = {}
-        for monomial, value in dict(self.table).items():
+        for monomial, value in dict(self._table).items():
             if monomial.algebra != self.algebra:
                 raise ValueError("table entry %r is not over %r" % (monomial, self.algebra.name))
             if len(monomial) > self.max_degree:
@@ -76,9 +82,18 @@ class MomentFunctional:
             unit = Monomial(self.algebra, ())
             if clean[unit] != ONE:
                 raise ValueError("a unital functional must send the unit to 1")
-        object.__setattr__(self, "table", clean)
-        object.__setattr__(self, "_even", None)
-        object.__setattr__(self, "_letters_cache", None)
+        self._table = clean
+        self._letters = {monomial.letters: value for monomial, value in clean.items()}
+        self._even = None
+
+    @classmethod
+    def _from_letters(cls, algebra: AlgebraSignature, max_degree: int, letters: dict) -> "MomentFunctional":
+        """Trusted build from a letter-keyed table the caller made complete
+        and exact, in canonical order; nothing is checked again."""
+        self = cls.__new__(cls)
+        self.algebra, self.max_degree, self._letters = algebra, max_degree, letters
+        self._table = self._even = None
+        return self
 
     @classmethod
     def from_entries(cls, algebra: AlgebraSignature, max_degree: int, entries) -> "MomentFunctional":
@@ -90,42 +105,46 @@ class MomentFunctional:
         return cls(algebra, max_degree, table)
 
     @property
+    def table(self) -> Mapping[Monomial, Rational]:
+        """The moment table keyed by :class:`Monomial`; do not mutate."""
+        if self._table is None:
+            self._table = {Monomial(self.algebra, key): value for key, value in self._letters.items()}
+        return self._table
+
+    @property
+    def letters_table(self) -> Mapping[tuple, Rational]:
+        """The moment table keyed by plain letter tuples; do not mutate."""
+        return self._letters
+
+    @property
     def unital(self) -> bool:
         return self.algebra.unital
 
     @property
     def is_even(self) -> bool:
         """True when every odd-degree monomial up to D has moment 0."""
-        cached = self._even
-        if cached is None:
-            cached = all(
+        if self._even is None:
+            odd = {name for name, degree in self.algebra.generators if degree}
+            self._even = not odd or all(
                 value == ZERO
-                for monomial, value in self.table.items()
-                if monomial.degree == 1
+                for letters, value in self._letters.items()
+                if sum(letter in odd for letter in letters) & 1
             )
-            object.__setattr__(self, "_even", cached)
-        return cached
+        return self._even
 
     def __call__(self, monomial: Monomial) -> Rational:
         if monomial.algebra != self.algebra:
             raise ValueError("monomial %r is not over %r" % (monomial, self.algebra.name))
         if len(monomial) > self.max_degree:
             raise DegreeExceeded(monomial, self.max_degree)
-        return self.table[monomial]
+        return self._letters[monomial.letters]
 
     def value_of_letters(self, letters) -> Rational:
         """Moment of the monomial with the given letters (over this algebra)."""
-        return self(Monomial(self.algebra, tuple(letters)))
-
-    @property
-    def letters_table(self) -> Mapping[tuple, Rational]:
-        """The moment table keyed by plain letter tuples, for evaluation
-        loops that want to avoid building monomials."""
-        cached = self._letters_cache
-        if cached is None:
-            cached = {monomial.letters: value for monomial, value in self.table.items()}
-            object.__setattr__(self, "_letters_cache", cached)
-        return cached
+        letters = tuple(letters)
+        value = self._letters.get(letters)
+        # beyond D, or not a monomial here: the checked route raises
+        return self(Monomial(self.algebra, letters)) if value is None else value
 
     def __repr__(self):
         return "MomentFunctional(%s, D=%d)" % (self.algebra.name, self.max_degree)
@@ -153,34 +172,58 @@ def eval_functional(phi: MomentFunctional, polynomial: Polynomial) -> Rational:
     return total
 
 
+def _times(first: dict, second: dict) -> dict:
+    """Product of two single-factor polynomials keyed by letter tuples."""
+    out: dict = {}
+    for left, c1 in first.items():
+        for right, c2 in second.items():
+            key, coeff = left + right, c1 * c2
+            out[key] = out[key] + coeff if key in out else coeff
+    return {key: coeff for key, coeff in out.items() if coeff}
+
+
 def pullback(phi: MomentFunctional, hom: Homomorphism, max_degree=None) -> MomentFunctional:
     """The composite functional phi o hom, tabulated over the source.
 
     The result's degree bound defaults to the largest D such that every
     source monomial of length D has an image phi can evaluate (D times the
     longest image monomial fits under phi's bound).  Requesting more raises
-    ``DegreeExceeded``.
+    ``DegreeExceeded``.  Each monomial's image is its prefix's image times
+    one generator's image.
     """
     if hom.target != phi.algebra:
         raise ValueError("homomorphism does not land in the functional's algebra")
-    longest = 0
-    for image in hom.images.values():
-        for word in image.terms:
-            longest = max(longest, word.num_letters)
-    if longest == 0:
-        feasible = phi.max_degree
-    else:
-        feasible = phi.max_degree // longest
+    names = hom.source.generator_names
+    images = {}  # integer numerators over one denominator, so products stay in ints
+    for name in names:
+        terms = hom.images[name].terms
+        den = math.lcm(*(c.denominator for c in terms.values()))
+        images[name] = den, {
+            (w.blocks[0][1].letters if w.blocks else ()): c.numerator * (den // c.denominator)
+            for w, c in terms.items()
+        }
+    longest = max((len(letters) for _, image in images.values() for letters in image), default=0)
+    feasible = phi.max_degree // longest if longest else phi.max_degree
     if max_degree is None:
         max_degree = feasible
     elif max_degree * longest > phi.max_degree:
-        probe = Monomial(hom.source, hom.source.generator_names[:1] * max_degree)
+        probe = Monomial(hom.source, names[:1] * max_degree)
         raise DegreeExceeded(probe, feasible)
-    table = {
-        monomial: eval_functional(phi, hom.apply_monomial(monomial))
-        for monomial in all_monomials(hom.source, max_degree)
-    }
-    return MomentFunctional(hom.source, max_degree, table)
+    values = phi.letters_table  # holds every key: the images fit under its bound
+    table = {(): ONE} if hom.source.unital else {}
+    level = {(): (1, {(): 1})}  # the images of the monomials of one length
+    for _ in range(max_degree):
+        level = {
+            prefix + (name,): (den * images[name][0], _times(image, images[name][1]))
+            for prefix, (den, image) in level.items()
+            for name in names
+        }
+        for letters, (den, image) in level.items():
+            moments = [(c, values[key]) for key, c in image.items()]
+            common = math.lcm(*(v.denominator for _, v in moments))
+            num = sum(c * v.numerator * (common // v.denominator) for c, v in moments)
+            table[letters] = Rational(num, common * den)
+    return MomentFunctional._from_letters(hom.source, max_degree, table)
 
 
 def unitize(phi: MomentFunctional) -> MomentFunctional:
@@ -188,12 +231,7 @@ def unitize(phi: MomentFunctional) -> MomentFunctional:
     if phi.unital:
         raise RegimeMismatch("functional is already unital")
     signature = AlgebraSignature(phi.algebra.name, True, phi.algebra.generators)
-    table = {
-        Monomial(signature, monomial.letters): value
-        for monomial, value in phi.table.items()
-    }
-    table[Monomial(signature, ())] = ONE
-    return MomentFunctional(signature, phi.max_degree, table)
+    return MomentFunctional._from_letters(signature, phi.max_degree, {(): ONE, **phi.letters_table})
 
 
 def scale(phi: MomentFunctional, coeff) -> MomentFunctional:
@@ -207,8 +245,8 @@ def scale(phi: MomentFunctional, coeff) -> MomentFunctional:
         raise ValueError("scaling coefficient must be nonzero")
     if phi.unital:
         raise RegimeMismatch("cannot scale a unital functional")
-    table = {monomial: value * coeff for monomial, value in phi.table.items()}
-    return MomentFunctional(phi.algebra, phi.max_degree, table)
+    table = {letters: value * coeff for letters, value in phi.letters_table.items()}
+    return MomentFunctional._from_letters(phi.algebra, phi.max_degree, table)
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +284,8 @@ def signature_from_json(doc) -> AlgebraSignature:
 
 def state_to_json(phi: MomentFunctional) -> dict:
     moments = {
-        " ".join(monomial.letters): format_rational(value)
-        for monomial, value in phi.table.items()
+        " ".join(letters): format_rational(value)
+        for letters, value in phi.letters_table.items()
     }
     return {
         "algebra": signature_to_json(phi.algebra),

@@ -594,8 +594,8 @@ def _sum_series(kind: ProductKind, series, odd):
 
 def _sum_by_words(kind, states, letters, order) -> Rational:
     """:func:`sum_moment` as the sum of the joint values of all N^order
-    words over the designated ``letters``; the route for q-deformed kinds
-    and the reference the transforms are tested against."""
+    words over the designated ``letters``; the reference the transforms are
+    tested against."""
     joint = JointFunctional(states, kind)
     total = ZERO
     for combo in itertools.product(range(len(states)), repeat=order):
@@ -617,8 +617,8 @@ def sum_moment(kind, states: Sequence[MomentFunctional], order: int, generators=
     degenerate sums add the summands' own moments.  Fermi sums convolve
     the even summands binomially and the odd ones with q = -1 binomial
     coefficients, then the two groups binomially.  :class:`QDeformed`
-    kinds still enumerate: they sum the joint values of all N^order words
-    x_{i_1} ... x_{i_order}.
+    kinds scale every summand's moments by 1/q, sum them under the base
+    kind and scale the result by q.
     """
     states = tuple(states)
     if order < 1:
@@ -638,13 +638,19 @@ def sum_moment(kind, states: Sequence[MomentFunctional], order: int, generators=
         if len(names) != len(states):
             raise ValueError("need one designated generator per state")
     letters = [Monomial(phi.algebra, (name,)) for phi, name in zip(states, names)]
-    if not isinstance(kind, ProductKind) or not states:
-        # q-deformed kinds; JointFunctional rejects bad kinds and no states
+    if not isinstance(kind, (ProductKind, QDeformed)) or not states:
+        # JointFunctional rejects bad kinds and no states
         return _sum_by_words(kind, states, letters, order)
     _check_regime(kind, states)
     series = [
         [ONE] + [phi(Monomial(phi.algebra, letter.letters * k)) for k in range(1, order + 1)]
         for phi, letter in zip(states, letters)
     ]
+    if isinstance(kind, QDeformed):
+        # every tree node scales its halves by 1/q and its sum by q; the
+        # base sums are associative, so only the outermost scalings remain
+        inv = ONE / kind.q
+        scaled = [[ONE] + [inv * m for m in s[1:]] for s in series]
+        return kind.q * _sum_series(kind.base, scaled, [False] * len(series))[order]
     odd = [kind is ProductKind.FERMI and letter.degree == 1 for letter in letters]
     return _sum_series(kind, series, odd)[order]

@@ -2,9 +2,8 @@
 
 Every quantity the engine computes is an exact rational number; floating
 point appears only in advisory decimal renderings.  When gmpy2 is installed
-its ``mpq`` type is used (it is roughly an order of magnitude faster on the
-small rationals that dominate moment computations); otherwise the standard
-library ``fractions.Fraction`` is a drop-in replacement.  Both types print
+its ``mpq`` type is used; otherwise the standard library
+``fractions.Fraction``.  ``BACKEND`` names the one in use.  Both types print
 as ``p/q`` (or a bare integer), hash consistently, and interoperate with
 Python ints.
 """

@@ -250,10 +250,13 @@ def verify_reduction(kind: ReductionKind, factors: Sequence[MomentFunctional], w
     """Compare the product value of a word with the tensor value of its
     embedded image; the two must agree exactly for every word."""
     factors = tuple(factors)
-    lhs = JointFunctional(factors, kind.product_kind).evaluate(word)
-    reduced = embed_word(kind, len(factors), word)
-    states = [ReducedState(kind, phi) for phi in factors]
-    rhs = tensor_value(states, reduced)
+    joint = JointFunctional(factors, kind.product_kind)
+    return _verify(kind, joint, [ReducedState(kind, phi) for phi in factors], word)
+
+
+def _verify(kind, joint, states, word) -> ReductionCheck:
+    lhs = joint.evaluate(word)
+    rhs = tensor_value(states, embed_word(kind, len(states), word))
     return ReductionCheck(lhs, rhs, lhs == rhs)
 
 
@@ -295,8 +298,10 @@ def reduction_sweep(kind: ReductionKind, seed: int, trials: int, max_word_len: i
     for trial in range(trials):
         rng = random.Random(seed * 1_000_003 + trial)
         states = [gen_random_state(sig, max_word_len, rng) for sig in signatures]
+        joint = JointFunctional(states, kind.product_kind)
+        reduced = [ReducedState(kind, phi) for phi in states]
         for word in words:
-            check = verify_reduction(kind, states, word)
+            check = _verify(kind, joint, reduced, word)
             checked += 1
             if not check.equal:
                 failures.append((states, word, check))

@@ -167,6 +167,14 @@ def test_sum_substitution_distributes():
     assert got == want
 
 
+def test_non_unital_images_have_no_unit_term():
+    with_unit = Polynomial.from_monomial(mono(N1, "a")) + Polynomial.from_word(EMPTY_WORD)
+    with pytest.raises(RegimeMismatch):
+        Homomorphism(N1, N1, {"a": with_unit, "b": Polynomial.from_monomial(mono(N1, "b"))})
+    unital = Polynomial.from_monomial(mono(A1, "a")) + Polynomial.from_word(EMPTY_WORD)
+    Homomorphism(A1, A1, {"a": unital, "b": Polynomial.from_monomial(mono(A1, "b"))})
+
+
 @st.composite
 def capped_block_pairs(draw, factor_one_letters=8):
     """Two raw block lists with at most ``factor_one_letters`` letters in

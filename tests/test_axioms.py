@@ -1,20 +1,26 @@
 """Seeded law checking: which product kinds satisfy which conditions."""
 
+import hashlib
 import json
 
 import pytest
 
 from ncindep import (
+    AlgebraSignature,
     Axiom,
     Monomial,
     ProductKind,
     QDeformed,
     RegimeMismatch,
+    all_monomials,
     enumerate_words,
     expected_outcome,
+    gen_random_homomorphism,
     gen_random_state,
     gen_random_word,
+    pullback,
     run_axiom_suite,
+    state_to_json,
 )
 from ncindep.rational import ONE, ZERO, as_rational
 from conftest import A1, A2, G1, N1
@@ -143,6 +149,18 @@ def test_different_seeds_change_the_sampled_inputs():
     assert [w.inputs for w in a.failures] != [w.inputs for w in b.failures]
 
 
+def test_reports_count_their_comparisons():
+    # per trial at length 4: three seed shapes plus eight random words
+    report = run(Axiom.ASSOCIATIVITY, ProductKind.FREE, trials=2)
+    assert report.checked == 2 * 11
+    assert "trials=2 checked=22 failures=0" in report.lines()[0]
+    # every monomial of A1 up to length 4, on each side of the unit
+    assert run(Axiom.UNIT_LAW, ProductKind.TENSOR, trials=1).checked == 2 * 31
+    assert run(Axiom.FACTORIZATION, ProductKind.DEGENERATE, trials=3).checked == 3 * 8
+    for axiom in (Axiom.INCLUSION, Axiom.FUNCTORIALITY, Axiom.SYMMETRY, Axiom.MIRROR):
+        assert run(axiom, ProductKind.MONOTONE, trials=1).checked > 0, axiom
+
+
 def test_witnesses_serialize_and_are_capped():
     report = run(Axiom.FACTORIZATION, ProductKind.DEGENERATE)
     lines = report.lines(max_witnesses=2)
@@ -166,6 +184,54 @@ def test_random_states_are_reproducible():
     b = gen_random_state(A1, 4, 99)
     assert a.table == b.table
     assert gen_random_state(A1, 4, 100).table != a.table
+
+
+def _digest(phi):
+    text = json.dumps(state_to_json(phi), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# SHA-256 of the sorted state documents, taken from the validating
+# monomial-by-monomial construction that the letter-keyed one replaced
+STATE_DIGESTS = {
+    ("A1", 4, 1): "6cd18c0af4d2bec3267e231514a9175d8788ac2554664619569004a527291647",
+    ("A1", 4, 2): "90beeb1a03e8367d2f1d5a9012831008178a1de83a0629defaabda8ff570af44",
+    ("A1", 12, 1): "64cf6e2a4d7e0549455f39ef0a47aa35d2f669018700fe6bc9ba79e456d3d4e1",
+    ("A1", 12, 2): "0326e8ed8f55d77de002c74bccf7385c487918fd430c6ba222c5b7448ffe2296",
+    ("N1", 4, 1): "629a7cde40c34acae23c8dcf2aa8685bb721286aef8d4700abf76e75d6c6c8e4",
+    ("N1", 4, 2): "77931cb39a09937a7b16240f411926204f56b60677dfb771a699f78dd3f1561a",
+    ("N1", 12, 1): "29cbe2f4948fbc8300b4572365cb447d1db8829a3c3aed02d07aea6dc8b547ba",
+    ("N1", 12, 2): "0f48cda7eb1da62fcb968883d598b47b9c6df19bdae63825420bfc048dce5fae",
+    ("G1", 4, 1): "e22dc5534738d4dcf426eebf52ce41292b8d931527ed371e21970dc60dd51acd",
+    ("G1", 4, 2): "23bcdf3b4454737153a5db58ab4758b0831f09d951ad194c7d004d3c809f3c44",
+    ("G1", 12, 1): "e7eb3b98989453b4ae8fe679c2cec787219cf55ab7f77f957e909496c3d3afdd",
+    ("G1", 12, 2): "8dd1b5fbb4142192cea2e75bf482d00c2841726ce1da97053dc55224d7fad2b1",
+}
+PULLBACK_DIGESTS = {
+    ("A1", 1): "526ca01b31532cb03a65d62f7b05eb4344c02284371469514a1a61cb95f80786",
+    ("A1", 2): "8318d16f5f5f6e9e5619dde2af044358f2e33268c67e7cb76d03f0c59ffd088b",
+    ("N1", 1): "8e57ca6c2eee5dc026202d26c0ddbc708fe23aad1c3dc6e6838342cae7233261",
+    ("N1", 2): "7c8b0869dafa89a798540eee1ea8df066c477e3f71c553928b28390eb26a63b7",
+    ("G1", 1): "010123d05472b70f6617c8b130532de454fd5078b100eb507a18bff40c119181",
+    ("G1", 2): "7dc7623109791ce4864766d48c826a593217a29f3c1a1cee91da4291be1f11b8",
+}
+SIGNATURES = {"A1": A1, "N1": N1, "G1": G1}
+
+
+def test_random_states_are_pinned_bit_for_bit():
+    for (name, degree, seed), digest in STATE_DIGESTS.items():
+        phi = gen_random_state(SIGNATURES[name], degree, seed)
+        assert _digest(phi) == digest, (name, degree, seed)
+        assert list(phi.table) == list(all_monomials(phi.algebra, degree))  # canonical order
+
+
+def test_pullbacks_are_pinned_bit_for_bit():
+    for (name, seed), digest in PULLBACK_DIGESTS.items():
+        target = SIGNATURES[name]
+        source = AlgebraSignature("B1", target.unital, (("u", target.generators[0][1]), ("v", 0)))
+        phi = gen_random_state(target, 12, seed)
+        hom = gen_random_homomorphism(source, target, seed)
+        assert _digest(pullback(phi, hom)) == digest, (name, seed)
 
 
 def test_random_states_respect_the_regimes():

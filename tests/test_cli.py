@@ -160,6 +160,18 @@ def test_clt_q_deformed_sum_of_many_copies_does_not_recurse_deeply(capsys):
     assert out.splitlines() == ["0"]
 
 
+@pytest.mark.parametrize("n,moment", [("3", "18"), ("5", "45"), ("1000", "1501500")])
+def test_clt_q_deformed_sums_use_the_base_transform(capsys, n, moment):
+    # n = 1000 would be 10^12 words; n = 3 and 5 match the word enumeration
+    code, out, err = run(
+        capsys, "clt", "--product", "q:tensor:2", "--moments=0,1,0,3", "--n", n, "--order", "4"
+    )
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == moment
+    if n == "1000":
+        assert out.splitlines()[1] == "normalized: 3003/2000"
+
+
 @pytest.mark.parametrize("moments", [("--moments", "-1,1"), ("--moments=-1,1",)])
 def test_clt_accepts_a_moment_list_with_a_leading_minus(capsys, moments):
     code, out, err = run(
@@ -192,6 +204,20 @@ def test_check_axiom_expected_failure_is_exit_zero_with_witness(capsys):
     assert code == 0
     assert "witness:" in out
     assert out.rstrip().splitlines()[-1] == "expected=fail observed=fail verdict=ok"
+
+
+def test_check_axiom_over_no_words_is_an_error(capsys, monkeypatch):
+    import ncindep.cli as cli
+    from ncindep.axioms import AxiomReport
+
+    def empty_suite(axiom, kind, seed, trials, max_len):
+        return AxiomReport(axiom, kind, seed, trials, (), 0)
+
+    monkeypatch.setattr(cli, "run_axiom_suite", empty_suite)
+    code, out, err = run(capsys, "check", "--axiom", "symmetry", "--product", "tensor")
+    assert code == 2
+    assert "checked=0" in out
+    assert error_doc(err)["code"] == "usage"
 
 
 def test_check_axiom_on_wrong_regime_is_a_regime_error(capsys):

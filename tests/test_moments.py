@@ -17,6 +17,8 @@ from ncindep import (
     StateDocumentError,
     all_monomials,
     eval_functional,
+    gen_random_homomorphism,
+    gen_random_state,
     pullback,
     scale,
     state_from_json,
@@ -137,6 +139,54 @@ def test_pullback_degree_request_beyond_feasible_raises():
     h = Homomorphism(single, single, {"x": poly(Monomial(single, ("x", "x")))})
     with pytest.raises(DegreeExceeded):
         pullback(phi, h, max_degree=2)
+
+
+# ---------------------------------------------------------------------------
+# trusted builds, gated by the validating constructor
+
+
+def _trusted_builds():
+    """Every state the library builds without validation: random draws in
+    each regime, pullbacks, scalings and unitizations."""
+    for signature in (A1, N1, G1):
+        for seed in (3, 4):
+            phi = gen_random_state(signature, 6, seed)
+            yield phi
+            source = AlgebraSignature("B", signature.unital, (("u", signature.generators[0][1]), ("v", 0)))
+            yield pullback(phi, gen_random_homomorphism(source, signature, seed))
+    plain = gen_random_state(N1, 5, 8)
+    yield scale(plain, "-2/3")
+    yield unitize(plain)
+    yield unitize(scale(plain, 5))
+
+
+def test_trusted_builds_pass_the_validating_constructor():
+    for phi in _trusted_builds():
+        checked = MomentFunctional(phi.algebra, phi.max_degree, phi.table)
+        assert list(checked.letters_table.items()) == list(phi.letters_table.items()), phi
+        assert checked.is_even == phi.is_even, phi
+        assert phi.is_even == all(not value for m, value in checked.table.items() if m.degree), phi
+        assert list(phi.table) == list(all_monomials(phi.algebra, phi.max_degree)), phi
+
+
+def test_trusted_builds_reject_long_and_foreign_letters():
+    for phi in _trusted_builds():
+        name = phi.algebra.generator_names[0]
+        with pytest.raises(DegreeExceeded):
+            phi.value_of_letters((name,) * (phi.max_degree + 1))
+        with pytest.raises(ValueError):  # not KeyError
+            phi.value_of_letters(("nope",))
+
+
+def test_pullback_agrees_with_applying_the_homomorphism():
+    for signature in (A1, N1, G1):
+        for seed in (5, 6, 7):
+            phi = gen_random_state(signature, 8, seed)
+            source = AlgebraSignature("B", signature.unital, (("u", signature.generators[0][1]), ("v", 0)))
+            hom = gen_random_homomorphism(source, signature, seed, max_image_letters=2)
+            pulled = pullback(phi, hom)
+            for monomial in all_monomials(source, pulled.max_degree):
+                assert pulled(monomial) == eval_functional(phi, hom.apply_monomial(monomial))
 
 
 # ---------------------------------------------------------------------------

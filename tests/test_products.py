@@ -413,9 +413,17 @@ PLAIN_SUM_CASES = [
     for kind in ProductKind
     for unital in ((True, False) if kind in UNITAL_OR_NOT else (False,))
 ]
+Q_SUM_CASES = [
+    (QDeformed(base, as_rational(q)), False)
+    for base in (ProductKind.TENSOR, ProductKind.FREE, ProductKind.BOOLEAN)
+    for q in ("2", "-1/3", "1")
+]
 
 
-@pytest.mark.parametrize("kind,unital", PLAIN_SUM_CASES, ids=lambda v: getattr(v, "value", v))
+@pytest.mark.parametrize(
+    "kind,unital", PLAIN_SUM_CASES + Q_SUM_CASES,
+    ids=lambda v: str(v) if isinstance(v, bool) else kind_label(v),
+)
 def test_sum_moment_transforms_match_word_enumeration(kind, unital):
     """The transform route equals the sum over all N^order words, with a
     different random state per factor."""
