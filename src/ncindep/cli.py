@@ -21,7 +21,7 @@ import json
 import sys
 
 from .algebra import AlgebraSignature
-from .axioms import Axiom, expected_outcome, run_axiom_suite
+from .axioms import MAX_WORD_LEN, Axiom, expected_outcome, run_axiom_suite
 from .classical import independence_equivalence, load_space, load_variable
 from .errors import DegreeExceeded, ExpressionError, RegimeMismatch, StateDocumentError
 from .moments import MomentFunctional, dump_state, load_state, unitize
@@ -61,7 +61,7 @@ def _build_parser() -> _Parser:
     p_check.add_argument("--kind", help="fermi|boolean|monotone|antimonotone (reduction sweeps)")
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--trials", type=int, default=50)
-    p_check.add_argument("--max-len", dest="max_len", type=int, default=None, help="maximum word length (default 6 for axioms, 5 for reductions)")
+    p_check.add_argument("--max-len", dest="max_len", type=int, default=None, help="maximum word length, 1 to %d (default 6 for axioms, 5 for reductions)" % MAX_WORD_LEN)
 
     p_clt = sub.add_parser("clt", help="moments of sums of independent copies")
     p_clt.add_argument("--product", required=True, help="product kind, as for eval; x is odd for fermi")

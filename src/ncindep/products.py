@@ -42,16 +42,15 @@ moments of sums across factors.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .algebra import Monomial, Polynomial, Word, normalize_word
+from .algebra import Monomial, Polynomial, Word
 from .errors import RegimeMismatch
 from .moments import MomentFunctional, scale
-from .rational import ONE, Rational, ZERO, as_rational, format_rational, parse_rational
+from .rational import ONE, Rational, ZERO, as_rational, format_rational, parse_rational, product
 
 
 class ProductKind(Enum):
@@ -194,7 +193,7 @@ class _Padding:
 
     def eval_blocks(self, blocks) -> Rational:
         children, child_of, splits, odd = self.children, self.child_of, self.splits, self.odd
-        total = ONE
+        values = []
         segments: dict = {}
         last = -1
         parities = [0] * len(children)  # odd letters seen per child, mod 2
@@ -204,15 +203,15 @@ class _Padding:
             if j != last:
                 last = j
                 for k in [k for k in segments if k != j and splits(j, k)]:
-                    total *= children[k].eval_blocks(tuple(segments.pop(k)))
+                    values.append(children[k].eval_blocks(tuple(segments.pop(k))))
             _append(segments.setdefault(j, []), block)
             if odd is not None and sum(letter in odd[block[0]] for letter in block[1]) & 1:
                 # gathering moves this block's odd letters past those of
                 # the later children that came before it
                 sign ^= sum(parities[j + 1:]) & 1
                 parities[j] ^= 1
-        for k, segment in segments.items():
-            total *= children[k].eval_blocks(tuple(segment))
+        values.extend(children[k].eval_blocks(tuple(segment)) for k, segment in segments.items())
+        total = product(values)
         return -total if sign else total
 
 
@@ -398,6 +397,12 @@ class JointFunctional:
         return self._root.eval_blocks(tuple((f, m.letters) for f, m in word.blocks))
 
     __call__ = evaluate
+
+    def _evaluate_blocks(self, blocks) -> Rational:
+        """Trusted entry for callers that build their words themselves: the
+        value of a non-empty normal-form bare word ((factor, letters), ...)
+        over these factors, with no checks."""
+        return self._root.eval_blocks(blocks)
 
     def evaluate_polynomial(self, polynomial: Polynomial) -> Rational:
         total = ZERO
@@ -592,18 +597,6 @@ def _sum_series(kind: ProductKind, series, odd):
     return total[1:]
 
 
-def _sum_by_words(kind, states, letters, order) -> Rational:
-    """:func:`sum_moment` as the sum of the joint values of all N^order
-    words over the designated ``letters``; the reference the transforms are
-    tested against."""
-    joint = JointFunctional(states, kind)
-    total = ZERO
-    for combo in itertools.product(range(len(states)), repeat=order):
-        word = normalize_word((index, letters[index]) for index in combo)
-        total += joint.evaluate(word)
-    return total
-
-
 def sum_moment(kind, states: Sequence[MomentFunctional], order: int, generators=None) -> Rational:
     """The order-th moment of x_1 + ... + x_N under the joint functional.
 
@@ -623,6 +616,10 @@ def sum_moment(kind, states: Sequence[MomentFunctional], order: int, generators=
     states = tuple(states)
     if order < 1:
         raise ValueError("order must be at least 1")
+    if not states:
+        raise ValueError("at least one factor is required")
+    if not isinstance(kind, (ProductKind, QDeformed)):
+        raise TypeError("kind must be a ProductKind or QDeformed")
     if generators is None:
         names = []
         for phi in states:
@@ -638,9 +635,6 @@ def sum_moment(kind, states: Sequence[MomentFunctional], order: int, generators=
         if len(names) != len(states):
             raise ValueError("need one designated generator per state")
     letters = [Monomial(phi.algebra, (name,)) for phi, name in zip(states, names)]
-    if not isinstance(kind, (ProductKind, QDeformed)) or not states:
-        # JointFunctional rejects bad kinds and no states
-        return _sum_by_words(kind, states, letters, order)
     _check_regime(kind, states)
     series = [
         [ONE] + [phi(Monomial(phi.algebra, letter.letters * k)) for k in range(1, order + 1)]

@@ -40,6 +40,16 @@ def as_rational(value):
     return Rational(value)
 
 
+def product(values):
+    """Product of exact values, starting from the first one; ``ONE`` when
+    there are none, so no product begins with a multiplication by one."""
+    values = iter(values)
+    total = next(values, ONE)
+    for value in values:
+        total *= value
+    return total
+
+
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?\Z")
 
 

@@ -34,15 +34,18 @@ equals the tensor value of the embedded word under the reduced states.
 
 from __future__ import annotations
 
+import functools
+import random
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
-from .algebra import Monomial, Word
+from .algebra import AlgebraSignature, Monomial, Word
+from .axioms import MAX_WORD_LEN, check_word_len, gen_random_state
 from .errors import RegimeMismatch
 from .moments import MomentFunctional
 from .products import JointFunctional, ProductKind
-from .rational import ONE, Rational
+from .rational import ONE, Rational, product
 
 
 class ReductionKind(Enum):
@@ -69,8 +72,6 @@ class FermiSlot(NamedTuple):
     gpow: int
 
 
-_EMPTY_FERMI_SLOT = FermiSlot((), 0, 0)
-
 # In an M-reduction slot, entries are generator names with None marking p.
 _P = None
 
@@ -96,51 +97,65 @@ def _append_p(entries: list):
     entries.append(_P)
 
 
+def _embed(kind: ReductionKind, n: int, blocks, degrees):
+    """Image of a normal-form bare word ((factor, letters), ...) over n
+    factors, multiplied out slot by slot: (negative, slots), where
+    ``negative`` says the carried sign is -1.  ``degrees[factor]`` maps each
+    generator of that factor to its degree; only fermi reads it."""
+    if kind is ReductionKind.FERMI:
+        letters = [()] * n
+        degree = [0] * n
+        gpow = [0] * n
+        negative = 0
+        for factor, run in blocks:
+            odd = 0
+            for letter in run:
+                odd ^= degrees[factor][letter]
+            if odd:
+                # an odd block leaves a g behind in every earlier slot and
+                # passes the g already standing in its own slot
+                for j in range(factor):
+                    gpow[j] ^= 1
+                negative ^= gpow[factor]
+                degree[factor] ^= 1
+            letters[factor] += run
+        return negative, tuple(map(FermiSlot, letters, degree, gpow))
+    slots = [[] for _ in range(n)]
+    for factor, run in blocks:
+        # every letter pads the slots it does not sit in; p is idempotent,
+        # so a run pads them once
+        for j in range(n):
+            if j == factor:
+                slots[j].extend(run)
+            elif (
+                kind is ReductionKind.BOOLEAN
+                or (j > factor if kind is ReductionKind.MONOTONE else j < factor)
+            ):
+                _append_p(slots[j])
+    return 0, tuple(map(tuple, slots))
+
+
+def _bare(word: Word, n: int):
+    """The block tuple of a word over n factors and each factor's degree map."""
+    degrees = [None] * n
+    for factor, monomial in word.blocks:
+        if factor >= n:
+            raise ValueError("word uses factor %d but n = %d" % (factor, n))
+        generators = dict(monomial.algebra.generators)
+        if degrees[factor] is None:
+            degrees[factor] = generators
+        elif degrees[factor] != generators:
+            raise ValueError("factor %d is used for two different algebras" % factor)
+    return tuple((f, m.letters) for f, m in word.blocks), degrees
+
+
 def embed_word(kind: ReductionKind, n: int, word: Word) -> ReducedWord:
     """Image of a normal-form word over n factors under the reduction's
     letter-wise embedding, multiplied out slot by slot."""
     if not isinstance(kind, ReductionKind):
         raise TypeError("kind must be a ReductionKind")
-    if kind is ReductionKind.FERMI:
-        return _embed_fermi(n, word)
-    slots = [[] for _ in range(n)]
-    for factor, monomial in word.blocks:
-        if factor >= n:
-            raise ValueError("word uses factor %d but n = %d" % (factor, n))
-        for letter in monomial.letters:
-            for j in range(n):
-                if j == factor:
-                    slots[j].append(letter)
-                elif kind is ReductionKind.BOOLEAN:
-                    _append_p(slots[j])
-                elif kind is ReductionKind.MONOTONE:
-                    if j > factor:
-                        _append_p(slots[j])
-                elif j < factor:  # anti-monotone
-                    _append_p(slots[j])
-    return ReducedWord(kind, ONE, tuple(tuple(entries) for entries in slots))
-
-
-def _embed_fermi(n: int, word: Word) -> ReducedWord:
-    slots = [_EMPTY_FERMI_SLOT] * n
-    sign_exp = 0
-    for factor, monomial in word.blocks:
-        if factor >= n:
-            raise ValueError("word uses factor %d but n = %d" % (factor, n))
-        algebra = monomial.algebra
-        for letter in monomial.letters:
-            d = algebra.degree_of(letter)
-            if d:
-                # letters of odd degree leave a g behind in every earlier slot
-                for j in range(factor):
-                    earlier = slots[j]
-                    slots[j] = FermiSlot(earlier.letters, earlier.degree, earlier.gpow ^ 1)
-            target = slots[factor]
-            sign_exp ^= target.gpow & d
-            slots[factor] = FermiSlot(
-                target.letters + (letter,), target.degree ^ d, target.gpow
-            )
-    return ReducedWord(ReductionKind.FERMI, -ONE if sign_exp else ONE, tuple(slots))
+    negative, slots = _embed(kind, n, *_bare(word, n))
+    return ReducedWord(kind, -ONE if negative else ONE, slots)
 
 
 def reduced_product(first: ReducedWord, second: ReducedWord) -> ReducedWord:
@@ -206,27 +221,36 @@ class ReducedState:
             )
         self.kind = kind
         self.phi = phi
+        self._table = phi.letters_table
+
+    def _moment(self, letters) -> Rational:
+        value = self._table.get(letters)
+        return self.phi.value_of_letters(letters) if value is None else value
 
     def value(self, slot) -> Rational:
         if self.kind is ReductionKind.FERMI:
-            if not slot.letters:
-                return ONE
-            return self.phi.value_of_letters(slot.letters)
-        total = ONE
-        run: list = []
-        for entry in slot:
-            if entry is _P:
-                if run:
-                    total *= self.phi.value_of_letters(run)
-                    run = []
-            else:
-                run.append(entry)
-        if run:
-            total *= self.phi.value_of_letters(run)
-        return total
+            return self._moment(slot.letters) if slot.letters else ONE
+        return product(map(self._moment, _runs(tuple(slot))))
 
     def __repr__(self):
         return "ReducedState(%s, %r)" % (self.kind.value, self.phi.algebra.name)
+
+
+def _runs(slot: tuple):
+    """The maximal letter runs of an M-reduction slot, split at p."""
+    start = 0
+    for end, entry in enumerate(slot):
+        if entry is _P:
+            if end > start:
+                yield slot[start:end]
+            start = end + 1
+    if len(slot) > start:
+        yield slot[start:]
+
+
+def _tensor(states: Sequence[ReducedState], slots) -> Rational:
+    """Ordinary tensor value of slots: each reduced state on its own slot."""
+    return product(state.value(slot) for state, slot in zip(states, slots))
 
 
 def tensor_value(states: Sequence[ReducedState], reduced: ReducedWord) -> Rational:
@@ -234,10 +258,7 @@ def tensor_value(states: Sequence[ReducedState], reduced: ReducedWord) -> Ration
     product of each reduced state on its own slot."""
     if len(states) != len(reduced.slots):
         raise ValueError("need exactly one reduced state per slot")
-    total = reduced.sign
-    for state, slot in zip(states, reduced.slots):
-        total *= state.value(slot)
-    return total
+    return reduced.sign * _tensor(states, reduced.slots)
 
 
 class ReductionCheck(NamedTuple):
@@ -246,17 +267,20 @@ class ReductionCheck(NamedTuple):
     equal: bool
 
 
+def _tensor_route(kind, states, blocks, degrees) -> Rational:
+    """Tensor value of the embedded image of a bare word, sign included."""
+    negative, slots = _embed(kind, len(states), blocks, degrees)
+    value = _tensor(states, slots)
+    return -value if negative else value
+
+
 def verify_reduction(kind: ReductionKind, factors: Sequence[MomentFunctional], word: Word) -> ReductionCheck:
     """Compare the product value of a word with the tensor value of its
     embedded image; the two must agree exactly for every word."""
     factors = tuple(factors)
-    joint = JointFunctional(factors, kind.product_kind)
-    return _verify(kind, joint, [ReducedState(kind, phi) for phi in factors], word)
-
-
-def _verify(kind, joint, states, word) -> ReductionCheck:
-    lhs = joint.evaluate(word)
-    rhs = tensor_value(states, embed_word(kind, len(states), word))
+    lhs = JointFunctional(factors, kind.product_kind).evaluate(word)  # validates the word
+    states = [ReducedState(kind, phi) for phi in factors]
+    rhs = _tensor_route(kind, states, *_bare(word, len(factors)))
     return ReductionCheck(lhs, rhs, lhs == rhs)
 
 
@@ -264,8 +288,6 @@ def sweep_signatures(kind: ReductionKind):
     """The two-factor signatures used by seeded verification sweeps: graded
     unital algebras (one odd, one even generator each) for fermi, ungraded
     non-unital ones otherwise."""
-    from .algebra import AlgebraSignature
-
     if kind is ReductionKind.FERMI:
         return (
             AlgebraSignature.make("A1", (("a", 1), ("b", 0)), unital=True),
@@ -277,32 +299,59 @@ def sweep_signatures(kind: ReductionKind):
     )
 
 
-def reduction_sweep(kind: ReductionKind, seed: int, trials: int, max_word_len: int = 5):
-    """Random state pairs x every short word, all verified exactly.
+# Two signature sets (fermi and the rest) times lengths 1..MAX_WORD_LEN.
+@functools.lru_cache(maxsize=2 * MAX_WORD_LEN)
+def _sweep_words(signatures, max_word_len: int) -> tuple:
+    """The words of :func:`enumerate_words` over ``signatures``, in its
+    order, as bare block tuples ((factor, letters), ...), built once per
+    signature set and length.  Equal blocks are one shared object."""
+    alphabet = [(f, (name,)) for f, sig in enumerate(signatures) for name in sig.generator_names]
+    interned: dict = {}
+    words: list = []
+    layer = [()]
+    for _ in range(max_word_len):
+        # itertools.product order: the last letter varies fastest
+        longer = []
+        for word in layer:
+            for factor, letter in alphabet:
+                if word and word[-1][0] == factor:
+                    head, block = word[:-1], (factor, word[-1][1] + letter)
+                else:
+                    head, block = word, (factor, letter)
+                longer.append(head + (interned.setdefault(block, block),))
+        layer = longer
+        words.extend(layer)
+    return tuple(words)
 
+
+def reduction_sweep(kind: ReductionKind, seed: int, trials: int, max_word_len: int = 5):
+    """Random state pairs x every word of 1..max_word_len letters, each
+    valued by the product's evaluator and by the tensor route and compared
+    exactly.  ``max_word_len`` runs from 1 to MAX_WORD_LEN.
+
+    The words are enumerated once per signature set and length and checked
+    as bare block tuples; a :class:`Word` is built only for a failure.
     Returns (checked, failures) where failures lists (states, word, check)
     triples.  Deterministic for a given seed.
     """
-    import random
-
-    from .axioms import enumerate_words, gen_random_state
-
     if trials < 1:
         raise ValueError("trials must be positive")
-    if max_word_len < 1:
-        raise ValueError("max_word_len must be positive")
+    check_word_len(max_word_len)
     signatures = sweep_signatures(kind)
-    words = list(enumerate_words(signatures, max_word_len))
+    words = _sweep_words(signatures, max_word_len)
+    degrees = [dict(sig.generators) for sig in signatures]
     checked = 0
     failures = []
     for trial in range(trials):
         rng = random.Random(seed * 1_000_003 + trial)
         states = [gen_random_state(sig, max_word_len, rng) for sig in signatures]
-        joint = JointFunctional(states, kind.product_kind)
+        evaluate = JointFunctional(states, kind.product_kind)._evaluate_blocks
         reduced = [ReducedState(kind, phi) for phi in states]
-        for word in words:
-            check = _verify(kind, joint, reduced, word)
-            checked += 1
-            if not check.equal:
-                failures.append((states, word, check))
+        for blocks in words:
+            lhs = evaluate(blocks)
+            rhs = _tensor_route(kind, reduced, blocks, degrees)
+            if lhs != rhs:
+                word = Word(tuple((f, Monomial(signatures[f], letters)) for f, letters in blocks))
+                failures.append((states, word, ReductionCheck(lhs, rhs, False)))
+        checked += len(words)
     return checked, failures

@@ -255,6 +255,39 @@ def test_check_reduction_rejects_an_empty_sweep(capsys, bounds):
     assert error_doc(err)["code"] == "usage"
 
 
+@pytest.mark.parametrize(
+    "target",
+    [("--axiom", "functoriality", "--product", "tensor"), ("reduction", "--kind", "monotone")],
+)
+def test_check_rejects_word_lengths_beyond_the_bound(capsys, target):
+    code, out, err = run(capsys, "check", *target, "--trials", "1", "--max-len", "9")
+    assert code == 2 and out == ""
+    doc = error_doc(err)
+    assert doc["code"] == "usage" and "at most 8" in doc["message"]
+
+
+def test_check_reduction_failure_prints_witnesses(capsys, monkeypatch):
+    import ncindep.reductions as reductions
+    from ncindep import JointFunctional, ProductKind
+
+    def boolean_joint(factors, kind):
+        return JointFunctional(factors, ProductKind.BOOLEAN)
+
+    monkeypatch.setattr(reductions, "JointFunctional", boolean_joint)
+    code, out, err = run(
+        capsys, "check", "reduction", "--kind", "monotone", "--seed", "3", "--trials", "1",
+        "--max-len", "3",
+    )
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("reduction=monotone seed=3 trials=1 max-len=3 checked=84 failures=")
+    assert "failures=0" not in lines[0]
+    assert 1 <= len(lines) - 1 <= 3
+    assert all(line.startswith("witness: word=") and " lhs=" in line for line in lines[1:])
+    doc = error_doc(err)
+    assert doc["code"] == "mismatch" and doc["context"]["kind"] == "monotone"
+
+
 # ---------------------------------------------------------------------------
 # classical
 

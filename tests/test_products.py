@@ -1,6 +1,7 @@
 """Joint functionals: the five named products, the degenerate and
 q-deformed families, the centering oracle, and graded tensor values."""
 
+import itertools
 import random
 
 import pytest
@@ -24,7 +25,6 @@ from ncindep import (
     parse_kind_label,
     sum_moment,
 )
-from ncindep.products import _sum_by_words
 from ncindep.rational import ONE, ZERO, as_rational
 from conftest import A1, A2, A3, G1, G2, N1, N2, N3, mono, total_state
 
@@ -420,6 +420,17 @@ Q_SUM_CASES = [
 ]
 
 
+def _sum_by_words(kind, states, letters, order):
+    """sum_moment as the sum of the joint values of all N^order words over
+    the designated ``letters``: the reference the transforms are tested
+    against."""
+    joint = JointFunctional(states, kind)
+    total = ZERO
+    for combo in itertools.product(range(len(states)), repeat=order):
+        total += joint.evaluate(normalize_word((index, letters[index]) for index in combo))
+    return total
+
+
 @pytest.mark.parametrize(
     "kind,unital", PLAIN_SUM_CASES + Q_SUM_CASES,
     ids=lambda v: str(v) if isinstance(v, bool) else kind_label(v),
@@ -458,6 +469,13 @@ def test_sum_moment_transforms_match_word_enumeration(kind, unital):
                 assert sum_moment(kind, states, order) == _sum_by_words(
                     kind, states, letters, order
                 ), (degrees, order)
+
+
+def test_sum_moment_rejects_a_bad_kind_and_no_states():
+    with pytest.raises(TypeError, match="kind must be a ProductKind or QDeformed"):
+        sum_moment("free", (total_state(U1, 2),), 2)
+    with pytest.raises(ValueError, match="at least one factor is required"):
+        sum_moment(ProductKind.FREE, (), 2)
 
 
 def test_sum_moment_keeps_the_regime_rules():

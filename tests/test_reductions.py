@@ -7,6 +7,7 @@ import pytest
 
 from ncindep import (
     AlgebraSignature,
+    Axiom,
     FermiSlot,
     JointFunctional,
     MomentFunctional,
@@ -14,8 +15,10 @@ from ncindep import (
     ProductKind,
     ReducedState,
     ReducedWord,
+    ReductionCheck,
     ReductionKind,
     RegimeMismatch,
+    Word,
     concat_words,
     embed_word,
     enumerate_words,
@@ -25,10 +28,11 @@ from ncindep import (
     normalize_word,
     reduced_product,
     reduction_sweep,
+    run_axiom_suite,
     tensor_value,
     verify_reduction,
 )
-from ncindep.reductions import sweep_signatures
+from ncindep.reductions import _sweep_words, sweep_signatures
 from ncindep.rational import ONE, ZERO, as_rational
 from conftest import G1, G2, N1, N2, mono, total_state
 
@@ -95,6 +99,12 @@ def test_embedding_rejects_out_of_range_factors():
         embed_word(ReductionKind.BOOLEAN, 1, letter_word((1, "x")))
     with pytest.raises(ValueError):
         embed_word(ReductionKind.FERMI, 1, graded_word((1, "x")))
+
+
+def test_embedding_rejects_two_algebras_on_one_factor():
+    word = Word(((0, Monomial(G1, ("a",))), (1, Monomial(G2, ("x",))), (0, Monomial(G2, ("x",)))))
+    with pytest.raises(ValueError, match="two different algebras"):
+        embed_word(ReductionKind.FERMI, 2, word)
 
 
 # ---------------------------------------------------------------------------
@@ -256,3 +266,67 @@ def test_sweep_is_deterministic():
     first = reduction_sweep(ReductionKind.BOOLEAN, seed=9, trials=2, max_word_len=3)
     second = reduction_sweep(ReductionKind.BOOLEAN, seed=9, trials=2, max_word_len=3)
     assert first == second
+
+
+@pytest.mark.parametrize("kind", list(ReductionKind), ids=lambda kind: kind.value)
+def test_sweep_words_are_the_enumerated_words(kind):
+    """The cached bare words are enumerate_words, element for element and
+    in order, with each distinct block one shared object."""
+    for length in range(1, 6):
+        words = _sweep_words(sweep_signatures(kind), length)
+        expected = [
+            tuple((f, m.letters) for f, m in w.blocks)
+            for w in enumerate_words(sweep_signatures(kind), length)
+        ]
+        assert list(words) == expected
+        assert _sweep_words(sweep_signatures(kind), length) is words
+        blocks = [block for word in words for block in word]
+        assert len({id(block) for block in blocks}) == len(set(blocks))
+
+
+def test_sweep_failures_are_replayable_triples(monkeypatch):
+    """A monotone sweep joined under the boolean product reports exactly the
+    words on which the two routes differ, each with its states and both
+    values as the public routes give them."""
+    import ncindep.reductions as reductions
+
+    def boolean_joint(factors, kind):
+        return JointFunctional(factors, ProductKind.BOOLEAN)
+
+    monkeypatch.setattr(reductions, "JointFunctional", boolean_joint)
+    kind = ReductionKind.MONOTONE
+    checked, failures = reduction_sweep(kind, seed=3, trials=2, max_word_len=3)
+    assert checked == 2 * 84
+    trials = []
+    for states, word, check in failures:
+        assert isinstance(word, Word) and isinstance(check, ReductionCheck)
+        if not trials or trials[-1][0] is not states:
+            trials.append((states, []))
+        trials[-1][1].append((word, check))
+    assert len(trials) == 2
+    for states, found in trials:
+        joint = JointFunctional(states, ProductKind.BOOLEAN)
+        reduced = [ReducedState(kind, phi) for phi in states]
+        expected = []
+        for word in enumerate_words(sweep_signatures(kind), 3):
+            lhs = joint.evaluate(word)
+            rhs = tensor_value(reduced, embed_word(kind, 2, word))
+            if lhs != rhs:
+                expected.append((word, ReductionCheck(lhs, rhs, False)))
+        assert found == expected
+
+
+def test_sweeps_and_suites_reject_long_words_before_any_work(monkeypatch):
+    import ncindep.axioms as axioms
+    import ncindep.reductions as reductions
+
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(reductions, "gen_random_state", no_work)
+    monkeypatch.setattr(reductions, "_sweep_words", no_work)
+    monkeypatch.setitem(axioms._TRIAL_RUNNERS, Axiom.FUNCTORIALITY, no_work)
+    with pytest.raises(ValueError, match="at most 8"):
+        reduction_sweep(ReductionKind.MONOTONE, seed=1, trials=1, max_word_len=9)
+    with pytest.raises(ValueError, match="at most 8"):
+        run_axiom_suite(Axiom.FUNCTORIALITY, ProductKind.TENSOR, seed=1, trials=1, max_word_len=9)
