@@ -301,10 +301,7 @@ def run_axiom_suite(
     check_word_len(max_word_len)
     if axiom is Axiom.UNIT_LAW and not _uses_unital(kind):
         raise RegimeMismatch("the unit law applies to unital kinds (tensor, free, fermi)")
-    if axiom is Axiom.MIRROR and kind not in (
-        ProductKind.MONOTONE,
-        ProductKind.ANTI_MONOTONE,
-    ):
+    if axiom is Axiom.MIRROR and kind not in _MIRROR:
         raise RegimeMismatch("the mirror identity relates monotone and anti-monotone")
     runner = _TRIAL_RUNNERS[axiom]
     failures = []
@@ -447,11 +444,20 @@ def _swap_factors(word: Word) -> Word:
     return Word(tuple((1 - factor, monomial) for factor, monomial in word.blocks))
 
 
-def _trial_symmetry(kind, rng, max_word_len):
+# The kind that the factor swap turns each asymmetric kind into.
+_MIRROR = {
+    ProductKind.MONOTONE: ProductKind.ANTI_MONOTONE,
+    ProductKind.ANTI_MONOTONE: ProductKind.MONOTONE,
+}
+
+
+def _trial_swapped(kind, other, rng, max_word_len):
+    """Values under ``kind`` against values under ``other`` of the same
+    words with the two factors, and their states, swapped."""
     signatures = _signatures(2, kind)
     states = [gen_random_state(sig, max_word_len, rng) for sig in signatures]
     joint = JointFunctional(states, kind)
-    swapped = JointFunctional([states[1], states[0]], kind)
+    swapped = JointFunctional([states[1], states[0]], other)
     failures = []
     words = _seed_words(signatures, max_word_len) + [
         gen_random_word(signatures, max_word_len, rng) for _ in range(8)
@@ -464,34 +470,12 @@ def _trial_symmetry(kind, rng, max_word_len):
     return len(words), failures
 
 
-def _trial_mirror(kind, rng, max_word_len):
-    other = (
-        ProductKind.ANTI_MONOTONE
-        if kind is ProductKind.MONOTONE
-        else ProductKind.MONOTONE
-    )
-    signatures = _signatures(2, kind)
-    states = [gen_random_state(sig, max_word_len, rng) for sig in signatures]
-    joint = JointFunctional(states, kind)
-    mirrored = JointFunctional([states[1], states[0]], other)
-    failures = []
-    words = _seed_words(signatures, max_word_len) + [
-        gen_random_word(signatures, max_word_len, rng) for _ in range(8)
-    ]
-    for word in words:
-        lhs = joint.evaluate(word)
-        rhs = mirrored.evaluate(_swap_factors(word))
-        if lhs != rhs:
-            failures.append(AxiomFailure(_word_inputs(states, word), lhs, rhs))
-    return len(words), failures
-
-
 _TRIAL_RUNNERS = {
     Axiom.ASSOCIATIVITY: _trial_associativity,
     Axiom.UNIT_LAW: _trial_unit_law,
     Axiom.INCLUSION: _trial_inclusion,
     Axiom.FUNCTORIALITY: _trial_functoriality,
     Axiom.FACTORIZATION: _trial_factorization,
-    Axiom.SYMMETRY: _trial_symmetry,
-    Axiom.MIRROR: _trial_mirror,
+    Axiom.SYMMETRY: lambda kind, rng, max_word_len: _trial_swapped(kind, kind, rng, max_word_len),
+    Axiom.MIRROR: lambda kind, rng, max_word_len: _trial_swapped(kind, _MIRROR[kind], rng, max_word_len),
 }

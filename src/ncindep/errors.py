@@ -11,15 +11,22 @@ class DegreeExceeded(EngineError):
     """A moment of higher order than the functional stores was requested.
 
     Moment tables are total up to a declared maximum degree; asking beyond
-    it is an error, never a silent zero.
+    it is an error, never a silent zero.  The message names the monomial's
+    algebra, its length, and at most its first SHOWN_LETTERS letters.
     """
+
+    SHOWN_LETTERS = 8
 
     def __init__(self, monomial, max_degree):
         self.monomial = monomial
         self.max_degree = max_degree
+        letters = monomial.letters
+        shown = " ".join(letters[:self.SHOWN_LETTERS])
+        if len(letters) > self.SHOWN_LETTERS:
+            shown += " ..."
         super().__init__(
-            "monomial %r has length %d, beyond the stored maximum degree %d"
-            % (monomial, len(monomial), max_degree)
+            "monomial %s[%s] has length %d, beyond the stored maximum degree %d"
+            % (monomial.algebra.name, shown, len(letters), max_degree)
         )
 
 

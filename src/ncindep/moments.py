@@ -71,10 +71,18 @@ class MomentFunctional:
                 raise ValueError("table entry %r exceeds max_degree %d" % (monomial, self.max_degree))
             clean[monomial] = as_rational(value)
         # entries are distinct, over the algebra, and within the bound, so a
-        # count match proves totality without a second enumeration sweep
+        # count match proves totality.  The count stops once past the table's
+        # size (no length past 0 has monomials without generators), and a
+        # table that falls short misses one of the first len(clean) + 1
+        # monomials, so neither step costs work in D.
         width = len(self.algebra.generators)
         start = 0 if self.algebra.unital else 1
-        if len(clean) != sum(width**length for length in range(start, self.max_degree + 1)):
+        needed = 0
+        for length in range(start, (self.max_degree if width else 0) + 1):
+            needed += width**length
+            if needed > len(clean):
+                break
+        if len(clean) != needed:
             for monomial in all_monomials(self.algebra, self.max_degree):
                 if monomial not in clean:
                     raise ValueError("moment table is missing %r" % (monomial,))

@@ -10,7 +10,8 @@ Grammar (whitespace-insensitive)::
 Juxtaposed factors multiply in written order and nothing commutes, so
 ``A1.x A2.b A1.x`` is a three-block word while ``A1.x A1.y`` collapses to
 the single block x*y.  Coefficients must be followed by ``*``; there are no
-constant terms, since every term names at least one generator.
+constant terms, since every term names at least one generator.  An
+expression has at most MAX_LETTERS letters over all its terms.
 """
 
 from __future__ import annotations
@@ -20,6 +21,12 @@ from .errors import ExpressionError
 from .rational import ONE, Rational, as_rational, format_rational
 
 _NUMBER, _IDENT, _SYMBOL, _END = "number", "identifier", "symbol", "end of input"
+
+# The most letters an expression may have, counted before they are built.
+# A state document total to degree D over one generator spells out
+# D * (D + 1) / 2 letters in its keys, so no document holds a degree near
+# this bound.
+MAX_LETTERS = 100_000
 
 
 def _tokenize(text):
@@ -56,6 +63,7 @@ class _Parser:
     def __init__(self, text, factors):
         self.tokens = _tokenize(text)
         self.index = 0
+        self.letters = 0
         self.factors = tuple(factors)
         self.by_name = {sig.name: (i, sig) for i, sig in enumerate(self.factors)}
         if len(self.by_name) != len(self.factors):
@@ -155,9 +163,14 @@ class _Parser:
             if kind != _NUMBER:
                 raise ExpressionError("expected an exponent", offset)
             self.advance()
-            power = int(value)
+            # a number longer than the bound is past it, unconverted
+            digits = value.lstrip("0")
+            power = int(value) if len(digits) <= len(str(MAX_LETTERS)) else MAX_LETTERS + 1
             if power < 1:
                 raise ExpressionError("exponent must be at least 1", offset)
+        self.letters += power
+        if self.letters > MAX_LETTERS:
+            raise ExpressionError("an expression may have at most %d letters" % MAX_LETTERS, offset)
         return single_block_word(index, Monomial(signature, (generator,) * power))
 
 

@@ -16,23 +16,22 @@ segment of factor k, splitting k's letters there, when
   of odd letters that the gathering moves past each other.  Every factor
   must be even, i.e. vanish on odd monomials.
 
-The other kinds nest a binary product:
+Two kinds have rules of their own:
 
-* ``FREE`` - the subset recursion: for a word with runs a_1 ... a_m
-  alternating between the two sides,
+* ``FREE`` - mixed free cumulants vanish.  With c the child of the word's
+  first run (of letters from one child),
 
-      value(a_1...a_m) = sum over proper subsets I of {1..m} of
-          (-1)^(m - #I + 1) * value(product of a_k, k in I, re-normalized)
-          * product of side-moments of a_k, k not in I,
+      value(w) = sum over sets S of c's runs holding the first run of
+                 kappa_c(runs in S) * product of the values of S's gaps,
 
-  with the empty product valued 1.  Results are memoized per word.
+  a gap being the runs after an element of S up to the next one; kappa_c
+  inverts the same sum on c's own moments.
 * ``DEGENERATE`` - a factor's moment for words over one factor, 0 otherwise.
-* :class:`QDeformed` - the one-parameter deformation of a symmetric base
-  product: scale both inputs by 1/q, apply the base product, multiply by q.
 
-Beyond two factors the padding kinds join every factor in one node and the
-nested kinds build a balanced binary tree; the axiom suite checks
-independently that the left and right bracketings agree.  Boolean,
+:class:`QDeformed` scales a symmetric base product's inputs by 1/q and its
+result by q.  Every kind is one node over any number of children, by
+default over all the factors at once; the axiom suite checks independently
+that the left and right bracketings of two-child nodes agree.  Boolean,
 monotone, anti-monotone, degenerate, and q-deformed products require the
 non-unital regime - they do not descend to algebras with identified units.
 
@@ -42,9 +41,11 @@ moments of sums across factors.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial, reduce
 from typing import Sequence
 
 from .algebra import Monomial, Polynomial, Word
@@ -124,9 +125,8 @@ def parse_kind_label(label: str):
 
 
 # ---------------------------------------------------------------------------
-# Evaluator tree.  Nodes own a set of factor indices and value words whose
-# blocks all belong to owned factors.  A word reaches them as the bare tuple
-# ((factor, letters), ...) in normal form; the node protocol is
+# Evaluator tree.  A node owns a set of factor indices and values words over
+# them, given as bare normal-form tuples ((factor, letters), ...), through
 # eval_blocks(blocks).
 
 
@@ -172,8 +172,19 @@ class _Scaled:
         return self.coeff * self.inner.eval_blocks(blocks)
 
 
-class _Padding:
-    """The gather/split rule over any number of children in factor order.
+class _Node:
+    """A product over children in factor order, each owning some factors."""
+
+    __slots__ = ("children", "child_of", "owned")
+
+    def __init__(self, children):
+        self.children = tuple(children)
+        self.child_of = {f: j for j, child in enumerate(self.children) for f in child.owned}
+        self.owned = frozenset(self.child_of)
+
+
+class _Padding(_Node):
+    """The gather/split rule.
 
     Each child's blocks are gathered, in order, into an open segment; a run
     of child j first closes the open segment of every other child k with
@@ -182,12 +193,10 @@ class _Padding:
     generator names of each factor and turns on the Koszul sign.
     """
 
-    __slots__ = ("children", "child_of", "owned", "splits", "odd")
+    __slots__ = ("splits", "odd")
 
     def __init__(self, kind: ProductKind, children, odd=None):
-        self.children = tuple(children)
-        self.child_of = {f: j for j, child in enumerate(self.children) for f in child.owned}
-        self.owned = frozenset(self.child_of)
+        super().__init__(children)
         self.splits = _SPLITS[kind]
         self.odd = odd
 
@@ -215,101 +224,93 @@ class _Padding:
         return -total if sign else total
 
 
-class _Pair:
-    __slots__ = ("sides", "side_of", "owned")
+class _Degenerate(_Node):
+    """A child's value on words over that child alone, 0 on the others."""
 
-    def __init__(self, left, right):
-        if left.owned & right.owned:
-            raise ValueError("left and right sides share factor indices")
-        self.sides = (left, right)
-        self.side_of = {f: side for side in (0, 1) for f in self.sides[side].owned}
-        self.owned = left.owned | right.owned
-
-
-class _Degenerate(_Pair):
     __slots__ = ()
 
     def eval_blocks(self, blocks) -> Rational:
-        side_of = self.side_of
-        if len({side_of[factor] for factor, _ in blocks}) > 1:
-            return ZERO
-        return self.sides[side_of[blocks[0][0]]].eval_blocks(blocks) if blocks else ONE
+        owners = {self.child_of[factor] for factor, _ in blocks}
+        return self.children[owners.pop()].eval_blocks(blocks) if len(owners) == 1 else ZERO
 
 
-class _Free(_Pair):
-    """Binary free product by the subset recursion over the word's runs."""
+def _first_block_sum(cumulant, runs, positions, gap, proper=False) -> Rational:
+    """Sum over the sets S of ``positions`` holding the first one of
+    cumulant(runs at S) times the values gap(i, j) of S's gaps, the runs
+    i..j-1 after an element of S up to the next one or to the end; an empty
+    gap counts 1.  With ``proper`` the set of all positions is left out."""
+    first, rest = positions[0], positions[1:]
+    total = ZERO
+    for size in range(len(rest) + (not proper)):
+        for others in itertools.combinations(rest, size):
+            chosen = (first,) + others
+            scalar = product(gap(a + 1, b) for a, b in zip(chosen, others + (len(runs),)) if a + 1 < b)
+            if scalar:
+                total += cumulant(tuple(runs[i] for i in chosen)) * scalar
+    return total
 
-    __slots__ = ("_memo",)
 
-    def __init__(self, left, right):
-        super().__init__(left, right)
-        self._memo: dict = {}
+class _Free(_Node):
+    """The free product by the first-block recursion above, over the word's
+    maximal runs of one child, each an element of that child's algebra.
+    Values and cumulants are memoized."""
+
+    __slots__ = ("_values", "_cumulants")
+
+    def __init__(self, children):
+        super().__init__(children)
+        self._values: dict = {(): ONE}
+        self._cumulants: list = [{} for _ in self.children]
 
     def eval_blocks(self, blocks) -> Rational:
-        memo = self._memo
-        hit = memo.get(blocks)
-        if hit is not None:
-            return hit
-        side_of = self.side_of
-        runs: list = []  # (side, blocks of one maximal run)
-        for block in blocks:
-            side = side_of[block[0]]
-            if runs and runs[-1][0] == side:
-                runs[-1][1].append(block)
-            else:
-                runs.append((side, [block]))
-        m = len(runs)
-        sides = self.sides
-        values = [sides[side].eval_blocks(tuple(run)) for side, run in runs]
-        total = ZERO if m else ONE
-        for bits in range((1 << m) - 1):  # proper subsets only
-            scalar = ONE
-            for k in range(m):
-                if not (bits >> k) & 1:
-                    scalar *= values[k]
-            if not scalar:
-                continue
-            kept: list = []
-            for k in range(m):
-                if (bits >> k) & 1:
-                    for block in runs[k][1]:
-                        _append(kept, block)
-            inner = self.eval_blocks(tuple(kept))
-            if not inner:
-                continue
-            if (m - bits.bit_count() + 1) & 1:
-                total -= inner * scalar
-            else:
-                total += inner * scalar
-        memo[blocks] = total
-        return total
+        value = self._values.get(blocks)
+        if value is None:
+            child_of = self.child_of
+            runs = [tuple(run) for _, run in itertools.groupby(blocks, lambda block: child_of[block[0]])]
+            first = child_of[blocks[0][0]]
+            value = _first_block_sum(
+                partial(self._cumulant, first),
+                runs,
+                [i for i, run in enumerate(runs) if child_of[run[0][0]] == first],
+                lambda i, j: self.eval_blocks(sum(runs[i:j], ())),
+            )
+            self._values[blocks] = value
+        return value
+
+    def _cumulant(self, j, runs) -> Rational:
+        """Child j's free cumulant of its runs: the child's value on their
+        product minus the first-block sum over the proper sets."""
+        value = self._cumulants[j].get(runs)
+        if value is None:
+            def moment(a, b):
+                joined: list = []
+                for block in itertools.chain(*runs[a:b]):
+                    _append(joined, block)
+                return self.children[j].eval_blocks(tuple(joined))
+
+            value = moment(0, len(runs)) - _first_block_sum(
+                partial(self._cumulant, j), runs, range(len(runs)), moment, proper=True
+            )
+            self._cumulants[j][runs] = value
+        return value
 
 
 def _scaled_state(node, coeff):
-    # For plain functionals the scaling is realized by actually scaling the
-    # moment table; composite nodes get a result-scaling wrapper instead.
+    """A leaf over the scaled moment table, or a composite node wrapped."""
     if isinstance(node, _Leaf):
         return _Leaf(scale(node.phi, coeff), node.factor)
     return _Scaled(node, coeff)
 
 
 def _node(kind, children, odd=None):
-    """One product node over children in factor order; two children unless
-    the kind is a padding kind."""
+    """One product node over children in factor order."""
     if isinstance(kind, QDeformed):
         inv = ONE / kind.q
         inner = _node(kind.base, [_scaled_state(child, inv) for child in children])
         return _Scaled(inner, kind.q)
     if kind in _SPLITS:
         return _Padding(kind, children, odd)
-    return (_Free if kind is ProductKind.FREE else _Degenerate)(*children)
-
-
-def _balanced(kind, nodes):
-    if len(nodes) == 1:
-        return nodes[0]
-    mid = len(nodes) // 2
-    return _node(kind, (_balanced(kind, nodes[:mid]), _balanced(kind, nodes[mid:])))
+    return (_Free if kind is ProductKind.FREE else _Degenerate)(children)
 
 
 def _check_regime(kind, factors):
@@ -336,13 +337,13 @@ class JointFunctional:
     """One functional per factor, joined under a product kind.
 
     ``bracketing`` selects the evaluator tree when there are more than two
-    factors.  ``None`` (the default) joins every factor in one node for the
-    padding kinds (tensor, boolean, monotone, anti-monotone, fermi) and
-    builds a balanced binary tree, ceil(log2 n) deep, for the nested ones
-    (free, degenerate, q-deformed).  ``"left"`` and ``"right"`` nest the
-    binary product to that side for every kind, which the associativity
-    law compares.  Evaluation caches are internal and never change
-    observable results.
+    factors.  ``None`` (the default) joins every factor in one node, for
+    every kind; a q-deformed kind joins the factors, scaled by 1/q, in one
+    node of its base kind and scales the result by q.  ``"left"`` and
+    ``"right"`` nest two-child nodes to that side, which the associativity
+    law compares; a free node inverts a composite side's own values for its
+    cumulants.  Evaluation caches are internal and never change observable
+    results.
     """
 
     def __init__(self, factors: Sequence[MomentFunctional], kind, bracketing=None):
@@ -362,15 +363,11 @@ class JointFunctional:
             ]
         nodes = [_Leaf(phi, index) for index, phi in enumerate(factors)]
         if bracketing is None:
-            root = _node(kind, nodes, odd) if kind in _SPLITS else _balanced(kind, nodes)
+            root = _node(kind, nodes, odd)
         elif bracketing == "left":
-            root = nodes[0]
-            for node in nodes[1:]:
-                root = _node(kind, (root, node), odd)
+            root = reduce(lambda left, right: _node(kind, (left, right), odd), nodes)
         elif bracketing == "right":
-            root = nodes[-1]
-            for node in reversed(nodes[:-1]):
-                root = _node(kind, (node, root), odd)
+            root = reduce(lambda right, left: _node(kind, (left, right), odd), reversed(nodes))
         else:
             raise ValueError("bracketing must be None, 'left', or 'right'")
         self._root = root
@@ -430,7 +427,7 @@ _RAW, _CENTERED = 0, 1
 
 def free_centering_oracle(phi1: MomentFunctional, phi2: MomentFunctional, word: Word, cache=None) -> Rational:
     """Free-product moment computed by centering, independently of the
-    subset recursion.
+    cumulant recursion.
 
     Each block a is split as a = (a - phi(a) 1) + phi(a) 1 and the word is
     expanded multilinearly.  An alternating product of centered elements
@@ -641,8 +638,8 @@ def sum_moment(kind, states: Sequence[MomentFunctional], order: int, generators=
         for phi, letter in zip(states, letters)
     ]
     if isinstance(kind, QDeformed):
-        # every tree node scales its halves by 1/q and its sum by q; the
-        # base sums are associative, so only the outermost scalings remain
+        # as the joint functional: scale the summands by 1/q, sum them
+        # under the base kind, and scale the sum by q
         inv = ONE / kind.q
         scaled = [[ONE] + [inv * m for m in s[1:]] for s in series]
         return kind.q * _sum_series(kind.base, scaled, [False] * len(series))[order]

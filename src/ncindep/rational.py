@@ -1,37 +1,26 @@
 """Exact rational scalars.
 
-Every quantity the engine computes is an exact rational number; floating
-point appears only in advisory decimal renderings.  When gmpy2 is installed
-its ``mpq`` type is used; otherwise the standard library
-``fractions.Fraction``.  ``BACKEND`` names the one in use.  Both types print
-as ``p/q`` (or a bare integer), hash consistently, and interoperate with
-Python ints.
+Every quantity the engine computes is an exact rational number, a
+``fractions.Fraction``; floating point appears only in advisory decimal
+renderings.  Rationals print as ``p/q`` (or a bare integer), hash
+consistently, and interoperate with Python ints.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
-
-try:
-    from gmpy2 import mpq as Rational
-
-    BACKEND = "gmpy2"
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    Rational = Fraction
-    BACKEND = "fractions"
+from fractions import Fraction as Rational
 
 ZERO = Rational(0)
 ONE = Rational(1)
 
 
 def as_rational(value):
-    """Coerce ``value`` to the active exact rational type.
+    """Coerce ``value`` to an exact rational.
 
-    Accepts ints, strings such as ``"3"`` or ``"-3/4"``, Fractions, and
-    values of the active type itself.  Floats are rejected: silently
-    converting a float would smuggle binary rounding error into an engine
-    that promises exactness.
+    Accepts ints, strings such as ``"3"`` or ``"-3/4"``, and Fractions.
+    Floats are rejected: silently converting a float would smuggle binary
+    rounding error into an engine that promises exactness.
     """
     if isinstance(value, float):
         raise TypeError("refusing to coerce float %r to an exact rational" % (value,))
@@ -63,7 +52,7 @@ def parse_rational(text):
     if not _RATIONAL_RE.match(s):
         raise ValueError("not a rational literal: %r" % (text,))
     try:
-        return Rational(Fraction(s))
+        return Rational(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError("not a rational literal: %r" % (text,)) from exc
 

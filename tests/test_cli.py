@@ -358,6 +358,32 @@ def test_state_unitize_of_a_unital_document_is_a_regime_error(capsys, tmp_path):
     assert error_doc(err)["code"] == "regime"
 
 
+@pytest.mark.parametrize(
+    "generators,max_degree,moments",
+    [([], 10**9, {}), ([{"name": "x", "degree": 0}], 10**8, {"": "1", "x": "1/2"})],
+    ids=["no-generators", "one-generator"],
+)
+def test_a_huge_degree_bound_costs_nothing_to_check(capsys, tmp_path, generators, max_degree, moments):
+    # no generators: total at any bound; one generator: "x x" is missing
+    unital = bool(generators)
+    doc = {
+        "algebra": {"name": "A", "unital": unital, "generators": generators},
+        "max_degree": max_degree,
+        "moments": moments,
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "state", "unitize", "--state", str(path))
+    if generators:
+        assert code == 2
+        assert error_doc(err) == {
+            "code": "document", "context": {}, "message": "moment table is missing A[x x]"
+        }
+    else:
+        assert code == 0 and err == ""
+        assert json.loads(out)["max_degree"] == max_degree
+
+
 # ---------------------------------------------------------------------------
 # errors
 
@@ -401,6 +427,29 @@ def test_words_beyond_the_table_bound_are_degree_errors(capsys, pair_files):
     doc = error_doc(err)
     assert doc["code"] == "degree"
     assert doc["context"]["max_degree"] == 2
+
+
+@pytest.mark.parametrize("exponent", ["99999999999999999999", "1000000000000", "10000000"])
+def test_huge_exponents_are_expression_errors(capsys, pair_files, exponent):
+    s1, s2 = pair_files
+    code, _, err = run(
+        capsys, "eval", "--product", "boolean", "--state", s1, s2, "--expr", "A1.a^" + exponent
+    )
+    assert code == 2
+    doc = error_doc(err)
+    assert doc["code"] == "expression"
+    assert doc["context"]["offset"] == 5
+
+
+def test_a_long_word_beyond_the_bound_is_named_briefly(capsys, pair_files):
+    s1, s2 = pair_files
+    code, _, err = run(
+        capsys, "eval", "--product", "boolean", "--state", s1, s2, "--expr", "A1.a^99999"
+    )
+    assert code == 3
+    assert error_doc(err)["message"] == (
+        "monomial A1[a a a a a a a a ...] has length 99999, beyond the stored maximum degree 2"
+    )
 
 
 def test_regime_mismatch_is_exit_three(capsys, tmp_path):

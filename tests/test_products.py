@@ -1,6 +1,7 @@
 """Joint functionals: the five named products, the degenerate and
 q-deformed families, the centering oracle, and graded tensor values."""
 
+import functools
 import itertools
 import random
 
@@ -298,8 +299,8 @@ def test_evaluation_order_does_not_change_values():
 
 
 def test_three_factor_bracketings_agree():
-    """The default tree (one padding node, or a balanced binary tree for the
-    nested kinds) agrees with the left and the right bracketing."""
+    """The default tree (one node over all the factors) agrees with the
+    left and the right bracketing."""
     G3 = AlgebraSignature("A3", True, (("s", 1), ("t", 0)))
     for kind in list(ProductKind) + [QDeformed(ProductKind.FREE, "1/3")]:
         if kind is ProductKind.FERMI:
@@ -322,6 +323,135 @@ def test_a_free_product_of_four_hundred_factors_nests_shallowly():
     joint = JointFunctional(phis, ProductKind.FREE)
     word = Word(((0, Monomial(signatures[0], ("x",))), (399, Monomial(signatures[399], ("x",)))))
     assert joint.evaluate(word) == as_rational("1/2") * as_rational("1/401")
+
+
+# ---------------------------------------------------------------------------
+# the subset recursion: a second reference for the free product, where the
+# centering oracle cannot reach
+
+
+A4 = AlgebraSignature("A4", True, (("u", 0), ("v", 0)))
+N4 = AlgebraSignature("A4", False, (("u", 0), ("v", 0)))
+
+
+class _RefLeaf:
+    def __init__(self, phi, factor):
+        self.phi, self.owned = phi, {factor}
+
+    def __call__(self, blocks):
+        return self.phi.letters_table[blocks[0][1]] if blocks else ONE
+
+
+class _RefScaled:
+    def __init__(self, inner, coeff):
+        self.inner, self.coeff, self.owned = inner, coeff, inner.owned
+
+    def __call__(self, blocks):
+        return self.coeff * self.inner(blocks)
+
+
+def _append_block(blocks, block):
+    if blocks and blocks[-1][0] == block[0]:
+        blocks[-1] = (block[0], blocks[-1][1] + block[1])
+    else:
+        blocks.append(block)
+
+
+class _SubsetFree:
+    """The binary free product by the subset recursion: for a word whose
+    runs a_1 ... a_m alternate between the two sides,
+
+        value(a_1...a_m) = sum over proper subsets I of {1..m} of
+            (-1)^(m - #I + 1) * value(product of a_k, k in I, re-normalized)
+            * product of side-moments of a_k, k not in I,
+
+    with the empty product valued 1."""
+
+    def __init__(self, left, right):
+        self.sides = (left, right)
+        self.side_of = {f: side for side in (0, 1) for f in self.sides[side].owned}
+        self.owned = left.owned | right.owned
+        self.memo = {}
+
+    def __call__(self, blocks):
+        if blocks in self.memo:
+            return self.memo[blocks]
+        runs = []  # (side, blocks of one maximal run)
+        for block in blocks:
+            side = self.side_of[block[0]]
+            if runs and runs[-1][0] == side:
+                runs[-1][1].append(block)
+            else:
+                runs.append((side, [block]))
+        m = len(runs)
+        values = [self.sides[side](tuple(run)) for side, run in runs]
+        total = ZERO if m else ONE
+        for bits in range((1 << m) - 1):  # proper subsets only
+            kept = []
+            scalar = ONE
+            for k in range(m):
+                if (bits >> k) & 1:
+                    for block in runs[k][1]:
+                        _append_block(kept, block)
+                else:
+                    scalar *= values[k]
+            sign = -1 if (m - bin(bits).count("1") + 1) & 1 else 1
+            total += sign * scalar * self(tuple(kept))
+        self.memo[blocks] = total
+        return total
+
+
+def _subset_reference(phis, q, bracketing):
+    """The free product (q-deformed unless q is None) of the states as a
+    tree of binary subset-recursion nodes: balanced for ``None``, nested to
+    one side for "left" and "right"."""
+
+    def join(left, right):
+        if q is None:
+            return _SubsetFree(left, right)
+        return _RefScaled(_SubsetFree(_RefScaled(left, 1 / q), _RefScaled(right, 1 / q)), q)
+
+    def balanced(nodes):
+        mid = len(nodes) // 2
+        return nodes[0] if mid == 0 else join(balanced(nodes[:mid]), balanced(nodes[mid:]))
+
+    nodes = [_RefLeaf(phi, factor) for factor, phi in enumerate(phis)]
+    if bracketing == "left":
+        return functools.reduce(join, nodes)
+    if bracketing == "right":
+        return functools.reduce(lambda right, left: join(left, right), reversed(nodes))
+    return balanced(nodes)
+
+
+@pytest.mark.parametrize("n,max_len", [(2, 5), (3, 4), (4, 3)])
+def test_free_node_matches_the_subset_recursion(n, max_len):
+    """Non-unital factors, q-deformed free kinds, and three or four factors
+    under every bracketing (two factors have one tree): all the words of up
+    to ``max_len`` letters."""
+    for unital, q in ((True, None), (False, None), (False, "1/3"), (False, "-2")):
+        signatures = ((A1, A2, A3, A4) if unital else (N1, N2, N3, N4))[:n]
+        phis = [gen_random_state(sig, max_len, 10 * n + i) for i, sig in enumerate(signatures)]
+        kind = ProductKind.FREE if q is None else QDeformed(ProductKind.FREE, q)
+        words = list(enumerate_words(signatures, max_len))
+        for bracketing in (None, "left", "right")[: 1 if n == 2 else 3]:
+            joint = JointFunctional(phis, kind, bracketing=bracketing)
+            reference = _subset_reference(phis, q and as_rational(q), bracketing)
+            for w in words:
+                expected = reference(tuple((f, m.letters) for f, m in w.blocks))
+                assert joint.evaluate(w) == expected, (q, bracketing, w)
+
+
+def test_free_long_blocks_have_the_closed_form():
+    """x^a y^b x^c y^d with 12-letter blocks: the cumulant recursion works
+    on runs, not letters, so long blocks cost no more than short ones."""
+    phi = gen_random_state(U1, 24, 5)
+    psi = gen_random_state(U2, 24, 6)
+    f = lambda k: phi.letters_table[("a",) * k]
+    g = lambda k: psi.letters_table[("b",) * k]
+    a, b = Monomial(U1, ("a",) * 12), Monomial(U2, ("b",) * 12)
+    word = normalize_word([(0, a), (1, b), (0, a), (1, b)])
+    expected = f(24) * g(12) * g(12) + f(12) * f(12) * g(24) - f(12) * f(12) * g(12) * g(12)
+    assert JointFunctional((phi, psi), ProductKind.FREE).evaluate(word) == expected
 
 
 # ---------------------------------------------------------------------------
