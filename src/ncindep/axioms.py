@@ -34,6 +34,8 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -132,21 +134,58 @@ _MOMENT_PALETTE = tuple(
     for numerator in range(-3, 4)
     for denominator in range(1, 9)
 )
+# ``choice`` indexes the palette by the top bits of a 32-bit generator
+# word: the 6 bits that 56 entries need, drawn again while 56 or more
+_PALETTE_SHIFT = 32 - len(_MOMENT_PALETTE).bit_length()
+_PALETTE_LIMIT = len(_MOMENT_PALETTE) << _PALETTE_SHIFT
+
+
+def _palette_draws(rng: random.Random, count: int) -> list:
+    """``count`` palette entries, the ones ``count`` calls of
+    ``rng.choice(_MOMENT_PALETTE)`` would return.
+
+    The generator words come in bulk, from ``getrandbits``, exactly as many
+    at a time as entries are still missing, so the generator never runs past
+    the words the calls would use.
+    """
+    draws: list = []
+    while len(draws) < count:
+        missing = count - len(draws)
+        words = array("I", rng.getrandbits(32 * missing).to_bytes(4 * missing, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        draws += [_MOMENT_PALETTE[w >> _PALETTE_SHIFT] for w in words if w < _PALETTE_LIMIT]
+    return draws
 
 
 def gen_random_state(signature: AlgebraSignature, max_degree: int, seed) -> MomentFunctional:
     """Random moment functional with numerators in [-3, 3] and denominators
     in [1, 8]; the unit gets 1, odd monomials of a graded algebra get 0.
-    ``seed`` may be an integer or a ``random.Random``."""
+    ``seed`` may be an integer or a ``random.Random``.
+
+    The moments are drawn in the canonical order of the monomials (as
+    :func:`~ncindep.algebra.all_monomials`), one palette entry per even
+    monomial, from the generator's ``getrandbits``: the table, and the
+    generator's state afterwards, are those of one ``rng.choice`` call per
+    even monomial."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    choice = rng.choice
-    odd = {name for name, degree in signature.generators if degree}
+    names = signature.generator_names
+    keys = itertools.chain.from_iterable(
+        itertools.product(names, repeat=length) for length in range(1, max_degree + 1)
+    )
     table = {(): ONE} if signature.unital else {}
-    # canonical order, as all_monomials: by length, then lexicographically
-    for length in range(1, max_degree + 1):
-        for letters in itertools.product(signature.generator_names, repeat=length):
-            parity = sum(letter in odd for letter in letters) & 1 if odd else 0
-            table[letters] = ZERO if parity else choice(_MOMENT_PALETTE)
+    odd = [bool(degree) for _, degree in signature.generators]
+    if not any(odd):
+        count = sum(len(names) ** length for length in range(1, max_degree + 1))
+        table.update(zip(keys, _palette_draws(rng, count)))
+    else:
+        flags: list = []  # each key's parity, in key order
+        parities = [False]
+        for _ in range(max_degree):
+            parities = [p ^ q for p in parities for q in odd]
+            flags += parities
+        draws = iter(_palette_draws(rng, flags.count(False)))
+        table.update(zip(keys, [ZERO if flag else next(draws) for flag in flags]))
     return MomentFunctional._from_letters(signature, max_degree, table)
 
 

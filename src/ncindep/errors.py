@@ -12,21 +12,25 @@ class DegreeExceeded(EngineError):
 
     Moment tables are total up to a declared maximum degree; asking beyond
     it is an error, never a silent zero.  The message names the monomial's
-    algebra, its length, and at most its first SHOWN_LETTERS letters.
+    algebra, its length, and at most its first SHOWN_LETTERS letters.  A
+    ``length`` given apart from the monomial is the length of a longer one
+    that the given monomial begins, so that a request for a huge monomial
+    can be reported without building it.
     """
 
     SHOWN_LETTERS = 8
 
-    def __init__(self, monomial, max_degree):
+    def __init__(self, monomial, max_degree, length=None):
         self.monomial = monomial
         self.max_degree = max_degree
-        letters = monomial.letters
-        shown = " ".join(letters[:self.SHOWN_LETTERS])
-        if len(letters) > self.SHOWN_LETTERS:
+        letters = monomial.letters[:self.SHOWN_LETTERS]
+        length = len(monomial.letters) if length is None else length
+        shown = " ".join(letters)
+        if length > len(letters):
             shown += " ..."
         super().__init__(
             "monomial %s[%s] has length %d, beyond the stored maximum degree %d"
-            % (monomial.algebra.name, shown, len(letters), max_degree)
+            % (monomial.algebra.name, shown, length, max_degree)
         )
 
 

@@ -215,8 +215,9 @@ def pullback(phi: MomentFunctional, hom: Homomorphism, max_degree=None) -> Momen
     if max_degree is None:
         max_degree = feasible
     elif max_degree * longest > phi.max_degree:
-        probe = Monomial(hom.source, names[:1] * max_degree)
-        raise DegreeExceeded(probe, feasible)
+        # the shown letters of the requested monomial, not the monomial
+        probe = Monomial(hom.source, names[:1] * min(max_degree, DegreeExceeded.SHOWN_LETTERS))
+        raise DegreeExceeded(probe, feasible, length=max_degree)
     values = phi.letters_table  # holds every key: the images fit under its bound
     table = {(): ONE} if hom.source.unital else {}
     level = {(): (1, {(): 1})}  # the images of the monomials of one length

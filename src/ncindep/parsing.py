@@ -11,7 +11,8 @@ Juxtaposed factors multiply in written order and nothing commutes, so
 ``A1.x A2.b A1.x`` is a three-block word while ``A1.x A1.y`` collapses to
 the single block x*y.  Coefficients must be followed by ``*``; there are no
 constant terms, since every term names at least one generator.  An
-expression has at most MAX_LETTERS letters over all its terms.
+expression has at most MAX_LETTERS letters over all its terms, and a
+number at most MAX_DIGITS digits.
 """
 
 from __future__ import annotations
@@ -27,6 +28,11 @@ _NUMBER, _IDENT, _SYMBOL, _END = "number", "identifier", "symbol", "end of input
 # D * (D + 1) / 2 letters in its keys, so no document holds a degree near
 # this bound.
 MAX_LETTERS = 100_000
+
+# The most digits a number may have, leading zeros aside: the interpreter's
+# default bound on converting a decimal string to an int, so every
+# coefficient that format_expression can print parses back.
+MAX_DIGITS = 4300
 
 
 def _tokenize(text):
@@ -57,6 +63,14 @@ def _tokenize(text):
         raise ExpressionError("unexpected character %r" % ch, pos)
     tokens.append((_END, "", size))
     return tokens
+
+
+def _integer(text, offset) -> int:
+    """The value of a number token, rejected past MAX_DIGITS digits."""
+    digits = text.lstrip("0")
+    if len(digits) > MAX_DIGITS:
+        raise ExpressionError("a number may have at most %d digits" % MAX_DIGITS, offset)
+    return int(digits or "0")
 
 
 class _Parser:
@@ -123,8 +137,7 @@ class _Parser:
         if kind != _NUMBER:
             raise ExpressionError("expected a number", offset)
         self.advance()
-        numerator = int(value)
-        result = as_rational(numerator)
+        result = as_rational(_integer(value, offset))
         kind, value, _ = self.peek()
         if kind == _SYMBOL and value == "/":
             self.advance()
@@ -132,9 +145,10 @@ class _Parser:
             if kind != _NUMBER:
                 raise ExpressionError("expected a denominator", offset)
             self.advance()
-            if int(value) == 0:
+            denominator = _integer(value, offset)
+            if denominator == 0:
                 raise ExpressionError("denominator must be positive", offset)
-            result = result / as_rational(int(value))
+            result = result / as_rational(denominator)
         return -result if negative else result
 
     def factor_word(self) -> Word:
@@ -163,9 +177,7 @@ class _Parser:
             if kind != _NUMBER:
                 raise ExpressionError("expected an exponent", offset)
             self.advance()
-            # a number longer than the bound is past it, unconverted
-            digits = value.lstrip("0")
-            power = int(value) if len(digits) <= len(str(MAX_LETTERS)) else MAX_LETTERS + 1
+            power = _integer(value, offset)
             if power < 1:
                 raise ExpressionError("exponent must be at least 1", offset)
         self.letters += power

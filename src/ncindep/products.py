@@ -187,21 +187,24 @@ class _Padding(_Node):
     """The gather/split rule.
 
     Each child's blocks are gathered, in order, into an open segment; a run
-    of child j first closes the open segment of every other child k with
-    ``splits(j, k)``.  The value is the product of the children's values on
-    their segments.  ``odd``, given for the graded tensor, holds the odd
-    generator names of each factor and turns on the Koszul sign.
+    of child j first closes the open segment of every other child k in
+    ``closes[j]``, the k with ``_SPLITS[kind](j, k)``.  The value is the
+    product of the children's values on their segments.  ``odd``, given
+    for the graded tensor, holds the odd generator names of each factor and
+    turns on the Koszul sign.
     """
 
-    __slots__ = ("splits", "odd")
+    __slots__ = ("closes", "odd")
 
     def __init__(self, kind: ProductKind, children, odd=None):
         super().__init__(children)
-        self.splits = _SPLITS[kind]
+        splits = _SPLITS[kind]
+        indices = range(len(self.children))
+        self.closes = tuple(tuple(k for k in indices if k != j and splits(j, k)) for j in indices)
         self.odd = odd
 
     def eval_blocks(self, blocks) -> Rational:
-        children, child_of, splits, odd = self.children, self.child_of, self.splits, self.odd
+        children, child_of, closes, odd = self.children, self.child_of, self.closes, self.odd
         values = []
         segments: dict = {}
         last = -1
@@ -211,8 +214,9 @@ class _Padding(_Node):
             j = child_of[block[0]]
             if j != last:
                 last = j
-                for k in [k for k in segments if k != j and splits(j, k)]:
-                    values.append(children[k].eval_blocks(tuple(segments.pop(k))))
+                for k in closes[j]:
+                    if k in segments:
+                        values.append(children[k].eval_blocks(tuple(segments.pop(k))))
             _append(segments.setdefault(j, []), block)
             if odd is not None and sum(letter in odd[block[0]] for letter in block[1]) & 1:
                 # gathering moves this block's odd letters past those of

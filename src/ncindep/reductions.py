@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import random
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -324,32 +325,60 @@ def _sweep_words(signatures, max_word_len: int) -> tuple:
     return tuple(words)
 
 
+# One entry per reduction kind and length 1..MAX_WORD_LEN.
+@functools.lru_cache(maxsize=len(ReductionKind) * MAX_WORD_LEN)
+def _sweep_images(kind: ReductionKind, max_word_len: int) -> tuple:
+    """The embedded images of the words of :func:`_sweep_words`, in order,
+    as (signs, slots, indices): ``signs`` holds one byte per word, 1 where
+    the carried sign is -1; ``slots[f]`` is the tuple of the distinct slots
+    of factor f; ``indices[f]`` is an array giving each word's slot of
+    factor f as a position in ``slots[f]``.  Built once per kind and length,
+    by :func:`_embed`."""
+    signatures = sweep_signatures(kind)
+    degrees = [dict(sig.generators) for sig in signatures]
+    signs = bytearray()
+    positions = [{} for _ in signatures]
+    indices = [array("I") for _ in signatures]
+    for blocks in _sweep_words(signatures, max_word_len):
+        negative, slots = _embed(kind, len(signatures), blocks, degrees)
+        signs.append(negative)
+        for slot, position, index in zip(slots, positions, indices):
+            index.append(position.setdefault(slot, len(position)))
+    return bytes(signs), tuple(map(tuple, positions)), tuple(indices)
+
+
 def reduction_sweep(kind: ReductionKind, seed: int, trials: int, max_word_len: int = 5):
     """Random state pairs x every word of 1..max_word_len letters, each
     valued by the product's evaluator and by the tensor route and compared
     exactly.  ``max_word_len`` runs from 1 to MAX_WORD_LEN.
 
-    The words are enumerated once per signature set and length and checked
-    as bare block tuples; a :class:`Word` is built only for a failure.
-    Returns (checked, failures) where failures lists (states, word, check)
-    triples.  Deterministic for a given seed.
+    The words are enumerated and embedded once per kind and length and
+    checked as bare block tuples.  Per trial each reduced state values each
+    distinct slot of its factor once, and a word's tensor value is its sign
+    times the values of its two slots.  A :class:`Word` is built only for a
+    failure.  Returns (checked, failures) where failures lists (states,
+    word, check) triples.  Deterministic for a given seed.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     check_word_len(max_word_len)
     signatures = sweep_signatures(kind)
     words = _sweep_words(signatures, max_word_len)
-    degrees = [dict(sig.generators) for sig in signatures]
+    signs, (left_slots, right_slots), (left_index, right_index) = _sweep_images(kind, max_word_len)
     checked = 0
     failures = []
     for trial in range(trials):
         rng = random.Random(seed * 1_000_003 + trial)
         states = [gen_random_state(sig, max_word_len, rng) for sig in signatures]
         evaluate = JointFunctional(states, kind.product_kind)._evaluate_blocks
-        reduced = [ReducedState(kind, phi) for phi in states]
-        for blocks in words:
+        left_state, right_state = (ReducedState(kind, phi) for phi in states)
+        left = [left_state.value(slot) for slot in left_slots]
+        right = [right_state.value(slot) for slot in right_slots]
+        for blocks, negative, i, j in zip(words, signs, left_index, right_index):
             lhs = evaluate(blocks)
-            rhs = _tensor_route(kind, reduced, blocks, degrees)
+            rhs = left[i] * right[j]
+            if negative:
+                rhs = -rhs
             if lhs != rhs:
                 word = Word(tuple((f, Monomial(signatures[f], letters)) for f, letters in blocks))
                 failures.append((states, word, ReductionCheck(lhs, rhs, False)))

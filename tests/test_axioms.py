@@ -1,7 +1,9 @@
 """Seeded law checking: which product kinds satisfy which conditions."""
 
 import hashlib
+import itertools
 import json
+import random
 
 import pytest
 
@@ -22,6 +24,7 @@ from ncindep import (
     run_axiom_suite,
     state_to_json,
 )
+from ncindep.axioms import _MOMENT_PALETTE
 from ncindep.rational import ONE, ZERO, as_rational
 from conftest import A1, A2, G1, N1
 
@@ -184,6 +187,42 @@ def test_random_states_are_reproducible():
     b = gen_random_state(A1, 4, 99)
     assert a.table == b.table
     assert gen_random_state(A1, 4, 100).table != a.table
+
+
+# A graded signature with two odd generators, so keys of every parity mix.
+G3 = AlgebraSignature("A3", True, (("a", 1), ("b", 1), ("c", 0)))
+
+
+def _choice_loop_state(signature, max_degree, rng):
+    """The reference draw: one ``rng.choice(_MOMENT_PALETTE)`` per even
+    monomial, in canonical order, 0 on odd ones."""
+    odd = {name for name, degree in signature.generators if degree}
+    table = {(): ONE} if signature.unital else {}
+    for length in range(1, max_degree + 1):
+        for letters in itertools.product(signature.generator_names, repeat=length):
+            if sum(letter in odd for letter in letters) % 2:
+                table[letters] = ZERO
+            else:
+                table[letters] = rng.choice(_MOMENT_PALETTE)
+    return table
+
+
+@pytest.mark.parametrize("signature", [A1, N1, G1, G3], ids=["unital", "non-unital", "graded", "graded-3"])
+def test_random_states_draw_as_a_choice_loop(signature):
+    """The bulk draws give the reference loop's table, key order and value
+    types, leave the generator where the loop leaves it, and so hand the
+    same stream on to a homomorphism drawn next."""
+    source = AlgebraSignature("B1", signature.unital, (("u", signature.generators[0][1]), ("v", 0)))
+    for max_degree in (0, 1, 2, 5, 9):
+        for seed in (0, 1, 7, 2024):
+            rng, reference = random.Random(seed), random.Random(seed)
+            table = gen_random_state(signature, max_degree, rng).letters_table
+            expected = _choice_loop_state(signature, max_degree, reference)
+            assert list(table.items()) == list(expected.items()), (max_degree, seed)
+            assert [type(v) for v in table.values()] == [type(v) for v in expected.values()]
+            assert rng.getstate() == reference.getstate(), (max_degree, seed)
+            hom = gen_random_homomorphism(source, signature, rng)
+            assert hom.images == gen_random_homomorphism(source, signature, reference).images
 
 
 def _digest(phi):

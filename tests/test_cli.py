@@ -441,6 +441,19 @@ def test_huge_exponents_are_expression_errors(capsys, pair_files, exponent):
     assert doc["context"]["offset"] == 5
 
 
+@pytest.mark.parametrize("coefficient, offset", [("9" * 5000, 0), ("1/" + "7" * 5000, 2)])
+def test_huge_coefficients_are_expression_errors(capsys, pair_files, coefficient, offset):
+    s1, s2 = pair_files
+    code, _, err = run(
+        capsys, "eval", "--product", "boolean", "--state", s1, s2, "--expr",
+        coefficient + " * A1.a",
+    )
+    assert code == 2
+    doc = error_doc(err)
+    assert doc["code"] == "expression"
+    assert doc["context"]["offset"] == offset
+
+
 def test_a_long_word_beyond_the_bound_is_named_briefly(capsys, pair_files):
     s1, s2 = pair_files
     code, _, err = run(

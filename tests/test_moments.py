@@ -1,6 +1,7 @@
 """Moment tables: evaluation, pullback, unitization, scaling, documents."""
 
 import json
+import time
 
 import pytest
 from hypothesis import given
@@ -139,6 +140,20 @@ def test_pullback_degree_request_beyond_feasible_raises():
     h = Homomorphism(single, single, {"x": poly(Monomial(single, ("x", "x")))})
     with pytest.raises(DegreeExceeded):
         pullback(phi, h, max_degree=2)
+
+
+def test_a_huge_pullback_degree_raises_without_building_the_monomial():
+    single = AlgebraSignature("X", True, (("x", 0),))
+    phi = total_state(single, 3, {"x": 1})
+    h = Homomorphism(single, single, {"x": poly(Monomial(single, ("x", "x")))})
+    start = time.perf_counter()
+    with pytest.raises(DegreeExceeded) as caught:
+        pullback(phi, h, max_degree=10**9)
+    assert time.perf_counter() - start < 1.0
+    assert str(caught.value) == (
+        "monomial X[x x x x x x x x ...] has length 1000000000, beyond the stored maximum degree 1"
+    )
+    assert caught.value.max_degree == 1
 
 
 # ---------------------------------------------------------------------------

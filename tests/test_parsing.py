@@ -14,7 +14,7 @@ from ncindep import (
     normalize_word,
     parse_expression,
 )
-from ncindep.parsing import word_sort_key
+from ncindep.parsing import MAX_DIGITS, word_sort_key
 from ncindep.rational import ONE, as_rational
 
 E1 = AlgebraSignature("A1", True, (("x", 0), ("y", 0)))
@@ -106,6 +106,17 @@ def test_zero_exponent_is_rejected():
 def test_zero_denominator_is_rejected():
     with pytest.raises(ExpressionError):
         parse("1/0 * A1.x")
+
+
+def test_numbers_past_the_digit_bound_are_rejected_at_their_offset():
+    long = "1" * (MAX_DIGITS + 1)
+    expect_error(long + " * A1.x", 0)
+    expect_error("-" + long + " * A1.x", 1)
+    expect_error("2/" + long + " * A1.x", 2)
+    # at the bound, and past it only by leading zeros, a number still parses
+    top = "9" * MAX_DIGITS
+    assert parse("0" + top + "/00" + top + " * A1.x") == parse("A1.x")
+    assert parse("0" * 5000 + "3 * A1.x^" + "0" * 5000 + "2") == parse("3 * A1.x A1.x")
 
 
 def test_trailing_garbage_is_rejected():

@@ -32,7 +32,7 @@ from ncindep import (
     tensor_value,
     verify_reduction,
 )
-from ncindep.reductions import _sweep_words, sweep_signatures
+from ncindep.reductions import _sweep_images, _sweep_words, sweep_signatures
 from ncindep.rational import ONE, ZERO, as_rational
 from conftest import G1, G2, N1, N2, mono, total_state
 
@@ -282,6 +282,30 @@ def test_sweep_words_are_the_enumerated_words(kind):
         assert _sweep_words(sweep_signatures(kind), length) is words
         blocks = [block for word in words for block in word]
         assert len({id(block) for block in blocks}) == len(set(blocks))
+
+
+@pytest.mark.parametrize("kind", list(ReductionKind), ids=lambda kind: kind.value)
+def test_sweep_images_are_the_embedded_words(kind):
+    """Each cached image, a sign and a distinct slot per factor, rebuilds
+    the embedding of its enumerated word, and the sign times the slots'
+    values is the word's tensor value."""
+    signatures = sweep_signatures(kind)
+    rng = random.Random(17)
+    for length in range(1, 6):
+        images = _sweep_images(kind, length)
+        signs, slots, indices = images
+        assert all(len(set(factor_slots)) == len(factor_slots) for factor_slots in slots)
+        words = list(enumerate_words(signatures, length))
+        assert len(signs) == len(words) and all(len(index) == len(words) for index in indices)
+        reduced = [ReducedState(kind, gen_random_state(sig, length, rng)) for sig in signatures]
+        left, right = ([state.value(slot) for slot in factor_slots]
+                       for state, factor_slots in zip(reduced, slots))
+        for word, negative, i, j in zip(words, signs, *indices):
+            embedded = embed_word(kind, 2, word)
+            assert ReducedWord(kind, -ONE if negative else ONE, (slots[0][i], slots[1][j])) == embedded
+            value = left[i] * right[j]
+            assert (-value if negative else value) == tensor_value(reduced, embedded), word
+        assert _sweep_images(kind, length) is images
 
 
 def test_sweep_failures_are_replayable_triples(monkeypatch):
