@@ -17,6 +17,7 @@ parse error, 3 degree or regime error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -36,6 +37,11 @@ from .rational import (
 from .reductions import ReductionKind, reduction_sweep
 
 
+# ``clt`` sums n summands in about n * order^3 integer steps; larger jobs
+# are refused before any summand is built
+CLT_WORK_BUDGET = 10**8
+
+
 class _UsageError(Exception):
     pass
 
@@ -45,7 +51,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use and shared by every
+    :func:`main` call: parsing leaves no state on it."""
     parser = _Parser(prog="ncindep", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
@@ -184,6 +193,12 @@ def _cmd_clt(args) -> int:
         raise _UsageError("--n must be at least 1")
     if args.order < 1:
         raise _UsageError("--order must be at least 1")
+    work = args.n * args.order**3
+    if work > CLT_WORK_BUDGET:
+        raise _UsageError(
+            "clt work n * order^3 = %d (n=%d, order=%d) exceeds the budget of %d"
+            % (work, args.n, args.order, CLT_WORK_BUDGET)
+        )
     degree = 1 if kind is ProductKind.FERMI else 0
     signature = AlgebraSignature.make("X", (("x", degree),), unital=False)
     entries = {("x",) * (j + 1): value for j, value in enumerate(moments)}

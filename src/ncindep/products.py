@@ -512,7 +512,8 @@ def free_centering_oracle(phi1: MomentFunctional, phi2: MomentFunctional, word: 
 # Moments of sums across factors.
 #
 # A summand enters as its truncated moment series M(w) = 1 + m_1 w + ... +
-# m_order w^order, a list of exact rationals indexed by power.
+# m_order w^order, rescaled to M(Dw) over a common denominator D: a list
+# of integers m_k D^k indexed by power.
 
 
 def _add(rows):
@@ -522,7 +523,7 @@ def _add(rows):
 
 def _reciprocal(a):
     """1/a for a series with constant term 1."""
-    out = [ONE]
+    out = [1]
     for k in range(1, len(a)):
         out.append(-sum(a[i] * out[k - i] for i in range(1, k + 1)))
     return out
@@ -530,7 +531,7 @@ def _reciprocal(a):
 
 def _compose(f, g):
     """f(g(w)) for a series g without constant term, by Horner's rule."""
-    out = [f[-1]] + [ZERO] * (len(f) - 1)
+    out = [f[-1]] + [0] * (len(f) - 1)
     for coeff in reversed(f[:-1]):
         # out * g + coeff, where g[0] == 0 drops the i == k term
         out = [coeff] + [sum(out[i] * g[k - i] for i in range(k)) for k in range(1, len(f))]
@@ -541,11 +542,11 @@ def _free_cumulants(given, inverse=False):
     """Free cumulants of a moment series, or with ``inverse`` the moment
     series of a cumulant series, by m_n = sum_{s=1..n} k_s [w^(n-s)] M(w)^s."""
     order = len(given) - 1
-    found = [ONE] + [ZERO] * order
+    found = [1] + [0] * order
     moments, cumulants = (found, given) if inverse else (given, found)
     # power[s][j] = [w^j] M(w)^s; step n needs column n - s, which uses
     # moments below n only
-    power = [[ONE] + [ZERO] * order for _ in range(order + 1)]
+    power = [[1] + [0] * order for _ in range(order + 1)]
     for n in range(1, order + 1):
         for s in range(1, n):
             j = n - s
@@ -573,7 +574,7 @@ def _sum_series(kind: ProductKind, series, odd):
     if kind in (ProductKind.TENSOR, ProductKind.FERMI):
         # Summands commute and convolve binomially, except that odd ones
         # anticommute with each other; even ones commute with everything.
-        unit = [ONE] + [ZERO] * (len(series[0]) - 1)
+        unit = [1] + [0] * (len(series[0]) - 1)
         groups = [unit, unit]
         for m, flag in zip(series, odd):
             groups[flag] = _convolve(groups[flag], m, _anti_comb if flag else math.comb)
@@ -589,7 +590,7 @@ def _sum_series(kind: ProductKind, series, odd):
     # Reciprocal Cauchy transforms compose (Muraki); in K(w) = w M(w) the
     # monotone sum is K_1(K_2(...K_N)), the earlier factor outermost, and
     # the anti-monotone sum composes in the reverse order.
-    ks = [[ZERO] + m for m in series]
+    ks = [[0] + m for m in series]
     if kind is ProductKind.MONOTONE:
         ks.reverse()
     total = ks[0]
@@ -604,7 +605,7 @@ def sum_moment(kind, states: Sequence[MomentFunctional], order: int, generators=
     Each state designates one generator x_i; when an algebra has a single
     generator the designation is automatic.  Every plain
     :class:`ProductKind` convolves the summands' moments m_1..m_order
-    exactly, in O(order^3) rational operations per summand: tensor sums
+    exactly, in O(order^3) integer operations per summand: tensor sums
     convolve binomially, free cumulants add, boolean eta-transforms
     1 - 1/M(w) add, monotone sums compose K(w) = w M(w) with the earlier
     factor outermost and anti-monotone sums with the later one, and
@@ -613,6 +614,14 @@ def sum_moment(kind, states: Sequence[MomentFunctional], order: int, generators=
     coefficients, then the two groups binomially.  :class:`QDeformed`
     kinds scale every summand's moments by 1/q, sum them under the base
     kind and scale the result by q.
+
+    The transforms run on integers over a common denominator D of all the
+    moments: m_k enters as m_k D^k.  This is exact because every
+    transform is graded by degree.  Its w^k coefficient sums products of
+    coefficients whose degrees add up to k, with integer weights, and it
+    divides by nothing but the constant term 1.  So it commutes with
+    w -> w/D, and the order-th coefficient of the result is the sum's
+    moment times D^order.
     """
     states = tuple(states)
     if order < 1:
@@ -637,15 +646,21 @@ def sum_moment(kind, states: Sequence[MomentFunctional], order: int, generators=
             raise ValueError("need one designated generator per state")
     letters = [Monomial(phi.algebra, (name,)) for phi, name in zip(states, names)]
     _check_regime(kind, states)
-    series = [
-        [ONE] + [phi(Monomial(phi.algebra, letter.letters * k)) for k in range(1, order + 1)]
+    moments = [
+        [phi(Monomial(phi.algebra, letter.letters * k)) for k in range(1, order + 1)]
         for phi, letter in zip(states, letters)
     ]
+    q = ONE
     if isinstance(kind, QDeformed):
         # as the joint functional: scale the summands by 1/q, sum them
         # under the base kind, and scale the sum by q
-        inv = ONE / kind.q
-        scaled = [[ONE] + [inv * m for m in s[1:]] for s in series]
-        return kind.q * _sum_series(kind.base, scaled, [False] * len(series))[order]
+        q, kind = kind.q, kind.base
+        moments = [[m / q for m in row] for row in moments]
     odd = [kind is ProductKind.FERMI and letter.degree == 1 for letter in letters]
-    return _sum_series(kind, series, odd)[order]
+    denominator = math.lcm(*(m.denominator for row in moments for m in row))
+    powers = [denominator**k for k in range(order + 1)]
+    series = [
+        [1] + [m.numerator * (powers[k] // m.denominator) for k, m in enumerate(row, 1)]
+        for row in moments
+    ]
+    return q * Rational(_sum_series(kind, series, odd)[order], powers[order])

@@ -8,7 +8,7 @@ import pytest
 
 from ncindep import AlgebraSignature, FiniteProbSpace, RandomVariable
 from ncindep.classical import space_to_json, variable_to_json
-from ncindep.cli import main
+from ncindep.cli import CLT_WORK_BUDGET, _build_parser, main
 from ncindep.moments import dump_state, load_state
 from ncindep.rational import as_rational
 from conftest import total_state
@@ -179,6 +179,26 @@ def test_clt_accepts_a_moment_list_with_a_leading_minus(capsys, moments):
     )
     assert code == 0 and err == ""
     assert out.splitlines() == ["4", "normalized: 2"]
+
+
+def test_clt_refuses_work_past_the_budget(capsys):
+    # 10^30 summands: the refusal must come before the summand list, which
+    # Python could not even size
+    code, out, err = run(
+        capsys, "clt", "--product", "tensor", "--moments", "0,1", "--n", str(10**30),
+        "--order", "2",
+    )
+    assert code == 2 and out == ""
+    doc = error_doc(err)
+    assert doc["code"] == "usage"
+    assert str(8 * 10**30) in doc["message"] and str(CLT_WORK_BUDGET) in doc["message"]
+    # n = 1000 at order 20 is 8 * 10^6 steps, within the budget
+    moments = ",".join(["0", "1"] * 10)
+    code, out, err = run(
+        capsys, "clt", "--product", "tensor", "--moments", moments, "--n", "1000",
+        "--order", "20",
+    )
+    assert code == 0 and err == ""
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +529,31 @@ def test_unknown_subcommand_is_a_usage_error(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 2
     assert error_doc(err)["code"] == "usage"
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    assert _build_parser() is _build_parser()
+    argv = ("clt", "--product", "free", "--moments", "0,1,0,1", "--order", "4")
+    code, out, err = run(capsys, *argv, "--n", "0")
+    assert code == 2 and out == "" and error_doc(err)["code"] == "usage"
+    code, out, err = run(capsys, *argv, "--n", "2")
+    assert code == 0 and err == ""
+    assert out.splitlines() == ["6", "normalized: 3/2"]
+    # an option given to one call does not carry over to the next
+    import ncindep.cli as cli
+    from ncindep.axioms import AxiomReport
+
+    lengths = []
+
+    def suite(axiom, kind, seed, trials, max_len):
+        lengths.append(max_len)
+        return AxiomReport(axiom, kind, seed, trials, (), 1)
+
+    monkeypatch.setattr(cli, "run_axiom_suite", suite)
+    argv = ("check", "--axiom", "symmetry", "--product", "tensor")
+    assert run(capsys, *argv, "--max-len", "3")[0] == 0
+    assert run(capsys, *argv)[0] == 0
+    assert lengths == [3, 6]
 
 
 def test_module_entry_point_runs_as_a_process(tmp_path):

@@ -4,6 +4,7 @@ q-deformed families, the centering oracle, and graded tensor values."""
 import functools
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -546,7 +547,7 @@ PLAIN_SUM_CASES = [
 Q_SUM_CASES = [
     (QDeformed(base, as_rational(q)), False)
     for base in (ProductKind.TENSOR, ProductKind.FREE, ProductKind.BOOLEAN)
-    for q in ("2", "-1/3", "1")
+    for q in ("2", "-1/3", "-3/7", "1")
 ]
 
 
@@ -576,7 +577,22 @@ def test_sum_moment_transforms_match_word_enumeration(kind, unital):
                 for i in range(n)
             ]
             letters = [Monomial(phi.algebra, ("x",)) for phi in states]
-            assert sum_moment(kind, states, order) == _sum_by_words(kind, states, letters, order)
+            value = sum_moment(kind, states, order)
+            assert isinstance(value, Fraction)
+            assert value == _sum_by_words(kind, states, letters, order)
+    # pairwise coprime denominators, with zeros among the moments
+    palette = ("1/7", "-2/11", "3/13", "0")
+    states = [
+        total_state(
+            AlgebraSignature("S%d" % i, unital, (("x", 0),)),
+            5,
+            {("x",) * k: palette[(i + k) % 4] for k in range(1, 6)},
+        )
+        for i in range(4)
+    ]
+    letters = [Monomial(phi.algebra, ("x",)) for phi in states]
+    for order in range(1, 6):
+        assert sum_moment(kind, states, order) == _sum_by_words(kind, states, letters, order)
     # two generators per factor, the designated one passed explicitly
     signatures = (A1, A2, A3) if unital else (N1, N2, N3)
     states = [gen_random_state(sig, 4, rng) for sig in signatures]
@@ -628,9 +644,14 @@ def test_sum_moment_of_a_thousand_coins_has_the_closed_forms():
         ProductKind.BOOLEAN: ONE,
         ProductKind.MONOTONE: as_rational(3) / 2 - as_rational(1) / (2 * n),
         ProductKind.ANTI_MONOTONE: as_rational(3) / 2 - as_rational(1) / (2 * n),
+        ProductKind.DEGENERATE: as_rational(1) / n,
+        ProductKind.FERMI: 3 - as_rational(2) / n,
+        QDeformed(ProductKind.TENSOR, as_rational(2)): as_rational(3) / 2 - as_rational(1) / (2 * n),
     }
     for kind, value in expected.items():
         unital = kind in (ProductKind.TENSOR, ProductKind.FREE)
         sig = AlgebraSignature("S", unital, (("x", 0),))
         states = [total_state(sig, 4, coin)] * n
-        assert sum_moment(kind, states, 4) / n**2 == value, kind
+        moment = sum_moment(kind, states, 4)
+        assert isinstance(moment, Fraction) and moment.denominator == 1, kind
+        assert moment / n**2 == value, kind
