@@ -22,7 +22,7 @@ import json
 import sys
 
 from .algebra import AlgebraSignature
-from .axioms import MAX_WORD_LEN, Axiom, expected_outcome, run_axiom_suite
+from .axioms import MAX_WORD_LEN, Axiom, check_word_len, expected_outcome, run_axiom_suite
 from .classical import independence_equivalence, load_space, load_variable
 from .errors import DegreeExceeded, ExpressionError, RegimeMismatch, StateDocumentError
 from .moments import MomentFunctional, dump_state, load_state, unitize
@@ -37,8 +37,9 @@ from .rational import (
 from .reductions import ReductionKind, reduction_sweep
 
 
-# ``clt`` sums n summands in about n * order^3 integer steps; larger jobs
-# are refused before any summand is built
+# ``clt`` sums n summands in about n * order^3 integer steps, and ``check``
+# values about 4^max_len words per trial; larger jobs are refused before
+# any summand or state is built
 CLT_WORK_BUDGET = 10**8
 
 
@@ -109,6 +110,17 @@ def _emit_error(code: str, message: str, context: dict) -> None:
     )
 
 
+def _check_work(trials: int, max_len: int) -> None:
+    """Refuse a check whose trials * 4^max_len exceeds the budget."""
+    check_word_len(max_len)
+    work = trials * 4**max_len
+    if work > CLT_WORK_BUDGET:
+        raise _UsageError(
+            "check work trials * 4^max_len = %d (trials=%d, max-len=%d) exceeds the budget of %d"
+            % (work, trials, max_len, CLT_WORK_BUDGET)
+        )
+
+
 def _cmd_eval(args) -> int:
     states = [load_state(path) for path in args.state]
     kind = parse_kind_label(args.product)
@@ -128,6 +140,7 @@ def _cmd_check_axiom(args) -> int:
         raise _UsageError("unknown axiom %r" % args.axiom) from None
     kind = parse_kind_label(args.product)
     max_len = 6 if args.max_len is None else args.max_len
+    _check_work(args.trials, max_len)
     report = run_axiom_suite(axiom, kind, args.seed, args.trials, max_len)
     for line in report.lines():
         print(line)
@@ -161,6 +174,7 @@ def _cmd_check_reduction(args) -> int:
     except ValueError:
         raise _UsageError("unknown reduction kind %r" % args.kind) from None
     max_len = 5 if args.max_len is None else args.max_len
+    _check_work(args.trials, max_len)
     checked, failures = reduction_sweep(kind, args.seed, args.trials, max_len)
     print(
         "reduction=%s seed=%d trials=%d max-len=%d checked=%d failures=%d"

@@ -195,7 +195,8 @@ def pullback(phi: MomentFunctional, hom: Homomorphism, max_degree=None) -> Momen
 
     The result's degree bound defaults to the largest D such that every
     source monomial of length D has an image phi can evaluate (D times the
-    longest image monomial fits under phi's bound).  Requesting more raises
+    longest image monomial fits under phi's bound), and to phi's own bound
+    when every image is constant.  Requesting more raises
     ``DegreeExceeded``.  Each monomial's image is its prefix's image times
     one generator's image.
     """
@@ -214,7 +215,7 @@ def pullback(phi: MomentFunctional, hom: Homomorphism, max_degree=None) -> Momen
     feasible = phi.max_degree // longest if longest else phi.max_degree
     if max_degree is None:
         max_degree = feasible
-    elif max_degree * longest > phi.max_degree:
+    elif max_degree > feasible:
         # the shown letters of the requested monomial, not the monomial
         probe = Monomial(hom.source, names[:1] * min(max_degree, DegreeExceeded.SHOWN_LETTERS))
         raise DegreeExceeded(probe, feasible, length=max_degree)

@@ -16,6 +16,9 @@ segment of factor k, splitting k's letters there, when
   of odd letters that the gathering moves past each other.  Every factor
   must be even, i.e. vanish on odd monomials.
 
+The rule's structure, a word's sign and segments, is computed apart from
+its values, so that a word can be cut once and valued under many states.
+
 Two kinds have rules of their own:
 
 * ``FREE`` - mixed free cumulants vanish.  With c the child of the word's
@@ -41,6 +44,7 @@ moments of sums across factors.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -203,29 +207,38 @@ class _Padding(_Node):
         self.closes = tuple(tuple(k for k in indices if k != j and splits(j, k)) for j in indices)
         self.odd = odd
 
-    def eval_blocks(self, blocks) -> Rational:
-        children, child_of, closes, odd = self.children, self.child_of, self.closes, self.odd
-        values = []
-        segments: dict = {}
+    def segments(self, blocks):
+        """The structure of a word under the rule, apart from any values:
+        (negative, pairs), where ``negative`` is the Koszul sign bit and
+        ``pairs`` lists (k, segment), child k's segment as a block tuple, in
+        the order the segments close."""
+        child_of, closes, odd = self.child_of, self.closes, self.odd
+        pairs = []
+        opened: dict = {}  # each child's open segment
         last = -1
-        parities = [0] * len(children)  # odd letters seen per child, mod 2
-        sign = 0
+        parities = [0] * len(self.children)  # odd letters seen per child, mod 2
+        negative = 0
         for block in blocks:
             j = child_of[block[0]]
             if j != last:
                 last = j
                 for k in closes[j]:
-                    if k in segments:
-                        values.append(children[k].eval_blocks(tuple(segments.pop(k))))
-            _append(segments.setdefault(j, []), block)
+                    if k in opened:
+                        pairs.append((k, tuple(opened.pop(k))))
+            _append(opened.setdefault(j, []), block)
             if odd is not None and sum(letter in odd[block[0]] for letter in block[1]) & 1:
                 # gathering moves this block's odd letters past those of
                 # the later children that came before it
-                sign ^= sum(parities[j + 1:]) & 1
+                negative ^= sum(parities[j + 1:]) & 1
                 parities[j] ^= 1
-        values.extend(children[k].eval_blocks(tuple(segment)) for k, segment in segments.items())
-        total = product(values)
-        return -total if sign else total
+        pairs.extend((k, tuple(segment)) for k, segment in opened.items())
+        return negative, pairs
+
+    def eval_blocks(self, blocks) -> Rational:
+        negative, pairs = self.segments(blocks)
+        children = self.children
+        total = product(children[k].eval_blocks(segment) for k, segment in pairs)
+        return -total if negative else total
 
 
 class _Degenerate(_Node):
@@ -399,12 +412,6 @@ class JointFunctional:
 
     __call__ = evaluate
 
-    def _evaluate_blocks(self, blocks) -> Rational:
-        """Trusted entry for callers that build their words themselves: the
-        value of a non-empty normal-form bare word ((factor, letters), ...)
-        over these factors, with no checks."""
-        return self._root.eval_blocks(blocks)
-
     def evaluate_polynomial(self, polynomial: Polynomial) -> Rational:
         total = ZERO
         for word, coeff in polynomial.items():
@@ -521,6 +528,13 @@ def _add(rows):
     return [sum(column) for column in zip(*rows)]
 
 
+def _add_transformed(transform, series):
+    """Coefficient-wise sum of transform(row) over the rows of ``series``:
+    each distinct row is transformed once and weighted by its count."""
+    counts = collections.Counter(map(tuple, series))
+    return _add([count * c for c in transform(row)] for row, count in counts.items())
+
+
 def _reciprocal(a):
     """1/a for a series with constant term 1."""
     out = [1]
@@ -580,10 +594,10 @@ def _sum_series(kind: ProductKind, series, odd):
             groups[flag] = _convolve(groups[flag], m, _anti_comb if flag else math.comb)
         return _convolve(*groups)
     if kind is ProductKind.FREE:
-        return _free_cumulants(_add(map(_free_cumulants, series)), inverse=True)
+        return _free_cumulants(_add_transformed(_free_cumulants, series), inverse=True)
     if kind is ProductKind.BOOLEAN:
         # eta = 1 - 1/M adds, so the non-constant coefficients of 1/M add
-        return _reciprocal(_add(map(_reciprocal, series)))
+        return _reciprocal(_add_transformed(_reciprocal, series))
     if kind is ProductKind.DEGENERATE:
         # mixed words vanish, leaving each summand's own moments
         return _add(series)
@@ -644,23 +658,26 @@ def sum_moment(kind, states: Sequence[MomentFunctional], order: int, generators=
         names = list(generators)
         if len(names) != len(states):
             raise ValueError("need one designated generator per state")
-    letters = [Monomial(phi.algebra, (name,)) for phi, name in zip(states, names)]
+    # each distinct (state, generator) is read once
+    summands = list(zip(states, names))
+    letters = {(phi, name): Monomial(phi.algebra, (name,)) for phi, name in summands}
     _check_regime(kind, states)
-    moments = [
-        [phi(Monomial(phi.algebra, letter.letters * k)) for k in range(1, order + 1)]
-        for phi, letter in zip(states, letters)
-    ]
+    moments = {
+        (phi, name): [phi(Monomial(phi.algebra, letter.letters * k)) for k in range(1, order + 1)]
+        for (phi, name), letter in letters.items()
+    }
     q = ONE
     if isinstance(kind, QDeformed):
         # as the joint functional: scale the summands by 1/q, sum them
         # under the base kind, and scale the sum by q
         q, kind = kind.q, kind.base
-        moments = [[m / q for m in row] for row in moments]
-    odd = [kind is ProductKind.FERMI and letter.degree == 1 for letter in letters]
-    denominator = math.lcm(*(m.denominator for row in moments for m in row))
+        moments = {summand: [m / q for m in row] for summand, row in moments.items()}
+    denominator = math.lcm(*(m.denominator for row in moments.values() for m in row))
     powers = [denominator**k for k in range(order + 1)]
-    series = [
-        [1] + [m.numerator * (powers[k] // m.denominator) for k, m in enumerate(row, 1)]
-        for row in moments
-    ]
+    rows = {
+        summand: [1] + [m.numerator * (powers[k] // m.denominator) for k, m in enumerate(row, 1)]
+        for summand, row in moments.items()
+    }
+    series = [rows[summand] for summand in summands]
+    odd = [kind is ProductKind.FERMI and letters[summand].degree == 1 for summand in summands]
     return q * Rational(_sum_series(kind, series, odd)[order], powers[order])

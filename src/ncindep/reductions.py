@@ -30,11 +30,21 @@ letters must pass over other slots without leaving a mark.  The embedding of
 a word is the slot-wise product of its letters' images, and
 :func:`verify_reduction` checks, exactly, that the original product value
 equals the tensor value of the embedded word under the reduced states.
+
+:func:`reduction_sweep` makes that check for every short word at once.  It
+cuts each word into product segments and embeds it into tensor slots once
+per kind and length, then values each distinct segment and slot once per
+pair of states.  Each state phi is first replaced by phi_D, phi after the
+homomorphism that multiplies every generator by D, the lcm of phi's
+denominators, so that its moments are integers.  Both routes are natural
+under algebra homomorphisms, so this multiplies both values of a word by
+the same nonzero integer, and the routes are compared as integers.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import random
 from array import array
 from dataclasses import dataclass
@@ -347,40 +357,96 @@ def _sweep_images(kind: ReductionKind, max_word_len: int) -> tuple:
     return bytes(signs), tuple(map(tuple, positions)), tuple(indices)
 
 
+# One entry per product kind, signature set and length, built on first use.
+_PRODUCT_IMAGES: dict = {}
+
+
+def _product_images(joint: JointFunctional, signatures, max_word_len: int) -> tuple:
+    """The structure of the words of :func:`_sweep_words` under ``joint``'s
+    product, in order, as (signs, segments, positions, ends): ``signs``
+    holds one byte per word, 1 where the Koszul sign is -1; ``segments`` is
+    the tuple of the distinct (child, segment) pairs of the root's
+    ``segments``; word w's segments sit at ``positions[ends[w - 1]:ends[w]]``
+    in it.  Built once per product kind, signatures and length; the
+    structure does not depend on the states."""
+    key = (joint.kind, signatures, max_word_len)
+    images = _PRODUCT_IMAGES.get(key)
+    if images is None:
+        segments = joint._root.segments
+        signs = bytearray()
+        distinct: dict = {}
+        positions = array("I")
+        ends = array("I")
+        for blocks in _sweep_words(signatures, max_word_len):
+            negative, pairs = segments(blocks)
+            signs.append(negative)
+            positions.extend(distinct.setdefault(pair, len(distinct)) for pair in pairs)
+            ends.append(len(positions))
+        images = _PRODUCT_IMAGES[key] = (bytes(signs), tuple(distinct), positions, ends)
+    return images
+
+
+def _graded(phi: MomentFunctional) -> MomentFunctional:
+    """phi_D(w) = D^|w| phi(w), D the lcm of phi's denominators: phi on the
+    generators rescaled by D, with every moment an ``int``."""
+    table = phi.letters_table
+    denominator = math.lcm(*(value.denominator for value in table.values()))
+    powers = [denominator**length for length in range(phi.max_degree + 1)]
+    graded = {
+        letters: value.numerator * (powers[len(letters)] // value.denominator)
+        for letters, value in table.items()
+    }
+    return MomentFunctional._from_letters(phi.algebra, phi.max_degree, graded)
+
+
 def reduction_sweep(kind: ReductionKind, seed: int, trials: int, max_word_len: int = 5):
     """Random state pairs x every word of 1..max_word_len letters, each
-    valued by the product's evaluator and by the tensor route and compared
+    valued by the product's rule and by the tensor route and compared
     exactly.  ``max_word_len`` runs from 1 to MAX_WORD_LEN.
 
-    The words are enumerated and embedded once per kind and length and
-    checked as bare block tuples.  Per trial each reduced state values each
-    distinct slot of its factor once, and a word's tensor value is its sign
-    times the values of its two slots.  A :class:`Word` is built only for a
-    failure.  Returns (checked, failures) where failures lists (states,
-    word, check) triples.  Deterministic for a given seed.
+    The words are enumerated once per signature set and length, and cut
+    into their product segments and embedded into tensor slots once per
+    kind and length.  Per trial each drawn state phi is replaced by its
+    D-graded form phi_D(w) = D^|w| phi(w), D the lcm of its denominators,
+    so that every moment is an integer.  Each distinct segment and each
+    distinct slot is valued once.  A word's product value is its sign times
+    its segments' values, its tensor value its sign times its two slots'
+    values.  Both carry the same factor, the product over the factors f of
+    D_f to the number of the word's letters from f, so integer equality is
+    exact rational equality.  A mismatch is valued again by
+    :func:`verify_reduction` on the drawn states.  Returns (checked,
+    failures) where failures lists (states, word, check) triples.
+    Deterministic for a given seed.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     check_word_len(max_word_len)
     signatures = sweep_signatures(kind)
     words = _sweep_words(signatures, max_word_len)
-    signs, (left_slots, right_slots), (left_index, right_index) = _sweep_images(kind, max_word_len)
+    tensor_signs, (left_slots, right_slots), (left_index, right_index) = _sweep_images(kind, max_word_len)
     checked = 0
     failures = []
     for trial in range(trials):
         rng = random.Random(seed * 1_000_003 + trial)
         states = [gen_random_state(sig, max_word_len, rng) for sig in signatures]
-        evaluate = JointFunctional(states, kind.product_kind)._evaluate_blocks
-        left_state, right_state = (ReducedState(kind, phi) for phi in states)
+        graded = [_graded(phi) for phi in states]
+        joint = JointFunctional(graded, kind.product_kind)
+        signs, segments, positions, ends = _product_images(joint, signatures, max_word_len)
+        children = joint._root.children
+        values = [children[k].eval_blocks(segment) for k, segment in segments]
+        left_state, right_state = (ReducedState(kind, phi) for phi in graded)
         left = [left_state.value(slot) for slot in left_slots]
         right = [right_state.value(slot) for slot in right_slots]
-        for blocks, negative, i, j in zip(words, signs, left_index, right_index):
-            lhs = evaluate(blocks)
-            rhs = left[i] * right[j]
-            if negative:
-                rhs = -rhs
-            if lhs != rhs:
+        start = 0
+        for blocks, end, negative, tensor_negative, i, j in zip(
+            words, ends, signs, tensor_signs, left_index, right_index
+        ):
+            lhs = math.prod(map(values.__getitem__, positions[start:end]))
+            start = end
+            if negative != tensor_negative:
+                lhs = -lhs
+            if lhs != left[i] * right[j]:
                 word = Word(tuple((f, Monomial(signatures[f], letters)) for f, letters in blocks))
-                failures.append((states, word, ReductionCheck(lhs, rhs, False)))
+                failures.append((states, word, verify_reduction(kind, states, word)))
         checked += len(words)
     return checked, failures

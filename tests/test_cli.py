@@ -286,6 +286,27 @@ def test_check_rejects_word_lengths_beyond_the_bound(capsys, target):
     assert doc["code"] == "usage" and "at most 8" in doc["message"]
 
 
+@pytest.mark.parametrize(
+    "target",
+    [("--axiom", "functoriality", "--product", "tensor"), ("reduction", "--kind", "fermi")],
+)
+def test_check_refuses_work_past_the_budget(capsys, monkeypatch, target):
+    # 10^20 trials of one letter: without the refusal this runs for ages
+    import ncindep.axioms as axioms
+    import ncindep.reductions as reductions
+
+    def no_state(*args):
+        raise AssertionError("a state was drawn")
+
+    monkeypatch.setattr(axioms, "gen_random_state", no_state)
+    monkeypatch.setattr(reductions, "gen_random_state", no_state)
+    code, out, err = run(capsys, "check", *target, "--trials", str(10**20), "--max-len", "1")
+    assert code == 2 and out == ""
+    doc = error_doc(err)
+    assert doc["code"] == "usage"
+    assert str(4 * 10**20) in doc["message"] and str(CLT_WORK_BUDGET) in doc["message"]
+
+
 def test_check_reduction_failure_prints_witnesses(capsys, monkeypatch):
     import ncindep.reductions as reductions
     from ncindep import JointFunctional, ProductKind

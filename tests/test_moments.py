@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ncindep import (
+    EMPTY_WORD,
     AlgebraSignature,
     DegreeExceeded,
     Homomorphism,
@@ -154,6 +155,24 @@ def test_a_huge_pullback_degree_raises_without_building_the_monomial():
         "monomial X[x x x x x x x x ...] has length 1000000000, beyond the stored maximum degree 1"
     )
     assert caught.value.max_degree == 1
+
+
+def test_pullback_along_constant_images_stays_under_the_target_bound():
+    """Constant images have no letters to bound the degree by; the request
+    is held to the target's own bound, which is also the default."""
+    phi = total_state(X, 2, {"x": "1/2", "y": "1/3", "x y": 2})
+    constants = {name: Polynomial.from_word(EMPTY_WORD, as_rational(c)) for name, c in (("x", 3), ("y", "-1/2"))}
+    h = Homomorphism(X, X, constants)
+    pulled = pullback(phi, h)
+    assert pulled.max_degree == 2 and len(pulled.table) == 7
+    assert pulled(mono(X, "x y")) == as_rational("-3/2")
+    assert pullback(phi, h, max_degree=1).max_degree == 1
+    for requested in (3, 14, 10**9):
+        start = time.perf_counter()
+        with pytest.raises(DegreeExceeded) as caught:
+            pullback(phi, h, max_degree=requested)
+        assert time.perf_counter() - start < 1.0
+        assert caught.value.max_degree == 2
 
 
 # ---------------------------------------------------------------------------

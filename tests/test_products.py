@@ -13,6 +13,7 @@ from ncindep import (
     DegreeExceeded,
     EMPTY_WORD,
     JointFunctional,
+    MomentFunctional,
     Monomial,
     ProductKind,
     QDeformed,
@@ -655,3 +656,32 @@ def test_sum_moment_of_a_thousand_coins_has_the_closed_forms():
         moment = sum_moment(kind, states, 4)
         assert isinstance(moment, Fraction) and moment.denominator == 1, kind
         assert moment / n**2 == value, kind
+
+
+@pytest.mark.parametrize(
+    "kind,transform", [(ProductKind.FREE, "_free_cumulants"), (ProductKind.BOOLEAN, "_reciprocal")]
+)
+def test_identical_summands_are_transformed_once(monkeypatch, kind, transform):
+    """Free cumulants and boolean reciprocals are taken once per distinct
+    summand and once for the sum, however many copies are summed."""
+    import ncindep.products as products
+
+    calls = []
+    original = getattr(products, transform)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(products, transform, counted)
+    rng = random.Random(41)
+    sig = AlgebraSignature("S", False, (("x", 0),))
+    phi, psi = (gen_random_state(sig, 4, rng) for _ in range(2))
+    twin = MomentFunctional.from_entries(sig, 4, dict(phi.letters_table))
+    for states, distinct in (([phi] * 1000, 1), ([phi, twin] * 2, 1), ([phi, psi, phi, psi, psi], 2)):
+        calls.clear()
+        value = sum_moment(kind, states, 4)
+        assert len(calls) == distinct + 1
+        if len(states) <= 5:
+            letters = [Monomial(sig, ("x",))] * len(states)
+            assert value == _sum_by_words(kind, states, letters, 4)

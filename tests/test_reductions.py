@@ -1,7 +1,9 @@
 """Transporting the asymmetric products and the graded tensor through
 ordinary tensor independence: embeddings, enlarged states, verification."""
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -19,6 +21,7 @@ from ncindep import (
     ReductionKind,
     RegimeMismatch,
     Word,
+    all_monomials,
     concat_words,
     embed_word,
     enumerate_words,
@@ -32,8 +35,8 @@ from ncindep import (
     tensor_value,
     verify_reduction,
 )
-from ncindep.reductions import _sweep_images, _sweep_words, sweep_signatures
-from ncindep.rational import ONE, ZERO, as_rational
+from ncindep.reductions import _graded, _product_images, _sweep_images, _sweep_words, sweep_signatures
+from ncindep.rational import ONE, ZERO, as_rational, product
 from conftest import G1, G2, N1, N2, mono, total_state
 
 P = None  # marker for the idempotent letter inside an M-reduction slot
@@ -306,6 +309,112 @@ def test_sweep_images_are_the_embedded_words(kind):
             value = left[i] * right[j]
             assert (-value if negative else value) == tensor_value(reduced, embedded), word
         assert _sweep_images(kind, length) is images
+
+
+@pytest.mark.parametrize("kind", list(ReductionKind), ids=lambda kind: kind.value)
+def test_product_images_are_the_evaluated_words(kind):
+    """Each cached product image, a Koszul sign and the word's segments,
+    rebuilds the joint functional's value of its enumerated word: the sign
+    times the children's values on the segments."""
+    signatures = sweep_signatures(kind)
+    rng = random.Random(23)
+    for length in range(1, 6):
+        states = [gen_random_state(sig, length, rng) for sig in signatures]
+        joint = JointFunctional(states, kind.product_kind)
+        images = _product_images(joint, signatures, length)
+        signs, segments, positions, ends = images
+        assert len(set(segments)) == len(segments)
+        assert all(len(segment) == 1 for _, segment in segments)
+        words = list(enumerate_words(signatures, length))
+        assert len(signs) == len(ends) == len(words) and ends[-1] == len(positions)
+        children = joint._root.children
+        values = [children[k].eval_blocks(segment) for k, segment in segments]
+        start = 0
+        for word, negative, end in zip(words, signs, ends):
+            value = product(values[p] for p in positions[start:end])
+            start = end
+            assert (-value if negative else value) == joint.evaluate(word), word
+        other = JointFunctional([gen_random_state(sig, length, rng) for sig in signatures],
+                                kind.product_kind)
+        assert _product_images(other, signatures, length) is images
+
+
+# pairwise coprime denominators and a zero
+PALETTE = ("1/7", "-2/11", "3/13", "0")
+
+
+def hand_state(signature, degree, shift=0):
+    """A state cycling through PALETTE in canonical monomial order, 0 on
+    odd monomials."""
+    odd = {name for name, d in signature.generators if d}
+    entries = {}
+    for index, monomial in enumerate(all_monomials(signature, degree)):
+        if monomial.letters and not sum(letter in odd for letter in monomial.letters) & 1:
+            entries[monomial.letters] = PALETTE[(index + shift) % len(PALETTE)]
+    return total_state(signature, degree, entries)
+
+
+def test_graded_states_hold_the_rescaled_moments_as_ints():
+    """phi_D(w) = D^|w| phi(w) with D the lcm of phi's denominators, every
+    entry an int, the unit of a unital state kept at 1."""
+    for signature in (N1, G1, sweep_signatures(ReductionKind.FERMI)[1]):
+        for shift in range(4):
+            phi = hand_state(signature, 5, shift)
+            graded = _graded(phi)
+            assert graded.algebra == phi.algebra and graded.max_degree == 5
+            assert list(graded.letters_table) == list(phi.letters_table)
+            assert all(type(value) is int for value in graded.letters_table.values())
+            for letters, value in phi.letters_table.items():
+                assert graded.letters_table[letters] == value * 1001 ** len(letters)
+            if signature.unital:
+                assert graded.letters_table[()] == 1
+
+
+def test_sweeps_over_hand_made_states(monkeypatch):
+    """With states of denominators 7, 11 and 13 drawn in place of random
+    ones, every sweep agrees word for word, and a sweep joined under a
+    wrong product reports exactly the public routes' mismatches."""
+    import ncindep.reductions as reductions
+
+    shifts = itertools.count()
+
+    def drawn(signature, degree, rng):
+        return hand_state(signature, degree, next(shifts))
+
+    monkeypatch.setattr(reductions, "gen_random_state", drawn)
+    for kind in ReductionKind:
+        checked, failures = reduction_sweep(kind, seed=1, trials=2, max_word_len=5)
+        assert (checked, failures) == (2 * 1364, [])
+
+    # monotone joined as boolean differs in values, fermi joined as the
+    # ungraded tensor in signs only
+    for kind, wrong in ((ReductionKind.MONOTONE, ProductKind.BOOLEAN),
+                        (ReductionKind.FERMI, ProductKind.TENSOR)):
+        monkeypatch.setattr(reductions, "JointFunctional",
+                            lambda factors, _, wrong=wrong: JointFunctional(factors, wrong))
+        checked, failures = reduction_sweep(kind, seed=1, trials=1, max_word_len=4)
+        states = failures[0][0]
+        joint = JointFunctional(states, wrong)
+        reduced = [ReducedState(kind, phi) for phi in states]
+        expected = []
+        for word in enumerate_words(sweep_signatures(kind), 4):
+            lhs, rhs = joint.evaluate(word), tensor_value(reduced, embed_word(kind, 2, word))
+            if lhs != rhs:
+                expected.append((states, word, ReductionCheck(lhs, rhs, False)))
+        assert failures == expected
+
+
+def test_sweeps_take_no_integer_part_of_a_rational(monkeypatch):
+    """The graded values are exact integers by construction, never a
+    rational cut down by int(), trunc or floor."""
+    def refused(self, *args):
+        raise AssertionError("integer part of %r taken" % (self,))
+
+    for name in ("__int__", "__trunc__", "__floor__"):
+        monkeypatch.setattr(Fraction, name, refused)
+    for kind in ReductionKind:
+        checked, failures = reduction_sweep(kind, seed=4, trials=2, max_word_len=5)
+        assert checked == 2 * 1364 and failures == []
 
 
 def test_sweep_failures_are_replayable_triples(monkeypatch):
