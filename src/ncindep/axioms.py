@@ -2,11 +2,14 @@
 
 Each axiom is checked word-by-word on randomly generated states and words:
 equality of two functionals on every word up to the degree bound is what
-linearity leaves to check.  A report lists every failing comparison with a
-full serialization of its inputs, so any witness can be replayed by hand or
-through the command line.  Reports are bit-identical for a given seed: the
-per-trial generator is derived from (seed, trial index) alone, trials are
-mutually independent, and results are assembled in trial order.
+linearity leaves to check.  Each law's trial yields, word by word, the two
+values the law equates, and one comparison loop counts and compares them
+for every law.  A report lists every failing comparison with a full
+serialization of its inputs, so any witness can be replayed by hand or
+through the command line; a trial's witnesses share one serialization of
+its states.  Reports are bit-identical for a given seed: the per-trial
+generator is derived from (seed, trial index) alone, trials are mutually
+independent, and results are assembled in trial order.
 
 The laws:
 
@@ -280,9 +283,10 @@ def _signatures(count: int, kind, names=_FACTOR_NAMES, gens=_FACTOR_GENS):
     )
 
 
-def _seed_words(signatures, max_letters):
-    """Deterministic words guaranteeing shapes random sampling might miss:
-    the return-to-first-factor shape and a full tour of the factors."""
+def _trial_words(signatures, max_letters, rng, count):
+    """Deterministic words guaranteeing shapes random sampling might miss,
+    the return-to-first-factor shape and a full tour of the factors, then
+    ``count`` random words."""
     gens = [sig.generator_names[0] for sig in signatures]
     letter = lambda i: (i, Monomial(signatures[i], (gens[i],)))
     shapes = [
@@ -296,16 +300,7 @@ def _seed_words(signatures, max_letters):
             word = normalize_word(shape)
             if word not in words:
                 words.append(word)
-    return words
-
-
-def _word_inputs(states, word, **extra):
-    doc = {
-        "states": [state_to_json(phi) for phi in states],
-        "word": format_word(word),
-    }
-    doc.update(extra)
-    return doc
+    return words + [gen_random_word(signatures, max_letters, rng) for _ in range(count)]
 
 
 # Longest words the seeded checks take.  Work grows about fourfold per
@@ -346,15 +341,33 @@ def run_axiom_suite(
     failures = []
     checked = 0
     for trial in range(trials):
-        rng = random.Random(seed * 1_000_003 + trial)
-        count, found = runner(kind, rng, max_word_len)
+        count, found = _failures(*runner(kind, random.Random(seed * 1_000_003 + trial), max_word_len))
         checked += count
         failures.extend(found)
     return AxiomReport(axiom, kind, seed, trials, tuple(failures), checked)
 
 
+def _failures(states, comparisons):
+    """(checked, failures) of a trial's comparisons.  A failure's inputs are
+    the states, serialized once at the trial's first failure and shared by
+    its later witnesses, the word, and the law's own ``extra`` keys."""
+    checked = 0
+    failures = []
+    docs = None
+    for word, lhs, rhs, extra in comparisons:
+        checked += 1
+        if lhs != rhs:
+            if docs is None:
+                docs = [state_to_json(phi) for phi in states]
+            failures.append(AxiomFailure({"states": docs, "word": format_word(word), **extra}, lhs, rhs))
+    return checked, failures
+
+
 # ---------------------------------------------------------------------------
-# Per-axiom trials
+# Per-axiom trials.  Each draws its inputs from the trial's generator and
+# returns (states, comparisons): the states a witness replays, and an
+# iterator of (word, lhs, rhs, extra), the two values the law equates on
+# the word and the witness keys of the law's own inputs.
 
 
 def _trial_associativity(kind, rng, max_word_len):
@@ -362,18 +375,11 @@ def _trial_associativity(kind, rng, max_word_len):
     states = [gen_random_state(sig, max_word_len, rng) for sig in signatures]
     left = JointFunctional(states, kind, bracketing="left")
     right = JointFunctional(states, kind, bracketing="right")
-    failures = []
-    words = _seed_words(signatures, max_word_len) + [
-        gen_random_word(signatures, max_word_len, rng) for _ in range(8)
-    ]
-    for word in words:
-        lhs = left.evaluate(word)
-        rhs = right.evaluate(word)
-        if lhs != rhs:
-            failures.append(
-                AxiomFailure(_word_inputs(states, word, bracketing="left-vs-right"), lhs, rhs)
-            )
-    return len(words), failures
+    words = _trial_words(signatures, max_word_len, rng, 8)
+    return states, (
+        (word, left.evaluate(word), right.evaluate(word), {"bracketing": "left-vs-right"})
+        for word in words
+    )
 
 
 def _trial_unit_law(kind, rng, max_word_len):
@@ -381,43 +387,30 @@ def _trial_unit_law(kind, rng, max_word_len):
     phi = gen_random_state(signature, max_word_len, rng)
     trivial_sig = AlgebraSignature.make("E", (), unital=True)
     delta = MomentFunctional(trivial_sig, max_word_len, {Monomial(trivial_sig, ()): ONE})
-    with_right_unit = JointFunctional([phi, delta], kind)
-    with_left_unit = JointFunctional([delta, phi], kind)
-    failures = []
-    monomials = list(all_monomials(signature, max_word_len))
-    for monomial in monomials:
-        expected = phi(monomial)
-        as_first = normalize_word([(0, monomial)])
-        as_second = normalize_word([(1, monomial)])
-        for joint, word, side in (
-            (with_right_unit, as_first, "phi*delta"),
-            (with_left_unit, as_second, "delta*phi"),
-        ):
-            got = joint.evaluate(word)
-            if got != expected:
-                failures.append(
-                    AxiomFailure(_word_inputs([phi], word, side=side), got, expected)
-                )
-    return 2 * len(monomials), failures
+    sides = ((JointFunctional([phi, delta], kind), 0, "phi*delta"),
+             (JointFunctional([delta, phi], kind), 1, "delta*phi"))
+
+    def comparisons():
+        for monomial in all_monomials(signature, max_word_len):
+            for joint, factor, side in sides:
+                word = normalize_word([(factor, monomial)])
+                yield word, joint.evaluate(word), phi(monomial), {"side": side}
+
+    return [phi], comparisons()
 
 
 def _trial_inclusion(kind, rng, max_word_len):
     signatures = _signatures(2, kind)
     states = [gen_random_state(sig, max_word_len, rng) for sig in signatures]
     joint = JointFunctional(states, kind)
-    failures = []
-    checked = 0
-    for index in (0, 1):
-        for monomial in all_monomials(signatures[index], max_word_len):
-            checked += 1
-            word = normalize_word([(index, monomial)])
-            expected = ONE if monomial.is_unit else states[index](monomial)
-            got = joint.evaluate(word)
-            if got != expected:
-                failures.append(
-                    AxiomFailure(_word_inputs(states, word, factor=index), got, expected)
-                )
-    return checked, failures
+
+    def comparisons():
+        for index in (0, 1):
+            for monomial in all_monomials(signatures[index], max_word_len):
+                word = normalize_word([(index, monomial)])
+                yield word, joint.evaluate(word), states[index](monomial), {"factor": index}
+
+    return states, comparisons()
 
 
 def _trial_functoriality(kind, rng, max_word_len):
@@ -434,53 +427,35 @@ def _trial_functoriality(kind, rng, max_word_len):
     ]
     joint_target = JointFunctional(target_states, kind)
     joint_pulled = JointFunctional(pulled, kind)
-    failures = []
-    words = _seed_words(sources, max_word_len) + [
-        gen_random_word(sources, max_word_len, rng) for _ in range(6)
-    ]
-    for word in words:
-        lhs = joint_target.evaluate_polynomial(apply_homomorphism(homs, word))
-        rhs = joint_pulled.evaluate(word)
-        if lhs != rhs:
-            hom_doc = [
-                {name: format_expression(image) for name, image in hom.images.items()}
-                for hom in homs
-            ]
-            failures.append(
-                AxiomFailure(
-                    _word_inputs(target_states, word, homomorphisms=hom_doc), lhs, rhs
-                )
-            )
-    return len(words), failures
+    words = _trial_words(sources, max_word_len, rng, 6)
+    hom_doc = {"homomorphisms": [
+        {name: format_expression(image) for name, image in hom.images.items()}
+        for hom in homs
+    ]}
+    return target_states, (
+        (word, joint_target.evaluate_polynomial(apply_homomorphism(homs, word)),
+         joint_pulled.evaluate(word), hom_doc)
+        for word in words
+    )
 
 
 def _trial_factorization(kind, rng, max_word_len):
     signatures = _signatures(2, kind)
     states = [gen_random_state(sig, max_word_len, rng) for sig in signatures]
     joint = JointFunctional(states, kind)
-    failures = []
-    checks = 8
-    for _ in range(checks):
-        first_len = rng.randint(1, max(1, max_word_len - 1))
-        second_len = rng.randint(1, max(1, max_word_len - first_len))
-        first = Monomial(
-            signatures[0],
-            tuple(rng.choice(signatures[0].generator_names) for _ in range(first_len)),
-        )
-        second = Monomial(
-            signatures[1],
-            tuple(rng.choice(signatures[1].generator_names) for _ in range(second_len)),
-        )
-        word = Word(((0, first), (1, second)))
-        lhs = joint.evaluate(word)
-        rhs = states[0](first) * states[1](second)
-        if lhs != rhs:
-            failures.append(AxiomFailure(_word_inputs(states, word), lhs, rhs))
-    return checks, failures
 
+    def comparisons():
+        for _ in range(8):
+            first_len = rng.randint(1, max(1, max_word_len - 1))
+            second_len = rng.randint(1, max(1, max_word_len - first_len))
+            first, second = (
+                Monomial(sig, tuple(rng.choice(sig.generator_names) for _ in range(length)))
+                for sig, length in zip(signatures, (first_len, second_len))
+            )
+            word = Word(((0, first), (1, second)))
+            yield word, joint.evaluate(word), states[0](first) * states[1](second), {}
 
-def _swap_factors(word: Word) -> Word:
-    return Word(tuple((1 - factor, monomial) for factor, monomial in word.blocks))
+    return states, comparisons()
 
 
 # The kind that the factor swap turns each asymmetric kind into.
@@ -497,16 +472,11 @@ def _trial_swapped(kind, other, rng, max_word_len):
     states = [gen_random_state(sig, max_word_len, rng) for sig in signatures]
     joint = JointFunctional(states, kind)
     swapped = JointFunctional([states[1], states[0]], other)
-    failures = []
-    words = _seed_words(signatures, max_word_len) + [
-        gen_random_word(signatures, max_word_len, rng) for _ in range(8)
-    ]
-    for word in words:
-        lhs = joint.evaluate(word)
-        rhs = swapped.evaluate(_swap_factors(word))
-        if lhs != rhs:
-            failures.append(AxiomFailure(_word_inputs(states, word), lhs, rhs))
-    return len(words), failures
+    words = _trial_words(signatures, max_word_len, rng, 8)
+    return states, (
+        (word, joint.evaluate(word), swapped.evaluate(Word(tuple((1 - f, m) for f, m in word.blocks))), {})
+        for word in words
+    )
 
 
 _TRIAL_RUNNERS = {

@@ -54,7 +54,7 @@ from typing import Sequence
 
 from .algebra import Monomial, Polynomial, Word
 from .errors import RegimeMismatch
-from .moments import MomentFunctional, scale
+from .moments import MomentFunctional
 from .rational import ONE, Rational, ZERO, as_rational, format_rational, parse_rational, product
 
 
@@ -143,27 +143,19 @@ def _append(blocks: list, block) -> None:
 
 
 class _Leaf:
-    __slots__ = ("phi", "factor", "table", "owned")
+    __slots__ = ("phi", "owned")
 
     def __init__(self, phi: MomentFunctional, factor: int):
         self.phi = phi
-        self.factor = factor
-        self.table = phi.letters_table
         self.owned = frozenset((factor,))
 
     def eval_blocks(self, blocks) -> Rational:
-        if not blocks:
-            return ONE
         # a normal-form word over one factor has exactly one block
-        letters = blocks[0][1]
-        value = self.table.get(letters)
-        if value is None:
-            return self.phi.value_of_letters(letters)  # raises DegreeExceeded
-        return value
+        return self.phi.value_of_letters(blocks[0][1]) if blocks else ONE
 
 
 class _Scaled:
-    """A functional multiplied by a scalar, for composite inner states."""
+    """A child's values multiplied by a scalar, as in a q-deformed node."""
 
     __slots__ = ("inner", "coeff", "owned")
 
@@ -312,18 +304,11 @@ class _Free(_Node):
         return value
 
 
-def _scaled_state(node, coeff):
-    """A leaf over the scaled moment table, or a composite node wrapped."""
-    if isinstance(node, _Leaf):
-        return _Leaf(scale(node.phi, coeff), node.factor)
-    return _Scaled(node, coeff)
-
-
 def _node(kind, children, odd=None):
     """One product node over children in factor order."""
     if isinstance(kind, QDeformed):
         inv = ONE / kind.q
-        inner = _node(kind.base, [_scaled_state(child, inv) for child in children])
+        inner = _node(kind.base, [_Scaled(child, inv) for child in children])
         return _Scaled(inner, kind.q)
     if kind in _SPLITS:
         return _Padding(kind, children, odd)

@@ -56,7 +56,7 @@ from .axioms import MAX_WORD_LEN, check_word_len, gen_random_state
 from .errors import RegimeMismatch
 from .moments import MomentFunctional
 from .products import JointFunctional, ProductKind
-from .rational import ONE, Rational, product
+from .rational import ONE, Rational
 
 
 class ReductionKind(Enum):
@@ -232,16 +232,13 @@ class ReducedState:
             )
         self.kind = kind
         self.phi = phi
-        self._table = phi.letters_table
-
-    def _moment(self, letters) -> Rational:
-        value = self._table.get(letters)
-        return self.phi.value_of_letters(letters) if value is None else value
 
     def value(self, slot) -> Rational:
+        """The slot's value; a slot without letters is the ``int`` 1, so
+        that states with integer moments value every slot as an ``int``."""
         if self.kind is ReductionKind.FERMI:
-            return self._moment(slot.letters) if slot.letters else ONE
-        return product(map(self._moment, _runs(tuple(slot))))
+            return self.phi.value_of_letters(slot.letters) if slot.letters else 1
+        return math.prod(map(self.phi.value_of_letters, _runs(tuple(slot))))
 
     def __repr__(self):
         return "ReducedState(%s, %r)" % (self.kind.value, self.phi.algebra.name)
@@ -259,17 +256,12 @@ def _runs(slot: tuple):
         yield slot[start:]
 
 
-def _tensor(states: Sequence[ReducedState], slots) -> Rational:
-    """Ordinary tensor value of slots: each reduced state on its own slot."""
-    return product(state.value(slot) for state, slot in zip(states, slots))
-
-
 def tensor_value(states: Sequence[ReducedState], reduced: ReducedWord) -> Rational:
     """Ordinary tensor value of an embedded word: the carried sign times the
     product of each reduced state on its own slot."""
     if len(states) != len(reduced.slots):
         raise ValueError("need exactly one reduced state per slot")
-    return reduced.sign * _tensor(states, reduced.slots)
+    return reduced.sign * math.prod(state.value(slot) for state, slot in zip(states, reduced.slots))
 
 
 class ReductionCheck(NamedTuple):
@@ -278,20 +270,13 @@ class ReductionCheck(NamedTuple):
     equal: bool
 
 
-def _tensor_route(kind, states, blocks, degrees) -> Rational:
-    """Tensor value of the embedded image of a bare word, sign included."""
-    negative, slots = _embed(kind, len(states), blocks, degrees)
-    value = _tensor(states, slots)
-    return -value if negative else value
-
-
 def verify_reduction(kind: ReductionKind, factors: Sequence[MomentFunctional], word: Word) -> ReductionCheck:
     """Compare the product value of a word with the tensor value of its
     embedded image; the two must agree exactly for every word."""
     factors = tuple(factors)
     lhs = JointFunctional(factors, kind.product_kind).evaluate(word)  # validates the word
     states = [ReducedState(kind, phi) for phi in factors]
-    rhs = _tensor_route(kind, states, *_bare(word, len(factors)))
+    rhs = tensor_value(states, embed_word(kind, len(factors), word))
     return ReductionCheck(lhs, rhs, lhs == rhs)
 
 

@@ -173,6 +173,84 @@ def test_witnesses_serialize_and_are_capped():
         json.dumps(witness.inputs)  # replayable serialization
 
 
+# SHA-256 of the report lines, every witness shown, of every runnable
+# (axiom, kind) pair at seed 7000, 3 trials and length 5, axiom by axiom,
+# taken from the per-law comparison loops that the shared one replaced
+REPORT_KINDS = tuple(ProductKind) + (QDeformed(ProductKind.BOOLEAN, 2), QDeformed(ProductKind.FREE, "1/3"))
+REPORT_DIGEST = "afab93b7a21a30ef4fdd04c27b50cf5b4074ee3515ea5dd20b2d98318d27389f"
+
+
+def test_reports_are_pinned_bit_for_bit():
+    lines = []
+    failures = 0
+    for axiom in Axiom:
+        for kind in REPORT_KINDS:
+            try:
+                report = run_axiom_suite(axiom, kind, seed=7000, trials=3, max_word_len=5)
+            except RegimeMismatch:
+                continue
+            failures += len(report.failures)
+            lines.extend(report.lines(10**6))
+    assert (len(lines), failures) == (140, 90)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == REPORT_DIGEST
+
+
+def test_a_failing_trial_serializes_each_state_once(monkeypatch):
+    import ncindep.axioms as axioms
+
+    serialized = []
+
+    def counted(phi):
+        serialized.append(phi)
+        return state_to_json(phi)
+
+    monkeypatch.setattr(axioms, "state_to_json", counted)
+    report = run_axiom_suite(Axiom.FACTORIZATION, ProductKind.DEGENERATE, seed=4, trials=1, max_word_len=4)
+    assert len(report.failures) == 8
+    assert len(serialized) == 2 and serialized[0] is not serialized[1]
+    shared = report.failures[0].inputs["states"]
+    assert shared == [state_to_json(phi) for phi in serialized]
+    assert all(witness.inputs["states"] is shared for witness in report.failures)
+    # a passing trial serializes nothing
+    del serialized[:]
+    assert run_axiom_suite(Axiom.FACTORIZATION, ProductKind.TENSOR, seed=4, trials=1).passed
+    assert serialized == []
+
+
+def test_every_witness_carries_its_laws_own_inputs(monkeypatch):
+    """With every comparison made to fail, each law's witnesses hold its
+    states, the word, and the law's own keys."""
+    import ncindep.axioms as axioms
+
+    def failing(runner):
+        def run_trial(kind, rng, max_word_len):
+            states, comparisons = runner(kind, rng, max_word_len)
+            return states, ((word, lhs, rhs + 1, extra) for word, lhs, rhs, extra in comparisons)
+        return run_trial
+
+    for axiom in Axiom:
+        monkeypatch.setitem(axioms._TRIAL_RUNNERS, axiom, failing(axioms._TRIAL_RUNNERS[axiom]))
+    own = {}
+    for axiom in Axiom:
+        kind = ProductKind.MONOTONE if axiom is Axiom.MIRROR else ProductKind.TENSOR
+        report = run_axiom_suite(axiom, kind, seed=5, trials=1, max_word_len=3)
+        assert report.checked == len(report.failures) > 0, axiom
+        for witness in report.failures:
+            assert witness.lhs + 1 == witness.rhs
+            assert len(witness.inputs["states"]) == {Axiom.UNIT_LAW: 1, Axiom.ASSOCIATIVITY: 3}.get(axiom, 2)
+            assert isinstance(witness.inputs["word"], str)
+        own[axiom] = [{key: value for key, value in witness.inputs.items() if key not in ("states", "word")}
+                      for witness in report.failures]
+    assert all(extra == {"bracketing": "left-vs-right"} for extra in own[Axiom.ASSOCIATIVITY])
+    assert own[Axiom.UNIT_LAW][:2] == [{"side": "phi*delta"}, {"side": "delta*phi"}]
+    assert sorted({extra["factor"] for extra in own[Axiom.INCLUSION]}) == [0, 1]
+    homomorphisms = own[Axiom.FUNCTORIALITY][0]["homomorphisms"]
+    assert [sorted(images) for images in homomorphisms] == [["u", "v"], ["w", "z"]]
+    assert all(extra == own[Axiom.FUNCTORIALITY][0] for extra in own[Axiom.FUNCTORIALITY])
+    for axiom in (Axiom.FACTORIZATION, Axiom.SYMMETRY, Axiom.MIRROR):
+        assert all(extra == {} for extra in own[axiom]), axiom
+
+
 def test_trial_count_must_be_positive():
     with pytest.raises(ValueError):
         run_axiom_suite(Axiom.ASSOCIATIVITY, ProductKind.FREE, seed=1, trials=0)

@@ -267,6 +267,34 @@ def test_check_output_is_deterministic(capsys):
 
 
 @pytest.mark.parametrize(
+    "axiom, product",
+    [("factorization", "degenerate"), ("factorization", "q:boolean:2"), ("symmetry", "monotone")],
+)
+def test_check_witnesses_replay_through_eval(capsys, tmp_path, axiom, product):
+    """A witness's states, written to files, and its word give its lhs back
+    through eval."""
+    code, out, _ = run(
+        capsys, "check", "--axiom", axiom, "--product", product,
+        "--seed", "3", "--trials", "2", "--max-len", "4",
+    )
+    assert code == 0
+    witnesses = [line for line in out.splitlines() if line.startswith("witness: ")]
+    assert witnesses
+    for number, line in enumerate(witnesses):
+        values, inputs = line[len("witness: "):].split(" inputs=", 1)
+        lhs = values.split()[0][len("lhs="):]
+        doc = json.loads(inputs)
+        paths = []
+        for index, state in enumerate(doc["states"]):
+            path = tmp_path / ("w%d_%d.json" % (number, index))
+            path.write_text(json.dumps(state))
+            paths.append(str(path))
+        code, replayed, err = run(capsys, "eval", "--product", product, "--state", *paths, "--expr", doc["word"])
+        assert (code, err) == (0, "")
+        assert replayed.splitlines()[0] == lhs, (line, replayed)
+
+
+@pytest.mark.parametrize(
     "bounds", [("--trials", "0"), ("--trials", "-3"), ("--max-len", "0", "--trials", "1")]
 )
 def test_check_reduction_rejects_an_empty_sweep(capsys, bounds):

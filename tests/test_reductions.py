@@ -370,6 +370,21 @@ def test_graded_states_hold_the_rescaled_moments_as_ints():
                 assert graded.letters_table[()] == 1
 
 
+@pytest.mark.parametrize("kind", list(ReductionKind), ids=lambda kind: kind.value)
+def test_graded_states_value_every_sweep_slot_as_an_int(kind):
+    """Slots without letters (an empty monotone slot, a boolean slot of p
+    alone, a fermi slot of g alone) included, so that sweeps never multiply
+    through a rational."""
+    signatures = sweep_signatures(kind)
+    rng = random.Random(29)
+    for length in range(1, 6):
+        _, slots, _ = _sweep_images(kind, length)
+        for signature, factor_slots in zip(signatures, slots):
+            state = ReducedState(kind, _graded(gen_random_state(signature, length, rng)))
+            values = [state.value(slot) for slot in factor_slots]
+            assert all(type(value) is int for value in values), kind
+
+
 def test_sweeps_over_hand_made_states(monkeypatch):
     """With states of denominators 7, 11 and 13 drawn in place of random
     ones, every sweep agrees word for word, and a sweep joined under a
