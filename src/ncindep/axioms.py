@@ -55,7 +55,7 @@ from .algebra import (
     normalize_word,
 )
 from .errors import RegimeMismatch
-from .moments import MomentFunctional, pullback, state_to_json
+from .moments import MomentFunctional, _layout, _parities, pullback, state_to_json
 from .parsing import format_expression, format_word
 from .products import JointFunctional, ProductKind, QDeformed, kind_label
 from .rational import ONE, Rational, ZERO, format_rational
@@ -172,24 +172,14 @@ def gen_random_state(signature: AlgebraSignature, max_degree: int, seed) -> Mome
     generator's state afterwards, are those of one ``rng.choice`` call per
     even monomial."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    names = signature.generator_names
-    keys = itertools.chain.from_iterable(
-        itertools.product(names, repeat=length) for length in range(1, max_degree + 1)
-    )
-    table = {(): ONE} if signature.unital else {}
-    odd = [bool(degree) for _, degree in signature.generators]
-    if not any(odd):
-        count = sum(len(names) ** length for length in range(1, max_degree + 1))
-        table.update(zip(keys, _palette_draws(rng, count)))
+    table = [ONE] if signature.unital else []
+    if not signature.graded:
+        table += _palette_draws(rng, _layout(signature, max_degree)[1][-1] - len(table))
     else:
-        flags: list = []  # each key's parity, in key order
-        parities = [False]
-        for _ in range(max_degree):
-            parities = [p ^ q for p in parities for q in odd]
-            flags += parities
+        flags = _parities(signature, max_degree)
         draws = iter(_palette_draws(rng, flags.count(False)))
-        table.update(zip(keys, [ZERO if flag else next(draws) for flag in flags]))
-    return MomentFunctional._from_letters(signature, max_degree, table)
+        table += [ZERO if flag else next(draws) for flag in flags]
+    return MomentFunctional._from_dense(signature, max_degree, table)
 
 
 def gen_random_word(signatures: Sequence[AlgebraSignature], max_letters: int, seed) -> Word:

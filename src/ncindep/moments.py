@@ -4,7 +4,9 @@ A :class:`MomentFunctional` stores one exact rational per monomial up to a
 maximum degree D, totally - every monomial of length at most D has an entry,
 and asking beyond D raises :class:`~ncindep.errors.DegreeExceeded` rather
 than inventing a zero.  In the unital regime the empty monomial is present
-and pinned to 1.
+and pinned to 1.  The entries are one list in canonical order, each at its
+monomial's rank; tables keyed by letters or by Monomial are views built on
+first read.
 
 The JSON document format used by the command line tool::
 
@@ -25,6 +27,8 @@ are exact rational literals, ``"p/q"`` or a bare integer.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from typing import Mapping
@@ -40,20 +44,53 @@ from .errors import DegreeExceeded, RegimeMismatch, StateDocumentError
 from .rational import ONE, Rational, ZERO, as_rational, format_rational
 
 
+@functools.lru_cache(maxsize=64)
+def _layout(algebra: AlgebraSignature, max_degree: int):
+    """Each generator's digit, and the rank of the first monomial of each
+    length 0 to D + 1: the last is the table's size, and the empty word's
+    offset too when there is no unit, so that it reads past the end."""
+    width = len(algebra.generators)
+    counts = [int(algebra.unital)] + [width**length for length in range(1, (max_degree if width else 0) + 1)]
+    offsets = list(itertools.accumulate(counts, initial=0))
+    if not algebra.unital:
+        offsets[0] = offsets[-1]
+    return {name: digit for digit, (name, _) in enumerate(algebra.generators)}, offsets
+
+
+def _canonical_letters(algebra: AlgebraSignature, max_degree: int):
+    """The letter tuples of the monomials up to ``max_degree``, in canonical order."""
+    names = algebra.generator_names
+    lengths = range(0 if algebra.unital else 1, (max_degree if names else 0) + 1)
+    return itertools.chain.from_iterable(itertools.product(names, repeat=length) for length in lengths)
+
+
+def _parities(algebra: AlgebraSignature, max_degree: int) -> list:
+    """Whether each monomial of length 1 to ``max_degree`` is odd, in canonical order."""
+    odd = [bool(degree) for _, degree in algebra.generators]
+    flags, level = [], [False]
+    for _ in range(max_degree if any(odd) else 0):
+        level = [p ^ q for p in level for q in odd]
+        flags += level
+    return flags
+
+
 class MomentFunctional:
     """A linear functional given by its moments up to ``max_degree``.
 
     Every monomial of length <= ``max_degree`` has an exact rational
-    moment, stored once keyed by letter tuples (:attr:`letters_table`);
-    :attr:`table`, keyed by :class:`Monomial`, is a view derived on first
-    access.  Unital algebras map the unit to 1.  The constructor validates
-    its table; the library's own complete tables skip that through
-    :meth:`_from_letters`.  Evenness (vanishing on odd monomials of a
-    graded algebra) is not forced; operations that need it check
-    :attr:`is_even`.
+    moment, stored once in one list in canonical order (as
+    :func:`~ncindep.algebra.all_monomials`): over g generators, l_1 ... l_n
+    sits at rank offset(n) + sum_i digit(l_i) g^(n-i), digit(l) the position
+    of l among the generators and offset(n) the count of shorter monomials.
+    :attr:`table` (keyed by :class:`Monomial`) and :attr:`letters_table`
+    are views for the boundary, built on first read and cached.  Unital
+    algebras map the unit to 1.  The constructor validates its table; the
+    library's own complete lists skip that through :meth:`_from_dense`.
+    Evenness (vanishing on odd monomials of a graded algebra) is not
+    forced; operations that need it check :attr:`is_even`.
     """
 
-    __slots__ = ("algebra", "max_degree", "_table", "_letters", "_even")
+    __slots__ = ("algebra", "max_degree", "_dense", "_layout", "_table", "_letters", "_even")
 
     def __init__(self, algebra: AlgebraSignature, max_degree: int, table: Mapping[Monomial, Rational]):
         self.algebra, self.max_degree, self._table = algebra, max_degree, table
@@ -63,44 +100,39 @@ class MomentFunctional:
         # the validating body, apart from __init__ so that it can be wrapped
         if self.max_degree < 0:
             raise ValueError("max_degree must be nonnegative")
-        clean: dict[Monomial, Rational] = {}
-        for monomial, value in dict(self._table).items():
+        clean = dict(self._table)
+        for monomial, value in clean.items():
             if monomial.algebra != self.algebra:
                 raise ValueError("table entry %r is not over %r" % (monomial, self.algebra.name))
             if len(monomial) > self.max_degree:
                 raise ValueError("table entry %r exceeds max_degree %d" % (monomial, self.max_degree))
             clean[monomial] = as_rational(value)
         # entries are distinct, over the algebra, and within the bound, so a
-        # count match proves totality.  The count stops once past the table's
-        # size (no length past 0 has monomials without generators), and a
-        # table that falls short misses one of the first len(clean) + 1
-        # monomials, so neither step costs work in D.
-        width = len(self.algebra.generators)
-        start = 0 if self.algebra.unital else 1
-        needed = 0
-        for length in range(start, (self.max_degree if width else 0) + 1):
-            needed += width**length
-            if needed > len(clean):
-                break
-        if len(clean) != needed:
+        # count match proves totality.  g generators give at least D
+        # monomials, and at least 2^D when g > 1, so a D too large for the
+        # count fails before any work in D; a table that falls short misses
+        # one of its first len(clean) + 1 monomials.
+        width, count = len(self.algebra.generators), len(clean)
+        deep = width and self.max_degree > (count if width == 1 else count.bit_length())
+        if deep or count != _layout(self.algebra, self.max_degree)[1][-1]:
             for monomial in all_monomials(self.algebra, self.max_degree):
                 if monomial not in clean:
                     raise ValueError("moment table is missing %r" % (monomial,))
-        if self.algebra.unital:
-            unit = Monomial(self.algebra, ())
-            if clean[unit] != ONE:
-                raise ValueError("a unital functional must send the unit to 1")
-        self._table = clean
-        self._letters = {monomial.letters: value for monomial, value in clean.items()}
-        self._even = None
+        self._layout = _layout(self.algebra, self.max_degree)
+        self._dense = [ZERO] * count
+        for monomial, value in clean.items():
+            self._dense[self._rank(monomial.letters)] = value
+        if self.algebra.unital and self._dense[0] != ONE:
+            raise ValueError("a unital functional must send the unit to 1")
+        self._table = self._letters = self._even = None
 
     @classmethod
-    def _from_letters(cls, algebra: AlgebraSignature, max_degree: int, letters: dict) -> "MomentFunctional":
-        """Trusted build from a letter-keyed table the caller made complete
-        and exact, in canonical order; nothing is checked again."""
+    def _from_dense(cls, algebra: AlgebraSignature, max_degree: int, dense: list) -> "MomentFunctional":
+        """Trusted build from a complete, exact list in canonical order."""
         self = cls.__new__(cls)
-        self.algebra, self.max_degree, self._letters = algebra, max_degree, letters
-        self._table = self._even = None
+        self.algebra, self.max_degree, self._dense = algebra, max_degree, dense
+        self._layout = _layout(algebra, max_degree)
+        self._table = self._letters = self._even = None
         return self
 
     @classmethod
@@ -116,12 +148,14 @@ class MomentFunctional:
     def table(self) -> Mapping[Monomial, Rational]:
         """The moment table keyed by :class:`Monomial`; do not mutate."""
         if self._table is None:
-            self._table = {Monomial(self.algebra, key): value for key, value in self._letters.items()}
+            self._table = {Monomial(self.algebra, key): value for key, value in self.letters_table.items()}
         return self._table
 
     @property
     def letters_table(self) -> Mapping[tuple, Rational]:
         """The moment table keyed by plain letter tuples; do not mutate."""
+        if self._letters is None:
+            self._letters = dict(zip(_canonical_letters(self.algebra, self.max_degree), self._dense))
         return self._letters
 
     @property
@@ -132,27 +166,34 @@ class MomentFunctional:
     def is_even(self) -> bool:
         """True when every odd-degree monomial up to D has moment 0."""
         if self._even is None:
-            odd = {name for name, degree in self.algebra.generators if degree}
-            self._even = not odd or all(
-                value == ZERO
-                for letters, value in self._letters.items()
-                if sum(letter in odd for letter in letters) & 1
-            )
+            flags = _parities(self.algebra, self.max_degree)  # of the monomials past the unit
+            self._even = not any(itertools.compress(self._dense[len(self._dense) - len(flags):], flags))
         return self._even
+
+    def _rank(self, letters) -> int:
+        """The rank of a monomial's letters; KeyError on a foreign letter."""
+        digits, offsets = self._layout
+        width = len(digits)
+        rank = 0
+        for letter in letters:
+            rank = rank * width + digits[letter]
+        return offsets[len(letters)] + rank
 
     def __call__(self, monomial: Monomial) -> Rational:
         if monomial.algebra != self.algebra:
             raise ValueError("monomial %r is not over %r" % (monomial, self.algebra.name))
         if len(monomial) > self.max_degree:
             raise DegreeExceeded(monomial, self.max_degree)
-        return self._letters[monomial.letters]
+        return self._dense[self._rank(monomial.letters)]
 
     def value_of_letters(self, letters) -> Rational:
         """Moment of the monomial with the given letters (over this algebra)."""
         letters = tuple(letters)
-        value = self._letters.get(letters)
-        # beyond D, or not a monomial here: the checked route raises
-        return self(Monomial(self.algebra, letters)) if value is None else value
+        try:
+            return self._dense[self._rank(letters)]
+        except LookupError:  # beyond D, or not a monomial here: the checked route raises
+            pass
+        return self(Monomial(self.algebra, letters))
 
     def __repr__(self):
         return "MomentFunctional(%s, D=%d)" % (self.algebra.name, self.max_degree)
@@ -180,16 +221,6 @@ def eval_functional(phi: MomentFunctional, polynomial: Polynomial) -> Rational:
     return total
 
 
-def _times(first: dict, second: dict) -> dict:
-    """Product of two single-factor polynomials keyed by letter tuples."""
-    out: dict = {}
-    for left, c1 in first.items():
-        for right, c2 in second.items():
-            key, coeff = left + right, c1 * c2
-            out[key] = out[key] + coeff if key in out else coeff
-    return {key: coeff for key, coeff in out.items() if coeff}
-
-
 def pullback(phi: MomentFunctional, hom: Homomorphism, max_degree=None) -> MomentFunctional:
     """The composite functional phi o hom, tabulated over the source.
 
@@ -198,20 +229,26 @@ def pullback(phi: MomentFunctional, hom: Homomorphism, max_degree=None) -> Momen
     longest image monomial fits under phi's bound), and to phi's own bound
     when every image is constant.  Requesting more raises
     ``DegreeExceeded``.  Each monomial's image is its prefix's image times
-    one generator's image.
+    one generator's image, its monomials kept as (length, rank in length).
     """
     if hom.target != phi.algebra:
         raise ValueError("homomorphism does not land in the functional's algebra")
     names = hom.source.generator_names
-    images = {}  # integer numerators over one denominator, so products stay in ints
+    digits, offsets = phi._layout
+    width = len(digits)
+    images = []  # integer numerators over one denominator, so products stay in ints
     for name in names:
         terms = hom.images[name].terms
         den = math.lcm(*(c.denominator for c in terms.values()))
-        images[name] = den, {
-            (w.blocks[0][1].letters if w.blocks else ()): c.numerator * (den // c.denominator)
-            for w, c in terms.items()
-        }
-    longest = max((len(letters) for _, image in images.values() for letters in image), default=0)
+        image = {}
+        for w, c in terms.items():
+            letters = w.blocks[0][1].letters if w.blocks else ()
+            rank = 0
+            for letter in letters:
+                rank = rank * width + digits[letter]
+            image[len(letters), rank] = c.numerator * (den // c.denominator)
+        images.append((den, image))
+    longest = max((length for _, image in images for length, _ in image), default=0)
     feasible = phi.max_degree // longest if longest else phi.max_degree
     if max_degree is None:
         max_degree = feasible
@@ -219,21 +256,26 @@ def pullback(phi: MomentFunctional, hom: Homomorphism, max_degree=None) -> Momen
         # the shown letters of the requested monomial, not the monomial
         probe = Monomial(hom.source, names[:1] * min(max_degree, DegreeExceeded.SHOWN_LETTERS))
         raise DegreeExceeded(probe, feasible, length=max_degree)
-    values = phi.letters_table  # holds every key: the images fit under its bound
-    table = {(): ONE} if hom.source.unital else {}
-    level = {(): (1, {(): 1})}  # the images of the monomials of one length
+    powers = [width**length for length in range(longest + 1)]
+    values = phi._dense  # holds every image monomial: the images fit under its bound
+    table = [ONE] if hom.source.unital else []
+    level = [(1, {(0, 0): 1})]  # the images of the monomials of one length, in canonical order
     for _ in range(max_degree):
-        level = {
-            prefix + (name,): (den * images[name][0], _times(image, images[name][1]))
-            for prefix, (den, image) in level.items()
-            for name in names
-        }
-        for letters, (den, image) in level.items():
-            moments = [(c, values[key]) for key, c in image.items()]
-            common = math.lcm(*(v.denominator for _, v in moments))
-            num = sum(c * v.numerator * (common // v.denominator) for c, v in moments)
-            table[letters] = Rational(num, common * den)
-    return MomentFunctional._from_letters(hom.source, max_degree, table)
+        prefixes, level = level, []
+        for prefix_den, prefix in prefixes:
+            for factor_den, factor in images:
+                out: dict = {}
+                for (length, rank), c1 in prefix.items():
+                    for (extra, tail), c2 in factor.items():
+                        key = length + extra, rank * powers[extra] + tail
+                        out[key] = out.get(key, 0) + c1 * c2
+                den, image = prefix_den * factor_den, {key: c for key, c in out.items() if c}
+                level.append((den, image))
+                moments = [(c, values[offsets[length] + rank]) for (length, rank), c in image.items()]
+                common = math.lcm(*(v.denominator for _, v in moments))
+                num = sum(c * v.numerator * (common // v.denominator) for c, v in moments)
+                table.append(Rational(num, common * den))
+    return MomentFunctional._from_dense(hom.source, max_degree, table)
 
 
 def unitize(phi: MomentFunctional) -> MomentFunctional:
@@ -241,7 +283,7 @@ def unitize(phi: MomentFunctional) -> MomentFunctional:
     if phi.unital:
         raise RegimeMismatch("functional is already unital")
     signature = AlgebraSignature(phi.algebra.name, True, phi.algebra.generators)
-    return MomentFunctional._from_letters(signature, phi.max_degree, {(): ONE, **phi.letters_table})
+    return MomentFunctional._from_dense(signature, phi.max_degree, [ONE] + phi._dense)
 
 
 def scale(phi: MomentFunctional, coeff) -> MomentFunctional:
@@ -255,8 +297,19 @@ def scale(phi: MomentFunctional, coeff) -> MomentFunctional:
         raise ValueError("scaling coefficient must be nonzero")
     if phi.unital:
         raise RegimeMismatch("cannot scale a unital functional")
-    table = {letters: value * coeff for letters, value in phi.letters_table.items()}
-    return MomentFunctional._from_letters(phi.algebra, phi.max_degree, table)
+    return MomentFunctional._from_dense(phi.algebra, phi.max_degree, [value * coeff for value in phi._dense])
+
+
+def _graded(phi: MomentFunctional) -> MomentFunctional:
+    """phi_D(w) = D^|w| phi(w), D the lcm of phi's denominators: phi on the
+    generators rescaled by D, with every moment an ``int``."""
+    dense, offsets = phi._dense, phi._layout[1]
+    denominator = math.lcm(*(value.denominator for value in dense))
+    graded = []  # length by length; without a unit, length 0's slice is empty
+    for length, (start, end) in enumerate(zip(offsets, offsets[1:])):
+        power = denominator**length
+        graded += [value.numerator * (power // value.denominator) for value in dense[start:end]]
+    return MomentFunctional._from_dense(phi.algebra, phi.max_degree, graded)
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ from typing import NamedTuple, Sequence
 from .algebra import AlgebraSignature, Monomial, Word
 from .axioms import MAX_WORD_LEN, check_word_len, gen_random_state
 from .errors import RegimeMismatch
-from .moments import MomentFunctional
+from .moments import MomentFunctional, _graded
 from .products import JointFunctional, ProductKind
 from .rational import ONE, Rational
 
@@ -369,19 +369,6 @@ def _product_images(joint: JointFunctional, signatures, max_word_len: int) -> tu
             ends.append(len(positions))
         images = _PRODUCT_IMAGES[key] = (bytes(signs), tuple(distinct), positions, ends)
     return images
-
-
-def _graded(phi: MomentFunctional) -> MomentFunctional:
-    """phi_D(w) = D^|w| phi(w), D the lcm of phi's denominators: phi on the
-    generators rescaled by D, with every moment an ``int``."""
-    table = phi.letters_table
-    denominator = math.lcm(*(value.denominator for value in table.values()))
-    powers = [denominator**length for length in range(phi.max_degree + 1)]
-    graded = {
-        letters: value.numerator * (powers[len(letters)] // value.denominator)
-        for letters, value in table.items()
-    }
-    return MomentFunctional._from_letters(phi.algebra, phi.max_degree, graded)
 
 
 def reduction_sweep(kind: ReductionKind, seed: int, trials: int, max_word_len: int = 5):

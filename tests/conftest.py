@@ -10,6 +10,7 @@ from ncindep import (
     MomentFunctional,
     Monomial,
     all_monomials,
+    moments,
 )
 from ncindep.rational import ONE, ZERO, as_rational
 
@@ -45,3 +46,18 @@ def total_state(algebra, max_degree, entries=None):
 def mono(algebra, text):
     """Monomial from a space-joined letter string ("" is the unit)."""
     return Monomial(algebra, tuple(text.split()))
+
+
+def count_view_builds(monkeypatch):
+    """Patch the hook that every letter-keyed table view (and so every
+    Monomial-keyed one) is built from; returns the list of
+    (algebra, max_degree) it is called with."""
+    builds = []
+    hook = moments._canonical_letters
+
+    def counting(algebra, max_degree):
+        builds.append((algebra, max_degree))
+        return hook(algebra, max_degree)
+
+    monkeypatch.setattr(moments, "_canonical_letters", counting)
+    return builds

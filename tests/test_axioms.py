@@ -26,7 +26,7 @@ from ncindep import (
 )
 from ncindep.axioms import _MOMENT_PALETTE
 from ncindep.rational import ONE, ZERO, as_rational
-from conftest import A1, A2, G1, N1
+from conftest import A1, A2, G1, N1, count_view_builds
 
 NAMED = (
     ProductKind.TENSOR,
@@ -83,6 +83,17 @@ def test_functoriality_holds_for_the_named_kinds():
     for kind in NAMED + (ProductKind.FERMI,):
         report = run(Axiom.FUNCTORIALITY, kind, trials=3)
         assert report.passed, (kind, report.failures[:1])
+
+
+def test_functoriality_builds_no_letter_keyed_views(monkeypatch):
+    """A trial at word length 6 draws target states of degree 12 and reads
+    them through the pullback and the evaluator only: no letter-keyed view
+    (and so no Monomial-keyed one) of any state is built."""
+    builds = count_view_builds(monkeypatch)
+    for kind in NAMED + (ProductKind.FERMI,):
+        report = run_axiom_suite(Axiom.FUNCTORIALITY, kind, seed=11, trials=1, max_word_len=6)
+        assert report.passed and report.checked, kind
+    assert builds == []
 
 
 def test_degenerate_keeps_the_structural_conditions():

@@ -4,7 +4,7 @@ import json
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncindep import (
@@ -27,9 +27,11 @@ from ncindep import (
     state_to_json,
     unitize,
 )
-from ncindep.moments import dump_state, load_state
+from ncindep.moments import _graded, dump_state, load_state
 from ncindep.rational import ONE, ZERO, as_rational
-from conftest import A1, G1, N1, mono, total_state
+from conftest import A1, G1, N1, count_view_builds, mono, total_state
+
+G3 = AlgebraSignature("A3", True, (("a", 1), ("b", 1), ("c", 0)))
 
 X = AlgebraSignature("X", True, (("x", 0), ("y", 0)))
 XN = AlgebraSignature("X", False, (("x", 0),))
@@ -212,6 +214,61 @@ def test_trusted_builds_reject_long_and_foreign_letters():
             phi.value_of_letters(("nope",))
 
 
+# ---------------------------------------------------------------------------
+# one list in canonical order, letter-keyed views built on first read
+
+
+@st.composite
+def validated_tables(draw):
+    """A signature of 0-3 generators in either regime, a bound D in 0-5, and
+    a complete table over it in canonical order, with small rational values."""
+    width = draw(st.integers(0, 3))
+    degrees = draw(st.lists(st.integers(0, 1), min_size=width, max_size=width))
+    unital = draw(st.booleans())
+    signature = AlgebraSignature("S", unital, tuple(("g%d" % i, d) for i, d in enumerate(degrees)))
+    max_degree = draw(st.integers(0, 5))
+    monomials = list(all_monomials(signature, max_degree))
+    values = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    table = {m: ONE if m.is_unit else draw(values) for m in monomials}
+    return signature, max_degree, table
+
+
+@settings(max_examples=60, deadline=None)
+@given(validated_tables(), st.randoms(use_true_random=False))
+def test_dense_lookups_and_views_follow_the_canonical_order(case, rng):
+    signature, max_degree, table = case
+    phi = MomentFunctional(signature, max_degree, table)
+    for monomial, value in table.items():
+        assert phi.value_of_letters(monomial.letters) == value
+        assert phi(monomial) == value
+    shuffled = list(table.items())
+    rng.shuffle(shuffled)
+    for items in (shuffled, list(reversed(table.items()))):
+        other = MomentFunctional(signature, max_degree, dict(items))
+        assert list(other.table.items()) == list(table.items())
+        assert list(other.letters_table.items()) == [(m.letters, v) for m, v in table.items()]
+    with pytest.raises(ValueError):  # a foreign letter, not KeyError
+        phi.value_of_letters(("nope",))
+    if signature.generators:
+        with pytest.raises(DegreeExceeded):
+            phi.value_of_letters(signature.generator_names[:1] * (max_degree + 1))
+    if not signature.unital:
+        with pytest.raises(RegimeMismatch):
+            phi.value_of_letters(())
+
+
+def test_views_are_built_once_on_first_read(monkeypatch):
+    builds = count_view_builds(monkeypatch)
+    phi = gen_random_state(A1, 4, 11)
+    assert phi(mono(A1, "a b")) == phi.value_of_letters(("a", "b"))
+    assert builds == []  # lookups go to the list
+    letters = phi.letters_table
+    assert phi.letters_table is letters and builds == [(A1, 4)]
+    table = phi.table
+    assert phi.table is table and builds == [(A1, 4)]  # Monomial keys over the letter view
+    assert list(table) == list(all_monomials(A1, 4))
+
+
 def test_pullback_agrees_with_applying_the_homomorphism():
     for signature in (A1, N1, G1):
         for seed in (5, 6, 7):
@@ -290,6 +347,25 @@ def test_even_functional_vanishes_on_odd_monomials():
 def test_odd_entry_breaks_evenness():
     phi = total_state(G1, 1, {"a": 1})
     assert not phi.is_even
+
+
+def _by_monomials(phi):
+    """Evenness read off the Monomial-keyed view, one degree per entry."""
+    return all(not value for monomial, value in phi.table.items() if monomial.degree)
+
+
+def test_parity_walk_agrees_with_the_monomial_route():
+    states = []
+    for signature in (G1, G3, AlgebraSignature("G", False, (("a", 1), ("b", 0)))):
+        for max_degree in (0, 1, 2, 5):
+            phi = gen_random_state(signature, max_degree, max_degree)
+            states += [phi, _graded(phi)]
+    lopsided = total_state(G3, 3, {"a b": "1/2", "a b a": "-1/3"})  # one odd moment, not zero
+    states += [lopsided, _graded(lopsided), total_state(G3, 3, {"c": 2, "a a c": 5})]
+    for phi in states:
+        assert phi.is_even == _by_monomials(phi), (phi, phi.max_degree)
+    assert not lopsided.is_even
+    assert states[0].is_even and states[-1].is_even
 
 
 # ---------------------------------------------------------------------------
