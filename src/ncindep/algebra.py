@@ -473,6 +473,13 @@ def apply_homomorphism(homomorphisms: Sequence[Homomorphism], word: Word) -> Pol
     return result
 
 
+def _canonical_letters(algebra: AlgebraSignature, max_degree: int):
+    """The letter tuples of the monomials up to ``max_degree``, in canonical order."""
+    names = algebra.generator_names
+    lengths = range(0 if algebra.unital else 1, (max_degree if names else 0) + 1)
+    return itertools.chain.from_iterable(itertools.product(names, repeat=length) for length in lengths)
+
+
 def all_monomials(algebra: AlgebraSignature, max_degree: int) -> Iterator[Monomial]:
     """All monomials of length at most ``max_degree``, in canonical order.
 
@@ -480,11 +487,4 @@ def all_monomials(algebra: AlgebraSignature, max_degree: int) -> Iterator[Monomi
     position.  Over a unital algebra the unit comes first; over a
     non-unital one enumeration starts at length 1.
     """
-    names = algebra.generator_names
-    start = 0 if algebra.unital else 1
-    for length in range(start, max_degree + 1):
-        if length == 0:
-            yield Monomial(algebra, ())
-            continue
-        for letters in itertools.product(names, repeat=length):
-            yield Monomial(algebra, letters)
+    return (Monomial(algebra, letters) for letters in _canonical_letters(algebra, max_degree))

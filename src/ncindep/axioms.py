@@ -57,7 +57,7 @@ from .algebra import (
 from .errors import RegimeMismatch
 from .moments import MomentFunctional, _layout, _parities, pullback, state_to_json
 from .parsing import format_expression, format_word
-from .products import JointFunctional, ProductKind, QDeformed, kind_label
+from .products import JointFunctional, ProductKind, QDeformed, admits_unital, kind_label
 from .rational import ONE, Rational, ZERO, format_rational
 
 
@@ -257,18 +257,12 @@ _FACTOR_NAMES = ("A1", "A2", "A3")
 _FACTOR_GENS = (("a", "b"), ("x", "y"), ("s", "t"))
 
 
-def _uses_unital(kind) -> bool:
-    if isinstance(kind, QDeformed):
-        return False
-    return kind in (ProductKind.TENSOR, ProductKind.FREE, ProductKind.FERMI)
-
-
 def _signatures(count: int, kind, names=_FACTOR_NAMES, gens=_FACTOR_GENS):
     """The suite's factor algebras: unital for the unital kinds, and with an
     odd first generator for the graded tensor."""
     odd = int(kind is ProductKind.FERMI)
     return tuple(
-        AlgebraSignature.make(names[i], ((gens[i][0], odd), gens[i][1]), unital=_uses_unital(kind))
+        AlgebraSignature.make(names[i], ((gens[i][0], odd), gens[i][1]), unital=admits_unital(kind))
         for i in range(count)
     )
 
@@ -323,7 +317,7 @@ def run_axiom_suite(
     if trials < 1:
         raise ValueError("trials must be positive")
     check_word_len(max_word_len)
-    if axiom is Axiom.UNIT_LAW and not _uses_unital(kind):
+    if axiom is Axiom.UNIT_LAW and not admits_unital(kind):
         raise RegimeMismatch("the unit law applies to unital kinds (tensor, free, fermi)")
     if axiom is Axiom.MIRROR and kind not in _MIRROR:
         raise RegimeMismatch("the mirror identity relates monotone and anti-monotone")

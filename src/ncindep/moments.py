@@ -38,6 +38,7 @@ from .algebra import (
     Homomorphism,
     Monomial,
     Polynomial,
+    _canonical_letters,
     all_monomials,
 )
 from .errors import DegreeExceeded, RegimeMismatch, StateDocumentError
@@ -55,13 +56,6 @@ def _layout(algebra: AlgebraSignature, max_degree: int):
     if not algebra.unital:
         offsets[0] = offsets[-1]
     return {name: digit for digit, (name, _) in enumerate(algebra.generators)}, offsets
-
-
-def _canonical_letters(algebra: AlgebraSignature, max_degree: int):
-    """The letter tuples of the monomials up to ``max_degree``, in canonical order."""
-    names = algebra.generator_names
-    lengths = range(0 if algebra.unital else 1, (max_degree if names else 0) + 1)
-    return itertools.chain.from_iterable(itertools.product(names, repeat=length) for length in lengths)
 
 
 def _parities(algebra: AlgebraSignature, max_degree: int) -> list:

@@ -69,12 +69,6 @@ class ProductKind(Enum):
 
 
 _Q_BASES = (ProductKind.TENSOR, ProductKind.FREE, ProductKind.BOOLEAN)
-_NON_UNITAL_ONLY = (
-    ProductKind.BOOLEAN,
-    ProductKind.MONOTONE,
-    ProductKind.ANTI_MONOTONE,
-    ProductKind.DEGENERATE,
-)
 
 # Whether a run of child j splits the open segment of child k (j != k).
 _SPLITS = {
@@ -315,19 +309,20 @@ def _node(kind, children, odd=None):
     return (_Free if kind is ProductKind.FREE else _Degenerate)(children)
 
 
+def admits_unital(kind) -> bool:
+    """Whether ``kind`` joins unital factors: the tensor, free and graded
+    tensor products do; the boolean, monotone, anti-monotone, degenerate and
+    every q-deformed product need the non-unital regime."""
+    return kind in (ProductKind.TENSOR, ProductKind.FREE, ProductKind.FERMI)
+
+
 def _check_regime(kind, factors):
     unital_flags = {phi.unital for phi in factors}
     if len(unital_flags) > 1:
         raise RegimeMismatch("factors mix unital and non-unital algebras")
-    unital = unital_flags.pop()
-    plain = kind.base if isinstance(kind, QDeformed) else kind
-    if isinstance(kind, QDeformed) and unital:
-        raise RegimeMismatch("q-deformed products require the non-unital regime")
-    if plain in _NON_UNITAL_ONLY and unital:
-        raise RegimeMismatch(
-            "%s products require the non-unital regime" % plain.value
-        )
-    if plain is ProductKind.FERMI:
+    if unital_flags.pop() and not admits_unital(kind):
+        raise RegimeMismatch("%s products require the non-unital regime" % kind_label(kind))
+    if kind is ProductKind.FERMI:
         for phi in factors:
             if not phi.is_even:
                 raise RegimeMismatch(

@@ -26,24 +26,27 @@ elementary tensor:
 The fermi leading entries carry g^(deg a) rather than a bare g: splitting a
 two-factor graded tensor element lands a's partner slot on g raised to the
 degree that actually crosses it (see :func:`fermi_split_pair`), so even
-letters must pass over other slots without leaving a mark.  The embedding of
-a word is the slot-wise product of its letters' images, and
-:func:`verify_reduction` checks, exactly, that the original product value
-equals the tensor value of the embedded word under the reduced states.
+letters must pass over other slots without leaving a mark.  The embedding is
+a homomorphism, so a word's image is the product of its letters' images,
+multiplied slot by slot; the sign rule and p*p = p are written once, in that
+multiplication.  :func:`verify_reduction` checks, exactly, that the original
+product value equals the tensor value of the embedded word under the reduced
+states.
 
-:func:`reduction_sweep` makes that check for every short word at once.  It
-cuts each word into product segments and embeds it into tensor slots once
-per kind and length, then values each distinct segment and slot once per
-pair of states.  Each state phi is first replaced by phi_D, phi after the
-homomorphism that multiplies every generator by D, the lcm of phi's
-denominators, so that its moments are integers.  Both routes are natural
-under algebra homomorphisms, so this multiplies both values of a word by
-the same nonzero integer, and the routes are compared as integers.
+:func:`reduction_sweep` makes that check for every short word at once, from
+one table per reduction kind, product kind and length.  The table extends
+each word by one letter, so that a word's image is its prefix's image times
+one letter's, and holds each word's product segments and tensor slots; per
+pair of states each distinct segment and slot is valued once.  Each state
+phi is first replaced by phi_D, phi after the homomorphism that multiplies
+every generator by D, the lcm of phi's denominators, so that its moments are
+integers.  Both routes are natural under algebra homomorphisms, so this
+multiplies both values of a word by the same nonzero integer, and the routes
+are compared as integers.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from array import array
@@ -52,7 +55,7 @@ from enum import Enum
 from typing import NamedTuple, Sequence
 
 from .algebra import AlgebraSignature, Monomial, Word
-from .axioms import MAX_WORD_LEN, check_word_len, gen_random_state
+from .axioms import check_word_len, gen_random_state
 from .errors import RegimeMismatch
 from .moments import MomentFunctional, _graded
 from .products import JointFunctional, ProductKind
@@ -69,9 +72,6 @@ class ReductionKind(Enum):
     def product_kind(self) -> ProductKind:
         """The product this reduction reproduces."""
         return ProductKind(self.value)
-
-
-_M_KINDS = (ReductionKind.BOOLEAN, ReductionKind.MONOTONE, ReductionKind.ANTI_MONOTONE)
 
 
 class FermiSlot(NamedTuple):
@@ -102,53 +102,49 @@ class ReducedWord:
     slots: tuple
 
 
-def _append_p(entries: list):
-    if entries and entries[-1] is _P:
-        return  # p is idempotent
-    entries.append(_P)
+def _times(kind: ReductionKind, first, second):
+    """Slot-wise product of two images (negative, slots), ``negative``
+    saying the carried sign is -1: the one place where g's sign rule and
+    p's idempotence are written."""
+    negative, products = first[0] ^ second[0], []
+    for left, right in zip(first[1], second[1]):
+        if kind is ReductionKind.FERMI:
+            # (m1, u1)(m2, u2) = (-1)^(deg u1 * deg m2) (m1*m2, u1*u2)
+            negative ^= left.gpow & right.degree
+            slot = FermiSlot(left.letters + right.letters, left.degree ^ right.degree, left.gpow ^ right.gpow)
+        else:
+            slot = list(left)
+            for entry in right:
+                if entry is not _P or not slot or slot[-1] is not _P:  # p*p = p
+                    slot.append(entry)
+            slot = tuple(slot)
+        products.append(slot)
+    return negative, tuple(products)
 
 
-def _embed(kind: ReductionKind, n: int, blocks, degrees):
-    """Image of a normal-form bare word ((factor, letters), ...) over n
-    factors, multiplied out slot by slot: (negative, slots), where
-    ``negative`` says the carried sign is -1.  ``degrees[factor]`` maps each
-    generator of that factor to its degree; only fermi reads it."""
+def _letter(kind: ReductionKind, n: int, factor: int, letter: str, degree: int):
+    """The image (0, slots) of one letter of factor ``factor`` over n
+    factors: the embedding table of the module docstring."""
     if kind is ReductionKind.FERMI:
-        letters = [()] * n
-        degree = [0] * n
-        gpow = [0] * n
-        negative = 0
-        for factor, run in blocks:
-            odd = 0
-            for letter in run:
-                odd ^= degrees[factor][letter]
-            if odd:
-                # an odd block leaves a g behind in every earlier slot and
-                # passes the g already standing in its own slot
-                for j in range(factor):
-                    gpow[j] ^= 1
-                negative ^= gpow[factor]
-                degree[factor] ^= 1
-            letters[factor] += run
-        return negative, tuple(map(FermiSlot, letters, degree, gpow))
-    slots = [[] for _ in range(n)]
-    for factor, run in blocks:
-        # every letter pads the slots it does not sit in; p is idempotent,
-        # so a run pads them once
-        for j in range(n):
-            if j == factor:
-                slots[j].extend(run)
-            elif (
-                kind is ReductionKind.BOOLEAN
-                or (j > factor if kind is ReductionKind.MONOTONE else j < factor)
-            ):
-                _append_p(slots[j])
-    return 0, tuple(map(tuple, slots))
+        return 0, tuple(
+            FermiSlot((letter,), degree, 0) if j == factor else FermiSlot((), 0, degree if j < factor else 0)
+            for j in range(n)
+        )
+    before = (_P,) if kind is not ReductionKind.MONOTONE else ()
+    after = (_P,) if kind is not ReductionKind.ANTI_MONOTONE else ()
+    return 0, (before,) * factor + ((letter,),) + (after,) * (n - factor - 1)
 
 
-def _bare(word: Word, n: int):
-    """The block tuple of a word over n factors and each factor's degree map."""
+def _unit(kind: ReductionKind, n: int):
+    """The image of the empty word: an empty slot per factor."""
+    return 0, (FermiSlot((), 0, 0) if kind is ReductionKind.FERMI else (),) * n
+
+
+def _embed(kind: ReductionKind, n: int, word: Word):
+    """Image (negative, slots) of a normal-form word over n factors: the
+    product of its letters' images."""
     degrees = [None] * n
+    image = _unit(kind, n)
     for factor, monomial in word.blocks:
         if factor >= n:
             raise ValueError("word uses factor %d but n = %d" % (factor, n))
@@ -157,7 +153,9 @@ def _bare(word: Word, n: int):
             degrees[factor] = generators
         elif degrees[factor] != generators:
             raise ValueError("factor %d is used for two different algebras" % factor)
-    return tuple((f, m.letters) for f, m in word.blocks), degrees
+        for letter in monomial.letters:
+            image = _times(kind, image, _letter(kind, n, factor, letter, generators[letter]))
+    return image
 
 
 def embed_word(kind: ReductionKind, n: int, word: Word) -> ReducedWord:
@@ -165,7 +163,7 @@ def embed_word(kind: ReductionKind, n: int, word: Word) -> ReducedWord:
     letter-wise embedding, multiplied out slot by slot."""
     if not isinstance(kind, ReductionKind):
         raise TypeError("kind must be a ReductionKind")
-    negative, slots = _embed(kind, n, *_bare(word, n))
+    negative, slots = _embed(kind, n, word)
     return ReducedWord(kind, -ONE if negative else ONE, slots)
 
 
@@ -175,30 +173,9 @@ def reduced_product(first: ReducedWord, second: ReducedWord) -> ReducedWord:
         raise ValueError("cannot multiply words of different reduction kinds")
     if len(first.slots) != len(second.slots):
         raise ValueError("slot counts differ")
-    if first.kind is ReductionKind.FERMI:
-        sign = first.sign * second.sign
-        slots = []
-        for left, right in zip(first.slots, second.slots):
-            if left.gpow & right.degree:
-                sign = -sign
-            slots.append(
-                FermiSlot(
-                    left.letters + right.letters,
-                    left.degree ^ right.degree,
-                    left.gpow ^ right.gpow,
-                )
-            )
-        return ReducedWord(first.kind, sign, tuple(slots))
-    slots = []
-    for left, right in zip(first.slots, second.slots):
-        entries = list(left)
-        for entry in right:
-            if entry is _P:
-                _append_p(entries)
-            else:
-                entries.append(entry)
-        slots.append(tuple(entries))
-    return ReducedWord(first.kind, first.sign * second.sign, tuple(slots))
+    negative, slots = _times(first.kind, (0, first.slots), (0, second.slots))
+    sign = first.sign * second.sign
+    return ReducedWord(first.kind, -sign if negative else sign, slots)
 
 
 def fermi_split_pair(left: Monomial, right: Monomial, gpow: int = 0) -> ReducedWord:
@@ -209,9 +186,8 @@ def fermi_split_pair(left: Monomial, right: Monomial, gpow: int = 0) -> ReducedW
     with the inclusion a (x) b -> a (x) b (x) 1 must agree with
     :func:`embed_word` on two-letter words, which the tests check.
     """
-    db = right.degree
     slots = (
-        FermiSlot(left.letters, left.degree, (db + gpow) & 1),
+        FermiSlot(left.letters, left.degree, (right.degree + gpow) & 1),
         FermiSlot(right.letters, right.degree, gpow & 1),
     )
     return ReducedWord(ReductionKind.FERMI, ONE, slots)
@@ -227,9 +203,7 @@ class ReducedState:
             if not phi.is_even:
                 raise RegimeMismatch("the fermi reduction needs an even functional")
         elif phi.unital:
-            raise RegimeMismatch(
-                "%s reduction needs the non-unital regime" % kind.value
-            )
+            raise RegimeMismatch("%s reduction needs the non-unital regime" % kind.value)
         self.kind = kind
         self.phi = phi
 
@@ -261,6 +235,11 @@ def tensor_value(states: Sequence[ReducedState], reduced: ReducedWord) -> Ration
     product of each reduced state on its own slot."""
     if len(states) != len(reduced.slots):
         raise ValueError("need exactly one reduced state per slot")
+    for state in states:
+        if state.kind is not reduced.kind:
+            raise ValueError(
+                "a %s reduced state cannot value a %s word" % (state.kind.value, reduced.kind.value)
+            )
     return reduced.sign * math.prod(state.value(slot) for state, slot in zip(states, reduced.slots))
 
 
@@ -295,80 +274,76 @@ def sweep_signatures(kind: ReductionKind):
     )
 
 
-# Two signature sets (fermi and the rest) times lengths 1..MAX_WORD_LEN.
-@functools.lru_cache(maxsize=2 * MAX_WORD_LEN)
-def _sweep_words(signatures, max_word_len: int) -> tuple:
-    """The words of :func:`enumerate_words` over ``signatures``, in its
-    order, as bare block tuples ((factor, letters), ...), built once per
-    signature set and length.  Equal blocks are one shared object."""
-    alphabet = [(f, (name,)) for f, sig in enumerate(signatures) for name in sig.generator_names]
-    interned: dict = {}
-    words: list = []
-    layer = [()]
+class _SweepTable(NamedTuple):
+    """The words of :func:`enumerate_words` over a kind's sweep signatures,
+    in order, as bare block tuples ((factor, letters), ...) with equal blocks
+    one object, and their structure on both routes.  ``tensor_signs`` (the
+    images') and ``signs`` (the Koszul signs) hold a byte per word, 1 for -1.
+    ``slots[f]`` holds the distinct slots of factor f, ``indices[f]`` each
+    word's slot as a position in it; ``segments`` the distinct (child,
+    segment) pairs, word w's at ``positions[ends[w - 1]:ends[w]]``."""
+
+    words: tuple
+    tensor_signs: bytes
+    slots: tuple
+    indices: tuple
+    signs: bytes
+    segments: tuple
+    positions: array
+    ends: array
+
+
+# One table per reduction kind, product kind and length, built on first use.
+_SWEEP_TABLES: dict = {}
+
+
+def _sweep_table(kind: ReductionKind, joint: JointFunctional, max_word_len: int) -> _SweepTable:
+    """The sweep's words of 1..max_word_len letters, cut into segments by
+    ``joint``'s product and embedded by ``kind``, built once per reduction
+    kind, product kind and length; the structure does not depend on the
+    states.  A word extends its prefix by one letter, and its image is the
+    prefix's image times the letter's."""
+    key = (kind, joint.kind, max_word_len)
+    if key in _SWEEP_TABLES:
+        return _SWEEP_TABLES[key]
+    signatures = sweep_signatures(kind)
+    n = len(signatures)
+    alphabet = [(f, (name,), _letter(kind, n, f, name, degree))
+                for f, sig in enumerate(signatures) for name, degree in sig.generators]
+    cut = joint._root.segments
+    interned, distinct_segments, distinct_slots = {}, {}, [{} for _ in signatures]
+    words, tensor_signs, signs = [], bytearray(), bytearray()
+    indices, positions, ends = tuple(array("I") for _ in signatures), array("I"), array("I")
+    # Words, images and segments are built in loops of their own, so that what
+    # a trial reads lies close together in memory; interleaved, trials slowed.
+    layer, images = [()], [_unit(kind, n)]
     for _ in range(max_word_len):
         # itertools.product order: the last letter varies fastest
         longer = []
         for word in layer:
-            for factor, letter in alphabet:
+            for factor, letter, _ in alphabet:
                 if word and word[-1][0] == factor:
                     head, block = word[:-1], (factor, word[-1][1] + letter)
                 else:
                     head, block = word, (factor, letter)
                 longer.append(head + (interned.setdefault(block, block),))
+        images = [_times(kind, image, letter_image) for image in images for _, _, letter_image in alphabet]
+        words += longer
         layer = longer
-        words.extend(layer)
-    return tuple(words)
-
-
-# One entry per reduction kind and length 1..MAX_WORD_LEN.
-@functools.lru_cache(maxsize=len(ReductionKind) * MAX_WORD_LEN)
-def _sweep_images(kind: ReductionKind, max_word_len: int) -> tuple:
-    """The embedded images of the words of :func:`_sweep_words`, in order,
-    as (signs, slots, indices): ``signs`` holds one byte per word, 1 where
-    the carried sign is -1; ``slots[f]`` is the tuple of the distinct slots
-    of factor f; ``indices[f]`` is an array giving each word's slot of
-    factor f as a position in ``slots[f]``.  Built once per kind and length,
-    by :func:`_embed`."""
-    signatures = sweep_signatures(kind)
-    degrees = [dict(sig.generators) for sig in signatures]
-    signs = bytearray()
-    positions = [{} for _ in signatures]
-    indices = [array("I") for _ in signatures]
-    for blocks in _sweep_words(signatures, max_word_len):
-        negative, slots = _embed(kind, len(signatures), blocks, degrees)
+        for negative, slots in images:
+            tensor_signs.append(negative)
+            for slot, distinct, index in zip(slots, distinct_slots, indices):
+                index.append(distinct.setdefault(slot, len(distinct)))
+    for word in words:
+        negative, pairs = cut(word)
         signs.append(negative)
-        for slot, position, index in zip(slots, positions, indices):
-            index.append(position.setdefault(slot, len(position)))
-    return bytes(signs), tuple(map(tuple, positions)), tuple(indices)
-
-
-# One entry per product kind, signature set and length, built on first use.
-_PRODUCT_IMAGES: dict = {}
-
-
-def _product_images(joint: JointFunctional, signatures, max_word_len: int) -> tuple:
-    """The structure of the words of :func:`_sweep_words` under ``joint``'s
-    product, in order, as (signs, segments, positions, ends): ``signs``
-    holds one byte per word, 1 where the Koszul sign is -1; ``segments`` is
-    the tuple of the distinct (child, segment) pairs of the root's
-    ``segments``; word w's segments sit at ``positions[ends[w - 1]:ends[w]]``
-    in it.  Built once per product kind, signatures and length; the
-    structure does not depend on the states."""
-    key = (joint.kind, signatures, max_word_len)
-    images = _PRODUCT_IMAGES.get(key)
-    if images is None:
-        segments = joint._root.segments
-        signs = bytearray()
-        distinct: dict = {}
-        positions = array("I")
-        ends = array("I")
-        for blocks in _sweep_words(signatures, max_word_len):
-            negative, pairs = segments(blocks)
-            signs.append(negative)
-            positions.extend(distinct.setdefault(pair, len(distinct)) for pair in pairs)
-            ends.append(len(positions))
-        images = _PRODUCT_IMAGES[key] = (bytes(signs), tuple(distinct), positions, ends)
-    return images
+        positions.extend(distinct_segments.setdefault(pair, len(distinct_segments)) for pair in pairs)
+        ends.append(len(positions))
+    table = _SWEEP_TABLES[key] = _SweepTable(
+        tuple(words), bytes(tensor_signs), tuple(map(tuple, distinct_slots)), indices,
+        bytes(signs), tuple(distinct_segments), positions, ends,
+    )
+    return table
 
 
 def reduction_sweep(kind: ReductionKind, seed: int, trials: int, max_word_len: int = 5):
@@ -376,16 +351,15 @@ def reduction_sweep(kind: ReductionKind, seed: int, trials: int, max_word_len: i
     valued by the product's rule and by the tensor route and compared
     exactly.  ``max_word_len`` runs from 1 to MAX_WORD_LEN.
 
-    The words are enumerated once per signature set and length, and cut
-    into their product segments and embedded into tensor slots once per
-    kind and length.  Per trial each drawn state phi is replaced by its
-    D-graded form phi_D(w) = D^|w| phi(w), D the lcm of its denominators,
-    so that every moment is an integer.  Each distinct segment and each
-    distinct slot is valued once.  A word's product value is its sign times
-    its segments' values, its tensor value its sign times its two slots'
-    values.  Both carry the same factor, the product over the factors f of
-    D_f to the number of the word's letters from f, so integer equality is
-    exact rational equality.  A mismatch is valued again by
+    The words, their product segments and their tensor slots come from one
+    table per kind and length.  Per trial each drawn state phi is replaced
+    by its D-graded form phi_D(w) = D^|w| phi(w), D the lcm of its
+    denominators, so that every moment is an integer.  Each distinct
+    segment and each distinct slot is valued once.  A word's product value
+    is its sign times its segments' values, its tensor value its sign times
+    its two slots' values.  Both carry the same factor, the product over the
+    factors f of D_f to the number of the word's letters from f, so integer
+    equality is exact rational equality.  A mismatch is valued again by
     :func:`verify_reduction` on the drawn states.  Returns (checked,
     failures) where failures lists (states, word, check) triples.
     Deterministic for a given seed.
@@ -394,8 +368,6 @@ def reduction_sweep(kind: ReductionKind, seed: int, trials: int, max_word_len: i
         raise ValueError("trials must be positive")
     check_word_len(max_word_len)
     signatures = sweep_signatures(kind)
-    words = _sweep_words(signatures, max_word_len)
-    tensor_signs, (left_slots, right_slots), (left_index, right_index) = _sweep_images(kind, max_word_len)
     checked = 0
     failures = []
     for trial in range(trials):
@@ -403,16 +375,14 @@ def reduction_sweep(kind: ReductionKind, seed: int, trials: int, max_word_len: i
         states = [gen_random_state(sig, max_word_len, rng) for sig in signatures]
         graded = [_graded(phi) for phi in states]
         joint = JointFunctional(graded, kind.product_kind)
-        signs, segments, positions, ends = _product_images(joint, signatures, max_word_len)
+        table = _sweep_table(kind, joint, max_word_len)
+        words, tensor_signs, slots, indices, signs, segments, positions, ends = table
         children = joint._root.children
         values = [children[k].eval_blocks(segment) for k, segment in segments]
-        left_state, right_state = (ReducedState(kind, phi) for phi in graded)
-        left = [left_state.value(slot) for slot in left_slots]
-        right = [right_state.value(slot) for slot in right_slots]
+        left, right = (list(map(ReducedState(kind, phi).value, factor_slots))
+                       for phi, factor_slots in zip(graded, slots))
         start = 0
-        for blocks, end, negative, tensor_negative, i, j in zip(
-            words, ends, signs, tensor_signs, left_index, right_index
-        ):
+        for blocks, end, negative, tensor_negative, i, j in zip(words, ends, signs, tensor_signs, *indices):
             lhs = math.prod(map(values.__getitem__, positions[start:end]))
             start = end
             if negative != tensor_negative:

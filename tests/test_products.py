@@ -28,6 +28,7 @@ from ncindep import (
     parse_kind_label,
     sum_moment,
 )
+from ncindep.products import admits_unital
 from ncindep.rational import ONE, ZERO, as_rational
 from conftest import A1, A2, A3, G1, G2, N1, N2, N3, mono, total_state
 
@@ -161,6 +162,22 @@ def test_asymmetric_kinds_require_the_non_unital_regime():
     ):
         with pytest.raises(RegimeMismatch):
             JointFunctional((phi1, phi2), kind)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    list(ProductKind) + [parse_kind_label(label) for label in ("q:tensor:2", "q:free:1/3", "q:boolean:2")],
+    ids=kind_label,
+)
+def test_admits_unital_is_the_regime_rule(kind):
+    """The one regime predicate says exactly which kinds take unital, even
+    factors: the joint functional's check agrees with it."""
+    states = (total_state(U1, 2), total_state(U2, 2))
+    if admits_unital(kind):
+        JointFunctional(states, kind)
+    else:
+        with pytest.raises(RegimeMismatch, match="require the non-unital regime"):
+            JointFunctional(states, kind)
 
 
 def test_factors_may_not_mix_regimes():

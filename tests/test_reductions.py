@@ -1,6 +1,7 @@
 """Transporting the asymmetric products and the graded tensor through
 ordinary tensor independence: embeddings, enlarged states, verification."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -27,6 +28,7 @@ from ncindep import (
     enumerate_words,
     eval_graded_tensor,
     fermi_split_pair,
+    format_word,
     gen_random_state,
     normalize_word,
     reduced_product,
@@ -35,7 +37,7 @@ from ncindep import (
     tensor_value,
     verify_reduction,
 )
-from ncindep.reductions import _graded, _product_images, _sweep_images, _sweep_words, sweep_signatures
+from ncindep.reductions import _graded, _sweep_table, sweep_signatures
 from ncindep.rational import ONE, ZERO, as_rational, product
 from conftest import G1, G2, N1, N2, mono, total_state
 
@@ -79,6 +81,34 @@ def test_fermi_embedding_marks_earlier_slots_of_odd_letters():
     assert image.slots == (FermiSlot((), 0, 1), FermiSlot(("x",), 1, 0))
     even = embed_word(ReductionKind.FERMI, 2, graded_word((1, "y")))  # y is even
     assert even.slots == (FermiSlot((), 0, 0), FermiSlot(("y",), 0, 0))
+
+
+def test_one_letter_embeddings_are_the_docstring_table():
+    """Over 3 factors: fermi g^(deg a) before slot k, a at k, 1 after;
+    boolean p around a; monotone 1 before, p after; anti-monotone p before,
+    1 after.  Spelled out slot by slot, apart from the multiplication that
+    builds longer words."""
+    plain = [AlgebraSignature("A%d" % (k + 1), False, (("a", 0),)) for k in range(3)]
+    graded = [AlgebraSignature("A%d" % (k + 1), True, (("a", 1), ("b", 0))) for k in range(3)]
+    a, one, g = ("a",), FermiSlot((), 0, 0), FermiSlot((), 0, 1)
+    odd, even = FermiSlot(("a",), 1, 0), FermiSlot(("b",), 0, 0)
+    table = {
+        ReductionKind.BOOLEAN: [(a, (P,), (P,)), ((P,), a, (P,)), ((P,), (P,), a)],
+        ReductionKind.MONOTONE: [(a, (P,), (P,)), ((), a, (P,)), ((), (), a)],
+        ReductionKind.ANTI_MONOTONE: [(a, (), ()), ((P,), a, ()), ((P,), (P,), a)],
+    }
+    for kind, rows in table.items():
+        for k, slots in enumerate(rows):
+            image = embed_word(kind, 3, Word(((k, Monomial(plain[k], a)),)))
+            assert image == ReducedWord(kind, ONE, slots), (kind, k)
+    fermi = {
+        "a": [(odd, one, one), (g, odd, one), (g, g, odd)],
+        "b": [(even, one, one), (one, even, one), (one, one, even)],
+    }
+    for letter, rows in fermi.items():
+        for k, slots in enumerate(rows):
+            image = embed_word(ReductionKind.FERMI, 3, Word(((k, Monomial(graded[k], (letter,))),)))
+            assert image == ReducedWord(ReductionKind.FERMI, ONE, slots), (letter, k)
 
 
 def test_boolean_word_image_multiplies_slotwise():
@@ -145,6 +175,20 @@ def test_m_reductions_require_the_non_unital_regime():
     for kind in M_KINDS:
         with pytest.raises(RegimeMismatch):
             ReducedState(kind, unital)
+
+
+def test_tensor_value_refuses_states_of_another_kind():
+    fermi_word = embed_word(ReductionKind.FERMI, 2, graded_word((0, "a"), (1, "x")))
+    boolean_word = embed_word(ReductionKind.BOOLEAN, 2, letter_word((0, "a"), (1, "x")))
+    fermi_states = [ReducedState(ReductionKind.FERMI, total_state(sig, 2)) for sig in (G1, G2)]
+    boolean_states = [ReducedState(kind, total_state(sig, 2))
+                      for kind, sig in ((ReductionKind.BOOLEAN, N1), (ReductionKind.MONOTONE, N2))]
+    with pytest.raises(ValueError, match="a fermi reduced state cannot value a boolean word"):
+        tensor_value(fermi_states, boolean_word)
+    with pytest.raises(ValueError, match="a boolean reduced state cannot value a fermi word"):
+        tensor_value(boolean_states, fermi_word)
+    with pytest.raises(ValueError, match="a monotone reduced state cannot value a boolean word"):
+        tensor_value(boolean_states, boolean_word)
 
 
 # ---------------------------------------------------------------------------
@@ -271,18 +315,26 @@ def test_sweep_is_deterministic():
     assert first == second
 
 
+def zero_joint(kind, length):
+    """A joint functional of zero states over the sweep signatures of a
+    kind, under its product: the sweep tables do not read the values."""
+    states = [total_state(sig, length) for sig in sweep_signatures(kind)]
+    return JointFunctional(states, kind.product_kind)
+
+
 @pytest.mark.parametrize("kind", list(ReductionKind), ids=lambda kind: kind.value)
 def test_sweep_words_are_the_enumerated_words(kind):
     """The cached bare words are enumerate_words, element for element and
     in order, with each distinct block one shared object."""
     for length in range(1, 6):
-        words = _sweep_words(sweep_signatures(kind), length)
+        table = _sweep_table(kind, zero_joint(kind, length), length)
+        words = table.words
         expected = [
             tuple((f, m.letters) for f, m in w.blocks)
             for w in enumerate_words(sweep_signatures(kind), length)
         ]
         assert list(words) == expected
-        assert _sweep_words(sweep_signatures(kind), length) is words
+        assert _sweep_table(kind, zero_joint(kind, length), length) is table
         blocks = [block for word in words for block in word]
         assert len({id(block) for block in blocks}) == len(set(blocks))
 
@@ -295,8 +347,8 @@ def test_sweep_images_are_the_embedded_words(kind):
     signatures = sweep_signatures(kind)
     rng = random.Random(17)
     for length in range(1, 6):
-        images = _sweep_images(kind, length)
-        signs, slots, indices = images
+        table = _sweep_table(kind, zero_joint(kind, length), length)
+        signs, slots, indices = table.tensor_signs, table.slots, table.indices
         assert all(len(set(factor_slots)) == len(factor_slots) for factor_slots in slots)
         words = list(enumerate_words(signatures, length))
         assert len(signs) == len(words) and all(len(index) == len(words) for index in indices)
@@ -308,7 +360,7 @@ def test_sweep_images_are_the_embedded_words(kind):
             assert ReducedWord(kind, -ONE if negative else ONE, (slots[0][i], slots[1][j])) == embedded
             value = left[i] * right[j]
             assert (-value if negative else value) == tensor_value(reduced, embedded), word
-        assert _sweep_images(kind, length) is images
+        assert _sweep_table(kind, zero_joint(kind, length), length) is table
 
 
 @pytest.mark.parametrize("kind", list(ReductionKind), ids=lambda kind: kind.value)
@@ -321,8 +373,8 @@ def test_product_images_are_the_evaluated_words(kind):
     for length in range(1, 6):
         states = [gen_random_state(sig, length, rng) for sig in signatures]
         joint = JointFunctional(states, kind.product_kind)
-        images = _product_images(joint, signatures, length)
-        signs, segments, positions, ends = images
+        table = _sweep_table(kind, joint, length)
+        signs, segments, positions, ends = table.signs, table.segments, table.positions, table.ends
         assert len(set(segments)) == len(segments)
         assert all(len(segment) == 1 for _, segment in segments)
         words = list(enumerate_words(signatures, length))
@@ -336,7 +388,7 @@ def test_product_images_are_the_evaluated_words(kind):
             assert (-value if negative else value) == joint.evaluate(word), word
         other = JointFunctional([gen_random_state(sig, length, rng) for sig in signatures],
                                 kind.product_kind)
-        assert _product_images(other, signatures, length) is images
+        assert _sweep_table(kind, other, length) is table
 
 
 # pairwise coprime denominators and a zero
@@ -378,7 +430,7 @@ def test_graded_states_value_every_sweep_slot_as_an_int(kind):
     signatures = sweep_signatures(kind)
     rng = random.Random(29)
     for length in range(1, 6):
-        _, slots, _ = _sweep_images(kind, length)
+        slots = _sweep_table(kind, zero_joint(kind, length), length).slots
         for signature, factor_slots in zip(signatures, slots):
             state = ReducedState(kind, _graded(gen_random_state(signature, length, rng)))
             values = [state.value(slot) for slot in factor_slots]
@@ -464,6 +516,39 @@ def test_sweep_failures_are_replayable_triples(monkeypatch):
         assert found == expected
 
 
+PADDING_PRODUCTS = (ProductKind.TENSOR, ProductKind.FERMI, ProductKind.BOOLEAN,
+                    ProductKind.MONOTONE, ProductKind.ANTI_MONOTONE)
+
+# SHA-256 of the verdicts below, as the sweep gave them when its word list,
+# tensor images and product images were three separate caches.
+WRONG_PRODUCT_VERDICTS = "df754e7934c2ecec7ee50ae083443fead1eb787d2e16272f32b08b9e4cc41b62"
+
+
+def test_sweep_verdicts_under_wrong_products_are_pinned(monkeypatch):
+    """Each reduction kind joined under each other padding product, at seed
+    3 and length 4: the checked count and every failure's word and values,
+    or the regime mismatch that refuses the join."""
+    import ncindep.reductions as reductions
+
+    digest = hashlib.sha256()
+    for kind in ReductionKind:
+        for wrong in PADDING_PRODUCTS:
+            if wrong is kind.product_kind:
+                continue
+            monkeypatch.setattr(reductions, "JointFunctional",
+                                lambda factors, _, wrong=wrong: JointFunctional(factors, wrong))
+            try:
+                checked, failures = reduction_sweep(kind, seed=3, trials=2, max_word_len=4)
+            except RegimeMismatch:
+                verdict = "%s as %s: regime mismatch" % (kind.value, wrong.value)
+            else:
+                assert checked == 2 * 340 and failures, (kind, wrong)
+                verdict = "%s as %s: %d %r" % (kind.value, wrong.value, checked, [
+                    (format_word(word), str(check.lhs), str(check.rhs)) for _, word, check in failures])
+            digest.update(verdict.encode() + b"\n")
+    assert digest.hexdigest() == WRONG_PRODUCT_VERDICTS
+
+
 def test_sweeps_and_suites_reject_long_words_before_any_work(monkeypatch):
     import ncindep.axioms as axioms
     import ncindep.reductions as reductions
@@ -472,7 +557,7 @@ def test_sweeps_and_suites_reject_long_words_before_any_work(monkeypatch):
         raise AssertionError("work started")
 
     monkeypatch.setattr(reductions, "gen_random_state", no_work)
-    monkeypatch.setattr(reductions, "_sweep_words", no_work)
+    monkeypatch.setattr(reductions, "_sweep_table", no_work)
     monkeypatch.setitem(axioms._TRIAL_RUNNERS, Axiom.FUNCTORIALITY, no_work)
     with pytest.raises(ValueError, match="at most 8"):
         reduction_sweep(ReductionKind.MONOTONE, seed=1, trials=1, max_word_len=9)
