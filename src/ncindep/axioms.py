@@ -37,8 +37,6 @@ from __future__ import annotations
 import itertools
 import json
 import random
-import sys
-from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -138,9 +136,12 @@ _MOMENT_PALETTE = tuple(
     for denominator in range(1, 9)
 )
 # ``choice`` indexes the palette by the top bits of a 32-bit generator
-# word: the 6 bits that 56 entries need, drawn again while 56 or more
-_PALETTE_SHIFT = 32 - len(_MOMENT_PALETTE).bit_length()
-_PALETTE_LIMIT = len(_MOMENT_PALETTE) << _PALETTE_SHIFT
+# word: the 6 bits that 56 entries need, drawn again while 56 or more.  They
+# are the top bits of the word's top byte, so the byte maps to its index by
+# a shift, and bytes of 56 << 2 or more are dropped.
+_PALETTE_SHIFT = 8 - len(_MOMENT_PALETTE).bit_length()
+_TOP_BYTE_INDEX = bytes(byte >> _PALETTE_SHIFT for byte in range(256))
+_TOP_BYTE_REJECTED = bytes(range(len(_MOMENT_PALETTE) << _PALETTE_SHIFT, 256))
 
 
 def _palette_draws(rng: random.Random, count: int) -> list:
@@ -149,15 +150,14 @@ def _palette_draws(rng: random.Random, count: int) -> list:
 
     The generator words come in bulk, from ``getrandbits``, exactly as many
     at a time as entries are still missing, so the generator never runs past
-    the words the calls would use.
+    the words the calls would use.  Written little-endian, word i's top byte
+    is byte 4i + 3.
     """
     draws: list = []
     while len(draws) < count:
         missing = count - len(draws)
-        words = array("I", rng.getrandbits(32 * missing).to_bytes(4 * missing, "little"))
-        if sys.byteorder == "big":
-            words.byteswap()
-        draws += [_MOMENT_PALETTE[w >> _PALETTE_SHIFT] for w in words if w < _PALETTE_LIMIT]
+        tops = rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")[3::4]
+        draws += [_MOMENT_PALETTE[index] for index in tops.translate(_TOP_BYTE_INDEX, _TOP_BYTE_REJECTED)]
     return draws
 
 

@@ -79,12 +79,17 @@ class MomentFunctional:
     :attr:`table` (keyed by :class:`Monomial`) and :attr:`letters_table`
     are views for the boundary, built on first read and cached.  Unital
     algebras map the unit to 1.  The constructor validates its table; the
-    library's own complete lists skip that through :meth:`_from_dense`.
-    Evenness (vanishing on odd monomials of a graded algebra) is not
-    forced; operations that need it check :attr:`is_even`.
+    library's own lists skip that through :meth:`_from_dense`.  A list may
+    hold ``None`` at entries not computed yet, with a fill that computes
+    an entry from its rank (as :func:`pullback` returns): a lookup computes
+    and stores the entry it reads, and the whole-table readers (the views,
+    :attr:`is_even`, :func:`unitize`, :func:`scale`, grading and a further
+    pullback) first complete the list in canonical order through
+    :meth:`_complete`.  Evenness (vanishing on odd monomials of a graded
+    algebra) is not forced; operations that need it check :attr:`is_even`.
     """
 
-    __slots__ = ("algebra", "max_degree", "_dense", "_layout", "_table", "_letters", "_even")
+    __slots__ = ("algebra", "max_degree", "_dense", "_fill", "_layout", "_table", "_letters", "_even")
 
     def __init__(self, algebra: AlgebraSignature, max_degree: int, table: Mapping[Monomial, Rational]):
         self.algebra, self.max_degree, self._table = algebra, max_degree, table
@@ -113,21 +118,34 @@ class MomentFunctional:
                 if monomial not in clean:
                     raise ValueError("moment table is missing %r" % (monomial,))
         self._layout = _layout(self.algebra, self.max_degree)
-        self._dense = [ZERO] * count
-        for monomial, value in clean.items():
-            self._dense[self._rank(monomial.letters)] = value
+        digit = self._layout[0].__getitem__  # canonical order: by length, then by digits
+        order = sorted(clean.items(), key=lambda item: (len(item[0].letters), list(map(digit, item[0].letters))))
+        self._dense = [value for _, value in order]
         if self.algebra.unital and self._dense[0] != ONE:
             raise ValueError("a unital functional must send the unit to 1")
-        self._table = self._letters = self._even = None
+        self._table = self._letters = self._even = self._fill = None
 
     @classmethod
-    def _from_dense(cls, algebra: AlgebraSignature, max_degree: int, dense: list) -> "MomentFunctional":
-        """Trusted build from a complete, exact list in canonical order."""
+    def _from_dense(cls, algebra: AlgebraSignature, max_degree: int, dense: list,
+                    fill=None) -> "MomentFunctional":
+        """Trusted build from an exact list in canonical order; ``fill``, when
+        given, computes each entry the list holds as ``None`` from its rank."""
         self = cls.__new__(cls)
-        self.algebra, self.max_degree, self._dense = algebra, max_degree, dense
+        self.algebra, self.max_degree, self._dense, self._fill = algebra, max_degree, dense, fill
         self._layout = _layout(algebra, max_degree)
         self._table = self._letters = self._even = None
         return self
+
+    def _complete(self) -> list:
+        """The list with every entry computed, the remaining ones in canonical
+        order; the fill, and what it holds, is dropped after."""
+        if self._fill is not None:
+            dense, fill = self._dense, self._fill
+            for rank, value in enumerate(dense):
+                if value is None:
+                    dense[rank] = fill(rank)
+            self._fill = None
+        return self._dense
 
     @classmethod
     def from_entries(cls, algebra: AlgebraSignature, max_degree: int, entries) -> "MomentFunctional":
@@ -149,7 +167,7 @@ class MomentFunctional:
     def letters_table(self) -> Mapping[tuple, Rational]:
         """The moment table keyed by plain letter tuples; do not mutate."""
         if self._letters is None:
-            self._letters = dict(zip(_canonical_letters(self.algebra, self.max_degree), self._dense))
+            self._letters = dict(zip(_canonical_letters(self.algebra, self.max_degree), self._complete()))
         return self._letters
 
     @property
@@ -160,34 +178,44 @@ class MomentFunctional:
     def is_even(self) -> bool:
         """True when every odd-degree monomial up to D has moment 0."""
         if self._even is None:
-            flags = _parities(self.algebra, self.max_degree)  # of the monomials past the unit
-            self._even = not any(itertools.compress(self._dense[len(self._dense) - len(flags):], flags))
+            flags, dense = _parities(self.algebra, self.max_degree), self._complete()  # flags past the unit
+            self._even = not any(itertools.compress(dense[len(dense) - len(flags):], flags))
         return self._even
 
-    def _rank(self, letters) -> int:
-        """The rank of a monomial's letters; KeyError on a foreign letter."""
+    def _value(self, letters) -> Rational:
+        """The moment of a letter tuple, computed on its first read; None
+        when the letters are no monomial of the table (a foreign letter, or
+        more than D of them)."""
         digits, offsets = self._layout
-        width = len(digits)
-        rank = 0
-        for letter in letters:
-            rank = rank * width + digits[letter]
-        return offsets[len(letters)] + rank
+        width, rank = len(digits), 0
+        try:
+            for letter in letters:
+                rank = rank * width + digits[letter]
+            rank += offsets[len(letters)]
+        except LookupError:
+            return None
+        dense = self._dense
+        if rank >= len(dense):
+            return None
+        value = dense[rank]
+        if value is None:
+            value = dense[rank] = self._fill(rank)
+        return value
 
     def __call__(self, monomial: Monomial) -> Rational:
         if monomial.algebra != self.algebra:
             raise ValueError("monomial %r is not over %r" % (monomial, self.algebra.name))
         if len(monomial) > self.max_degree:
             raise DegreeExceeded(monomial, self.max_degree)
-        return self._dense[self._rank(monomial.letters)]
+        return self._value(monomial.letters)
 
     def value_of_letters(self, letters) -> Rational:
         """Moment of the monomial with the given letters (over this algebra)."""
         letters = tuple(letters)
-        try:
-            return self._dense[self._rank(letters)]
-        except LookupError:  # beyond D, or not a monomial here: the checked route raises
-            pass
-        return self(Monomial(self.algebra, letters))
+        value = self._value(letters)
+        if value is None:  # beyond D, or not a monomial here: the checked route raises
+            return self(Monomial(self.algebra, letters))
+        return value
 
     def __repr__(self):
         return "MomentFunctional(%s, D=%d)" % (self.algebra.name, self.max_degree)
@@ -222,8 +250,12 @@ def pullback(phi: MomentFunctional, hom: Homomorphism, max_degree=None) -> Momen
     source monomial of length D has an image phi can evaluate (D times the
     longest image monomial fits under phi's bound), and to phi's own bound
     when every image is constant.  Requesting more raises
-    ``DegreeExceeded``.  Each monomial's image is its prefix's image times
-    one generator's image, its monomials kept as (length, rank in length).
+    ``DegreeExceeded``.  Past the unit, each entry is computed on its first
+    read, and all of them at once by the whole-table readers: a monomial's
+    image is its prefix's image times one generator's image, its monomials
+    kept as (length, rank in length), and each image computed is kept for
+    the monomials it prefixes until the table is complete.  The pullback of
+    an even phi is even, since images keep each generator's degree.
     """
     if hom.target != phi.algebra:
         raise ValueError("homomorphism does not land in the functional's algebra")
@@ -251,25 +283,39 @@ def pullback(phi: MomentFunctional, hom: Homomorphism, max_degree=None) -> Momen
         probe = Monomial(hom.source, names[:1] * min(max_degree, DegreeExceeded.SHOWN_LETTERS))
         raise DegreeExceeded(probe, feasible, length=max_degree)
     powers = [width**length for length in range(longest + 1)]
-    values = phi._dense  # holds every image monomial: the images fit under its bound
-    table = [ONE] if hom.source.unital else []
-    level = [(1, {(0, 0): 1})]  # the images of the monomials of one length, in canonical order
-    for _ in range(max_degree):
-        prefixes, level = level, []
-        for prefix_den, prefix in prefixes:
-            for factor_den, factor in images:
-                out: dict = {}
-                for (length, rank), c1 in prefix.items():
-                    for (extra, tail), c2 in factor.items():
-                        key = length + extra, rank * powers[extra] + tail
-                        out[key] = out.get(key, 0) + c1 * c2
-                den, image = prefix_den * factor_den, {key: c for key, c in out.items() if c}
-                level.append((den, image))
-                moments = [(c, values[offsets[length] + rank]) for (length, rank), c in image.items()]
-                common = math.lcm(*(v.denominator for _, v in moments))
-                num = sum(c * v.numerator * (common // v.denominator) for c, v in moments)
-                table.append(Rational(num, common * den))
-    return MomentFunctional._from_dense(hom.source, max_degree, table)
+    values = phi._complete()  # holds every image monomial: the images fit under its bound
+    # Counted with a unit at 0, as in a unital source, the monomial at node
+    # r > 0 is the one at (r - 1) // g extended by generator (r - 1) % g.
+    source_width, shift = len(names), int(not hom.source.unital)
+    memo = {0: (1, {(0, 0): 1})}  # node -> image, computed ones kept for their extensions
+
+    def fill(rank):
+        node, chain = rank + shift, []  # back to a node with an image, with the generators passed
+        while node not in memo:
+            prefix, digit = divmod(node - 1, source_width)
+            chain.append((node, digit))
+            node = prefix
+        den, image = memo[node]
+        for node, digit in reversed(chain):
+            factor_den, factor = images[digit]
+            out: dict = {}
+            for (length, position), c1 in image.items():
+                for (extra, tail), c2 in factor.items():
+                    key = length + extra, position * powers[extra] + tail
+                    out[key] = out.get(key, 0) + c1 * c2
+            den, image = memo[node] = den * factor_den, {key: c for key, c in out.items() if c}
+        moments = [(c, values[offsets[length] + position]) for (length, position), c in image.items()]
+        common = math.lcm(*(v.denominator for _, v in moments))
+        num = sum(c * v.numerator * (common // v.denominator) for c, v in moments)
+        return Rational(num, common * den)
+
+    dense = [None] * _layout(hom.source, max_degree)[1][-1]
+    if hom.source.unital:
+        dense[0] = ONE
+    pulled = MomentFunctional._from_dense(hom.source, max_degree, dense, fill)
+    if phi.is_even:
+        pulled._even = True
+    return pulled
 
 
 def unitize(phi: MomentFunctional) -> MomentFunctional:
@@ -277,7 +323,7 @@ def unitize(phi: MomentFunctional) -> MomentFunctional:
     if phi.unital:
         raise RegimeMismatch("functional is already unital")
     signature = AlgebraSignature(phi.algebra.name, True, phi.algebra.generators)
-    return MomentFunctional._from_dense(signature, phi.max_degree, [ONE] + phi._dense)
+    return MomentFunctional._from_dense(signature, phi.max_degree, [ONE] + phi._complete())
 
 
 def scale(phi: MomentFunctional, coeff) -> MomentFunctional:
@@ -291,13 +337,13 @@ def scale(phi: MomentFunctional, coeff) -> MomentFunctional:
         raise ValueError("scaling coefficient must be nonzero")
     if phi.unital:
         raise RegimeMismatch("cannot scale a unital functional")
-    return MomentFunctional._from_dense(phi.algebra, phi.max_degree, [value * coeff for value in phi._dense])
+    return MomentFunctional._from_dense(phi.algebra, phi.max_degree, [value * coeff for value in phi._complete()])
 
 
 def _graded(phi: MomentFunctional) -> MomentFunctional:
     """phi_D(w) = D^|w| phi(w), D the lcm of phi's denominators: phi on the
     generators rescaled by D, with every moment an ``int``."""
-    dense, offsets = phi._dense, phi._layout[1]
+    dense, offsets = phi._complete(), phi._layout[1]
     denominator = math.lcm(*(value.denominator for value in dense))
     graded = []  # length by length; without a unit, length 0's slice is empty
     for length, (start, end) in enumerate(zip(offsets, offsets[1:])):

@@ -293,43 +293,60 @@ class _SweepTable(NamedTuple):
     ends: array
 
 
-# One table per reduction kind, product kind and length, built on first use.
+# One table per reduction kind, product kind and length, and one word list
+# per alphabet and length, shared by the tables over that alphabet; each is
+# built on first use.
 _SWEEP_TABLES: dict = {}
+_SWEEP_WORDS: dict = {}
+
+
+def _sweep_words(alphabet: tuple, max_word_len: int) -> tuple:
+    """The bare words of 1..max_word_len letters over ``alphabet``, pairs
+    (factor, letters) of single letters, in :func:`enumerate_words` order,
+    with equal blocks one object.  A word extends its prefix by one letter."""
+    key = (alphabet, max_word_len)
+    if key in _SWEEP_WORDS:
+        return _SWEEP_WORDS[key]
+    interned, words, layer = {}, [], [()]
+    for _ in range(max_word_len):
+        # itertools.product order: the last letter varies fastest
+        longer = []
+        for word in layer:
+            for factor, letter in alphabet:
+                if word and word[-1][0] == factor:
+                    head, block = word[:-1], (factor, word[-1][1] + letter)
+                else:
+                    head, block = word, (factor, letter)
+                longer.append(head + (interned.setdefault(block, block),))
+        words += longer
+        layer = longer
+    words = _SWEEP_WORDS[key] = tuple(words)
+    return words
 
 
 def _sweep_table(kind: ReductionKind, joint: JointFunctional, max_word_len: int) -> _SweepTable:
     """The sweep's words of 1..max_word_len letters, cut into segments by
     ``joint``'s product and embedded by ``kind``, built once per reduction
     kind, product kind and length; the structure does not depend on the
-    states.  A word extends its prefix by one letter, and its image is the
-    prefix's image times the letter's."""
+    states, and the words are those of every kind over the same letters.
+    A word's image is its prefix's image times its last letter's."""
     key = (kind, joint.kind, max_word_len)
     if key in _SWEEP_TABLES:
         return _SWEEP_TABLES[key]
     signatures = sweep_signatures(kind)
     n = len(signatures)
-    alphabet = [(f, (name,), _letter(kind, n, f, name, degree))
-                for f, sig in enumerate(signatures) for name, degree in sig.generators]
+    letters = [(f, name, degree) for f, sig in enumerate(signatures) for name, degree in sig.generators]
+    words = _sweep_words(tuple((f, (name,)) for f, name, _ in letters), max_word_len)
+    letter_images = [_letter(kind, n, f, name, degree) for f, name, degree in letters]
     cut = joint._root.segments
-    interned, distinct_segments, distinct_slots = {}, {}, [{} for _ in signatures]
-    words, tensor_signs, signs = [], bytearray(), bytearray()
+    distinct_segments, distinct_slots = {}, [{} for _ in signatures]
+    tensor_signs, signs = bytearray(), bytearray()
     indices, positions, ends = tuple(array("I") for _ in signatures), array("I"), array("I")
     # Words, images and segments are built in loops of their own, so that what
     # a trial reads lies close together in memory; interleaved, trials slowed.
-    layer, images = [()], [_unit(kind, n)]
+    images = [_unit(kind, n)]
     for _ in range(max_word_len):
-        # itertools.product order: the last letter varies fastest
-        longer = []
-        for word in layer:
-            for factor, letter, _ in alphabet:
-                if word and word[-1][0] == factor:
-                    head, block = word[:-1], (factor, word[-1][1] + letter)
-                else:
-                    head, block = word, (factor, letter)
-                longer.append(head + (interned.setdefault(block, block),))
-        images = [_times(kind, image, letter_image) for image in images for _, _, letter_image in alphabet]
-        words += longer
-        layer = longer
+        images = [_times(kind, image, letter_image) for image in images for letter_image in letter_images]
         for negative, slots in images:
             tensor_signs.append(negative)
             for slot, distinct, index in zip(slots, distinct_slots, indices):
@@ -340,7 +357,7 @@ def _sweep_table(kind: ReductionKind, joint: JointFunctional, max_word_len: int)
         positions.extend(distinct_segments.setdefault(pair, len(distinct_segments)) for pair in pairs)
         ends.append(len(positions))
     table = _SWEEP_TABLES[key] = _SweepTable(
-        tuple(words), bytes(tensor_signs), tuple(map(tuple, distinct_slots)), indices,
+        words, bytes(tensor_signs), tuple(map(tuple, distinct_slots)), indices,
         bytes(signs), tuple(distinct_segments), positions, ends,
     )
     return table

@@ -61,3 +61,27 @@ def count_view_builds(monkeypatch):
 
     monkeypatch.setattr(moments, "_canonical_letters", counting)
     return builds
+
+
+def count_fills(monkeypatch):
+    """Patch the trusted build that every state with entries computed on
+    first read (every pullback) is made by; returns a list of (state, ranks),
+    one per such state, ``ranks`` the ranks its fill computed, in order."""
+    fills = []
+    build = moments.MomentFunctional._from_dense.__func__
+
+    def counting(cls, algebra, max_degree, dense, fill=None):
+        if fill is None:
+            return build(cls, algebra, max_degree, dense)
+        ranks = []
+
+        def counted(rank):
+            ranks.append(rank)
+            return fill(rank)
+
+        state = build(cls, algebra, max_degree, dense, counted)
+        fills.append((state, ranks))
+        return state
+
+    monkeypatch.setattr(moments.MomentFunctional, "_from_dense", classmethod(counting))
+    return fills

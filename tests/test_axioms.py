@@ -26,7 +26,7 @@ from ncindep import (
 )
 from ncindep.axioms import _MOMENT_PALETTE
 from ncindep.rational import ONE, ZERO, as_rational
-from conftest import A1, A2, G1, N1, count_view_builds
+from conftest import A1, A2, G1, N1, count_fills, count_view_builds
 
 NAMED = (
     ProductKind.TENSOR,
@@ -94,6 +94,21 @@ def test_functoriality_builds_no_letter_keyed_views(monkeypatch):
         report = run_axiom_suite(Axiom.FUNCTORIALITY, kind, seed=11, trials=1, max_word_len=6)
         assert report.passed and report.checked, kind
     assert builds == []
+
+
+def test_functoriality_computes_only_the_pulled_entries_it_reads(monkeypatch):
+    """A trial at word length 6 pulls back two states to degree 6, 126 or
+    127 entries each, and its words read a few of them: only those are
+    computed, each once."""
+    fills = count_fills(monkeypatch)
+    for kind in NAMED + (ProductKind.FERMI,):
+        fills.clear()
+        report = run_axiom_suite(Axiom.FUNCTORIALITY, kind, seed=11, trials=1, max_word_len=6)
+        assert report.passed and report.checked, kind
+        assert len(fills) == 2, kind
+        for state, ranks in fills:
+            assert len(state._dense) >= 126 and 1 <= len(ranks) <= 16, (kind, ranks)
+            assert len(set(ranks)) == len(ranks), (kind, ranks)
 
 
 def test_degenerate_keeps_the_structural_conditions():
@@ -302,7 +317,9 @@ def test_random_states_draw_as_a_choice_loop(signature):
     types, leave the generator where the loop leaves it, and so hand the
     same stream on to a homomorphism drawn next."""
     source = AlgebraSignature("B1", signature.unital, (("u", signature.generators[0][1]), ("v", 0)))
-    for max_degree in (0, 1, 2, 5, 9):
+    # degree 12 over two generators is a functoriality target: 8,190 draws,
+    # in several batches
+    for max_degree in (0, 1, 2, 5, 9) + ((12,) if len(signature.generators) == 2 else ()):
         for seed in (0, 1, 7, 2024):
             rng, reference = random.Random(seed), random.Random(seed)
             table = gen_random_state(signature, max_degree, rng).letters_table

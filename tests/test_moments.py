@@ -1,6 +1,7 @@
 """Moment tables: evaluation, pullback, unitization, scaling, documents."""
 
 import json
+import random
 import time
 
 import pytest
@@ -270,14 +271,88 @@ def test_views_are_built_once_on_first_read(monkeypatch):
 
 
 def test_pullback_agrees_with_applying_the_homomorphism():
+    """Read in canonical order, read in a shuffled order and then completed:
+    every entry is phi on the monomial's image."""
     for signature in (A1, N1, G1):
         for seed in (5, 6, 7):
             phi = gen_random_state(signature, 8, seed)
             source = AlgebraSignature("B", signature.unital, (("u", signature.generators[0][1]), ("v", 0)))
             hom = gen_random_homomorphism(source, signature, seed, max_image_letters=2)
             pulled = pullback(phi, hom)
-            for monomial in all_monomials(source, pulled.max_degree):
-                assert pulled(monomial) == eval_functional(phi, hom.apply_monomial(monomial))
+            monomials = list(all_monomials(source, pulled.max_degree))
+            expected = [eval_functional(phi, hom.apply_monomial(monomial)) for monomial in monomials]
+            for monomial, value in zip(monomials, expected):
+                assert pulled(monomial) == value
+            shuffled = pullback(phi, hom)
+            order = list(zip(monomials, expected))
+            random.Random(seed).shuffle(order)
+            for monomial, value in order[: len(order) // 3]:
+                assert shuffled.value_of_letters(monomial.letters) == value
+            assert list(shuffled.letters_table.values()) == expected
+            assert [shuffled(monomial) for monomial in monomials] == expected
+
+
+def _partly_read_pullbacks():
+    """Pairs of equal pullbacks of degree-8 states over each regime, the
+    first with a few entries read, the second completed before any read."""
+    for signature in (A1, N1, G1, G3):
+        for seed in (8, 9):
+            phi = gen_random_state(signature, 8, seed)
+            degrees = tuple(degree for _, degree in signature.generators[:2])
+            source = AlgebraSignature("B", signature.unital, (("u", degrees[0]), ("v", degrees[1])))
+            hom = gen_random_homomorphism(source, signature, seed)
+            partial, full = pullback(phi, hom), pullback(phi, hom)
+            full._complete()
+            for monomial in random.Random(seed).sample(list(all_monomials(source, partial.max_degree)), 5):
+                partial(monomial)
+            yield partial, full
+
+
+@pytest.mark.parametrize("reader", [
+    state_to_json,
+    lambda phi: phi.is_even,
+    lambda phi: state_to_json(_graded(phi)),
+    lambda phi: state_to_json(unitize(phi)) if not phi.unital else None,
+    lambda phi: state_to_json(scale(phi, "-3/5")) if not phi.unital else None,
+    lambda phi: state_to_json(pullback(phi, Homomorphism.identity(phi.algebra))),
+], ids=["document", "is_even", "graded", "unitize", "scale", "pullback"])
+def test_partly_read_pullbacks_read_whole_as_complete_ones(reader):
+    for partial, full in _partly_read_pullbacks():
+        assert reader(partial) == reader(full), partial
+
+
+def test_an_error_in_a_fill_reaches_the_reader():
+    """A lookup error raised while computing an entry is not taken for a
+    monomial outside the table."""
+    def broken(rank):
+        raise KeyError("fill of rank %d" % rank)
+
+    phi = MomentFunctional._from_dense(X, 1, [ONE, None, None], broken)
+    for read in (lambda: phi.value_of_letters(("y",)), lambda: phi(mono(X, "y"))):
+        with pytest.raises(KeyError, match="fill of rank 2"):
+            read()
+
+
+def test_pullbacks_of_even_states_are_even_without_the_walk():
+    """Images keep each generator's degree, so pulling back an even state
+    gives an even one: preset, and equal to the walk over the completed
+    table.  A state that is not even leaves the walk to decide."""
+    for signature in (G1, G3):
+        source = AlgebraSignature("B", True, (("u", 1), ("v", 0), ("w", 1)))
+        for seed in (0, 1, 2):
+            phi = gen_random_state(signature, 6, seed)
+            hom = gen_random_homomorphism(source, signature, seed)
+            pulled = pullback(phi, hom)
+            assert pulled._even is True and pulled.is_even
+            walked = MomentFunctional._from_dense(source, pulled.max_degree, pulled._complete())
+            assert walked.is_even and _by_monomials(pulled)
+    odd = total_state(G1, 4, {"a": "1/2", "a b": "1/3", "b": 2})
+    source = AlgebraSignature("B", True, (("u", 1), ("v", 0)))
+    hom = Homomorphism(source, G1, {"u": poly(mono(G1, "a")), "v": poly(mono(G1, "b b"))})
+    pulled = pullback(odd, hom)
+    assert pulled._even is None
+    assert not pulled.is_even and pulled._even is False
+    assert pulled(mono(source, "u")) == as_rational("1/2")
 
 
 # ---------------------------------------------------------------------------

@@ -339,6 +339,18 @@ def test_sweep_words_are_the_enumerated_words(kind):
         assert len({id(block) for block in blocks}) == len(set(blocks))
 
 
+def test_sweep_tables_share_one_word_list_per_length():
+    """Every kind sweeps the words over a, b, x, y: its table holds the one
+    word list of the length, under each product."""
+    for length in range(1, 6):
+        tables = [_sweep_table(kind, zero_joint(kind, length), length) for kind in ReductionKind]
+        for kind in M_KINDS:
+            wrong = JointFunctional([total_state(sig, length) for sig in sweep_signatures(kind)],
+                                    ProductKind.TENSOR)
+            tables.append(_sweep_table(kind, wrong, length))
+        assert all(table.words is tables[0].words for table in tables), length
+
+
 @pytest.mark.parametrize("kind", list(ReductionKind), ids=lambda kind: kind.value)
 def test_sweep_images_are_the_embedded_words(kind):
     """Each cached image, a sign and a distinct slot per factor, rebuilds
