@@ -301,6 +301,15 @@ def check_word_len(max_word_len: int) -> None:
         raise ValueError("max_word_len must be at most %d" % MAX_WORD_LEN)
 
 
+def _trial_generators(seed: int, trials: int, max_word_len: int):
+    """The generator of each trial, derived from (seed, trial index) alone,
+    after checking ``trials`` and ``max_word_len`` before any work."""
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    check_word_len(max_word_len)
+    return (random.Random(seed * 1_000_003 + trial) for trial in range(trials))
+
+
 def run_axiom_suite(
     axiom: Axiom,
     kind,
@@ -314,9 +323,7 @@ def run_axiom_suite(
         raise TypeError("axiom must be an Axiom")
     if not isinstance(kind, (ProductKind, QDeformed)):
         raise TypeError("kind must be a ProductKind or QDeformed")
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    check_word_len(max_word_len)
+    generators = _trial_generators(seed, trials, max_word_len)
     if axiom is Axiom.UNIT_LAW and not admits_unital(kind):
         raise RegimeMismatch("the unit law applies to unital kinds (tensor, free, fermi)")
     if axiom is Axiom.MIRROR and kind not in _MIRROR:
@@ -324,8 +331,8 @@ def run_axiom_suite(
     runner = _TRIAL_RUNNERS[axiom]
     failures = []
     checked = 0
-    for trial in range(trials):
-        count, found = _failures(*runner(kind, random.Random(seed * 1_000_003 + trial), max_word_len))
+    for rng in generators:
+        count, found = _failures(*runner(kind, rng, max_word_len))
         checked += count
         failures.extend(found)
     return AxiomReport(axiom, kind, seed, trials, tuple(failures), checked)

@@ -16,10 +16,10 @@ the test suite over randomly generated spaces rather than assumed.
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
 from .errors import StateDocumentError
+from .moments import _read_document
 from .rational import ONE, Rational, ZERO, as_rational, format_rational, parse_rational
 
 
@@ -209,6 +209,8 @@ def variable_to_json(variable: RandomVariable) -> dict:
 def variable_from_json(domain: FiniteProbSpace, doc) -> RandomVariable:
     if not isinstance(doc, dict) or not isinstance(doc.get("map"), dict):
         raise StateDocumentError("variable document must be an object with a 'map'")
+    if any(isinstance(label, (list, dict)) for label in doc["map"].values()):
+        raise StateDocumentError("variable labels must not be arrays or objects")
     try:
         return RandomVariable(domain, dict(doc["map"]))
     except ValueError as exc:
@@ -216,18 +218,8 @@ def variable_from_json(domain: FiniteProbSpace, doc) -> RandomVariable:
 
 
 def load_space(path: str) -> FiniteProbSpace:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise StateDocumentError("invalid JSON in %s: %s" % (path, exc)) from None
-    return space_from_json(doc)
+    return space_from_json(_read_document(path))
 
 
 def load_variable(path: str, domain: FiniteProbSpace) -> RandomVariable:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise StateDocumentError("invalid JSON in %s: %s" % (path, exc)) from None
-    return variable_from_json(domain, doc)
+    return variable_from_json(domain, _read_document(path))

@@ -279,11 +279,10 @@ def main(argv=None) -> int:
     except StateDocumentError as exc:
         _emit_error("document", str(exc), {})
         return 2
-    except FileNotFoundError as exc:
-        _emit_error("document", "file not found: %s" % exc.filename, {"path": str(exc.filename)})
-        return 2
-    except json.JSONDecodeError as exc:
-        _emit_error("document", str(exc), {})
+    except OSError as exc:
+        # a missing file, or one that cannot be read or written, such as a directory
+        message = "file not found" if isinstance(exc, FileNotFoundError) else exc.strerror
+        _emit_error("document", "%s: %s" % (message, exc.filename), {"path": str(exc.filename)})
         return 2
     except DegreeExceeded as exc:
         _emit_error("degree", str(exc), {"max_degree": exc.max_degree})

@@ -81,10 +81,10 @@ class MomentFunctional:
     algebras map the unit to 1.  The constructor validates its table; the
     library's own lists skip that through :meth:`_from_dense`.  A list may
     hold ``None`` at entries not computed yet, with a fill that computes
-    an entry from its rank (as :func:`pullback` returns): a lookup computes
-    and stores the entry it reads, and the whole-table readers (the views,
-    :attr:`is_even`, :func:`unitize`, :func:`scale`, grading and a further
-    pullback) first complete the list in canonical order through
+    an entry from its rank (as :func:`pullback` and :func:`scale` return):
+    a lookup computes and stores the entry it reads, and the whole-table
+    readers (the views, :attr:`is_even`, :func:`unitize`, grading and a
+    further pullback) first complete the list in canonical order through
     :meth:`_complete`.  Evenness (vanishing on odd monomials of a graded
     algebra) is not forced; operations that need it check :attr:`is_even`.
     """
@@ -194,12 +194,13 @@ class MomentFunctional:
             rank += offsets[len(letters)]
         except LookupError:
             return None
-        dense = self._dense
-        if rank >= len(dense):
-            return None
-        value = dense[rank]
+        return self._at(rank) if rank < len(self._dense) else None
+
+    def _at(self, rank) -> Rational:
+        """The entry at ``rank``, computed on its first read."""
+        value = self._dense[rank]
         if value is None:
-            value = dense[rank] = self._fill(rank)
+            value = self._dense[rank] = self._fill(rank)
         return value
 
     def __call__(self, monomial: Monomial) -> Rational:
@@ -330,14 +331,16 @@ def scale(phi: MomentFunctional, coeff) -> MomentFunctional:
     """Multiply every moment by a nonzero rational (non-unital regime only).
 
     Scaling a unital functional would break the unit normalization, so it
-    is rejected there.
+    is rejected there.  Each entry is computed on its first read, from
+    phi's entry at the same rank.
     """
     coeff = as_rational(coeff)
     if coeff == ZERO:
         raise ValueError("scaling coefficient must be nonzero")
     if phi.unital:
         raise RegimeMismatch("cannot scale a unital functional")
-    return MomentFunctional._from_dense(phi.algebra, phi.max_degree, [value * coeff for value in phi._complete()])
+    return MomentFunctional._from_dense(phi.algebra, phi.max_degree, [None] * len(phi._dense),
+                                       lambda rank: phi._at(rank) * coeff)
 
 
 def _graded(phi: MomentFunctional) -> MomentFunctional:
@@ -377,8 +380,10 @@ def signature_from_json(doc) -> AlgebraSignature:
         raise StateDocumentError("malformed algebra block: %s" % exc) from exc
     if not isinstance(unital, bool):
         raise StateDocumentError("algebra field 'unital' must be a boolean")
-    if any(isinstance(degree, bool) for _, degree in generators):
-        raise StateDocumentError("generator degrees must be 0 or 1, not booleans")
+    if not all(isinstance(text, str) for text in (name, *(gen for gen, _ in generators))):
+        raise StateDocumentError("algebra and generator names must be strings")
+    if any(type(degree) is not int or degree not in (0, 1) for _, degree in generators):
+        raise StateDocumentError("generator degrees must be the integer 0 or 1")
     try:
         return AlgebraSignature(name, unital, generators)
     except ValueError as exc:
@@ -429,13 +434,21 @@ def state_from_json(doc) -> MomentFunctional:
         raise StateDocumentError(str(exc)) from exc
 
 
-def load_state(path) -> MomentFunctional:
+def _read_document(path):
+    """The JSON value in the file at ``path``.  A file that does not decode
+    (bytes that are not UTF-8, text that is not JSON, an integer past the
+    interpreter's digit bound, nesting past its recursion bound) raises
+    :class:`StateDocumentError`; a file that cannot be opened raises
+    ``OSError``."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise StateDocumentError("%s: %s" % (path, exc)) from exc
-    return state_from_json(doc)
+            return json.load(handle)
+        except (ValueError, RecursionError) as exc:
+            raise StateDocumentError("%s: %s" % (path, exc)) from None
+
+
+def load_state(path) -> MomentFunctional:
+    return state_from_json(_read_document(path))
 
 
 def dump_state(phi: MomentFunctional, path=None) -> str:

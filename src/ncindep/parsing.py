@@ -17,7 +17,7 @@ number at most MAX_DIGITS digits.
 
 from __future__ import annotations
 
-from .algebra import Monomial, Polynomial, Word, single_block_word
+from .algebra import Monomial, Polynomial, Word, normalize_word
 from .errors import ExpressionError
 from .rational import ONE, Rational, as_rational, format_rational
 
@@ -98,34 +98,35 @@ class _Parser:
         return self.advance()
 
     def parse(self) -> Polynomial:
-        total = self.term()
+        terms = [self.term()]
         while True:
             kind, value, offset = self.peek()
             if kind == _END:
-                return total
+                return Polynomial(terms)
             if kind == _SYMBOL and value == "+":
                 self.advance()
-                total = total + self.term()
+                terms.append(self.term())
                 continue
             raise ExpressionError("expected '+' or end of input", offset)
 
-    def term(self) -> Polynomial:
+    def term(self):
+        """A term as a (word, coefficient) pair, its blocks normalized once."""
         coeff = ONE
         kind, value, _ = self.peek()
         if kind == _NUMBER or (kind == _SYMBOL and value == "-"):
             coeff = self.coefficient()
             self.expect_symbol("*")
-        poly = Polynomial.from_word(self.factor_word())
+        blocks = [self.factor_block()]
         while True:
             kind, value, offset = self.peek()
             if kind == _SYMBOL and value == "*":
                 self.advance()
-                poly = poly * Polynomial.from_word(self.factor_word())
+                blocks.append(self.factor_block())
             elif kind == _IDENT:
-                poly = poly * Polynomial.from_word(self.factor_word())
+                blocks.append(self.factor_block())
             else:
                 break
-        return poly.scaled(coeff)
+        return normalize_word(blocks), coeff
 
     def coefficient(self) -> Rational:
         negative = False
@@ -151,7 +152,7 @@ class _Parser:
             result = result / as_rational(denominator)
         return -result if negative else result
 
-    def factor_word(self) -> Word:
+    def factor_block(self):
         kind, name, offset = self.peek()
         if kind != _IDENT:
             raise ExpressionError("expected an algebra name", offset)
@@ -183,7 +184,7 @@ class _Parser:
         self.letters += power
         if self.letters > MAX_LETTERS:
             raise ExpressionError("an expression may have at most %d letters" % MAX_LETTERS, offset)
-        return single_block_word(index, Monomial(signature, (generator,) * power))
+        return index, Monomial(signature, (generator,) * power)
 
 
 def parse_expression(text: str, factors) -> Polynomial:

@@ -54,7 +54,7 @@ from typing import Sequence
 
 from .algebra import Monomial, Polynomial, Word
 from .errors import RegimeMismatch
-from .moments import MomentFunctional
+from .moments import MomentFunctional, scale
 from .rational import ONE, Rational, ZERO, as_rational, format_rational, parse_rational, product
 
 
@@ -146,20 +146,6 @@ class _Leaf:
     def eval_blocks(self, blocks) -> Rational:
         # a normal-form word over one factor has exactly one block
         return self.phi.value_of_letters(blocks[0][1]) if blocks else ONE
-
-
-class _Scaled:
-    """A child's values multiplied by a scalar, as in a q-deformed node."""
-
-    __slots__ = ("inner", "coeff", "owned")
-
-    def __init__(self, inner, coeff):
-        self.inner = inner
-        self.coeff = coeff
-        self.owned = inner.owned
-
-    def eval_blocks(self, blocks) -> Rational:
-        return self.coeff * self.inner.eval_blocks(blocks)
 
 
 class _Node:
@@ -298,12 +284,8 @@ class _Free(_Node):
         return value
 
 
-def _node(kind, children, odd=None):
+def _node(kind: ProductKind, children, odd=None):
     """One product node over children in factor order."""
-    if isinstance(kind, QDeformed):
-        inv = ONE / kind.q
-        inner = _node(kind.base, [_Scaled(child, inv) for child in children])
-        return _Scaled(inner, kind.q)
     if kind in _SPLITS:
         return _Padding(kind, children, odd)
     return (_Free if kind is ProductKind.FREE else _Degenerate)(children)
@@ -314,6 +296,16 @@ def admits_unital(kind) -> bool:
     tensor products do; the boolean, monotone, anti-monotone, degenerate and
     every q-deformed product need the non-unital regime."""
     return kind in (ProductKind.TENSOR, ProductKind.FREE, ProductKind.FERMI)
+
+
+def _deformed(kind, factors):
+    """(q, base kind, factors): a q-deformed product is q times its base
+    product of the factors scaled by 1/q, each distinct factor scaled once;
+    any other kind is itself with q = 1 and the factors unchanged."""
+    if not isinstance(kind, QDeformed):
+        return ONE, kind, factors
+    scaled = {phi: scale(phi, ONE / kind.q) for phi in dict.fromkeys(factors)}
+    return kind.q, kind.base, tuple(map(scaled.__getitem__, factors))
 
 
 def _check_regime(kind, factors):
@@ -335,11 +327,11 @@ class JointFunctional:
 
     ``bracketing`` selects the evaluator tree when there are more than two
     factors.  ``None`` (the default) joins every factor in one node, for
-    every kind; a q-deformed kind joins the factors, scaled by 1/q, in one
-    node of its base kind and scales the result by q.  ``"left"`` and
-    ``"right"`` nest two-child nodes to that side, which the associativity
-    law compares; a free node inverts a composite side's own values for its
-    cumulants.  Evaluation caches are internal and never change observable
+    every kind.  ``"left"`` and ``"right"`` nest two-child nodes to that
+    side, which the associativity law compares; a free node inverts a
+    composite side's own values for its cumulants.  A q-deformed kind builds
+    the tree of its base kind over the factors scaled by 1/q and scales its
+    values by q.  Evaluation caches are internal and never change observable
     results.
     """
 
@@ -352,22 +344,24 @@ class JointFunctional:
         _check_regime(kind, factors)
         self.factors = factors
         self.kind = kind
+        q, base, leaves = _deformed(kind, factors)
         odd = None
-        if kind is ProductKind.FERMI:
+        if base is ProductKind.FERMI:
             odd = [
                 frozenset(name for name, degree in phi.algebra.generators if degree)
                 for phi in factors
             ]
-        nodes = [_Leaf(phi, index) for index, phi in enumerate(factors)]
+        nodes = [_Leaf(phi, index) for index, phi in enumerate(leaves)]
         if bracketing is None:
-            root = _node(kind, nodes, odd)
+            root = _node(base, nodes, odd)
         elif bracketing == "left":
-            root = reduce(lambda left, right: _node(kind, (left, right), odd), nodes)
+            root = reduce(lambda left, right: _node(base, (left, right), odd), nodes)
         elif bracketing == "right":
-            root = reduce(lambda right, left: _node(kind, (left, right), odd), reversed(nodes))
+            root = reduce(lambda right, left: _node(base, (left, right), odd), reversed(nodes))
         else:
             raise ValueError("bracketing must be None, 'left', or 'right'")
         self._root = root
+        self._q = q if isinstance(kind, QDeformed) else None
 
     def _validate(self, word: Word):
         n = len(self.factors)
@@ -388,7 +382,8 @@ class JointFunctional:
             raise RegimeMismatch(
                 "the empty word is the unit, which the non-unital regime lacks"
             )
-        return self._root.eval_blocks(tuple((f, m.letters) for f, m in word.blocks))
+        value = self._root.eval_blocks(tuple((f, m.letters) for f, m in word.blocks))
+        return value if self._q is None else self._q * value
 
     __call__ = evaluate
 
@@ -605,9 +600,8 @@ def sum_moment(kind, states: Sequence[MomentFunctional], order: int, generators=
     factor outermost and anti-monotone sums with the later one, and
     degenerate sums add the summands' own moments.  Fermi sums convolve
     the even summands binomially and the odd ones with q = -1 binomial
-    coefficients, then the two groups binomially.  :class:`QDeformed`
-    kinds scale every summand's moments by 1/q, sum them under the base
-    kind and scale the result by q.
+    coefficients, then the two groups binomially.  A :class:`QDeformed`
+    kind sums under its base kind, as the joint functional evaluates.
 
     The transforms run on integers over a common denominator D of all the
     moments: m_k enters as m_k D^k.  This is exact because every
@@ -642,16 +636,11 @@ def sum_moment(kind, states: Sequence[MomentFunctional], order: int, generators=
     summands = list(zip(states, names))
     letters = {(phi, name): Monomial(phi.algebra, (name,)) for phi, name in summands}
     _check_regime(kind, states)
+    q, kind, scaled = _deformed(kind, [phi for phi, _ in letters])
     moments = {
-        (phi, name): [phi(Monomial(phi.algebra, letter.letters * k)) for k in range(1, order + 1)]
-        for (phi, name), letter in letters.items()
+        (phi, name): [summand(Monomial(phi.algebra, (name,) * k)) for k in range(1, order + 1)]
+        for (phi, name), summand in zip(letters, scaled)
     }
-    q = ONE
-    if isinstance(kind, QDeformed):
-        # as the joint functional: scale the summands by 1/q, sum them
-        # under the base kind, and scale the sum by q
-        q, kind = kind.q, kind.base
-        moments = {summand: [m / q for m in row] for summand, row in moments.items()}
     denominator = math.lcm(*(m.denominator for row in moments.values() for m in row))
     powers = [denominator**k for k in range(order + 1)]
     rows = {

@@ -48,17 +48,15 @@ are compared as integers.
 from __future__ import annotations
 
 import math
-import random
 from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
-from .algebra import AlgebraSignature, Monomial, Word
-from .axioms import check_word_len, gen_random_state
-from .errors import RegimeMismatch
+from .algebra import Monomial, Word
+from .axioms import _signatures, _trial_generators, gen_random_state
 from .moments import MomentFunctional, _graded
-from .products import JointFunctional, ProductKind
+from .products import JointFunctional, ProductKind, _check_regime
 from .rational import ONE, Rational
 
 
@@ -199,11 +197,7 @@ class ReducedState:
     p both valued 1."""
 
     def __init__(self, kind: ReductionKind, phi: MomentFunctional):
-        if kind is ReductionKind.FERMI:
-            if not phi.is_even:
-                raise RegimeMismatch("the fermi reduction needs an even functional")
-        elif phi.unital:
-            raise RegimeMismatch("%s reduction needs the non-unital regime" % kind.value)
+        _check_regime(kind.product_kind, (phi,))
         self.kind = kind
         self.phi = phi
 
@@ -260,18 +254,10 @@ def verify_reduction(kind: ReductionKind, factors: Sequence[MomentFunctional], w
 
 
 def sweep_signatures(kind: ReductionKind):
-    """The two-factor signatures used by seeded verification sweeps: graded
-    unital algebras (one odd, one even generator each) for fermi, ungraded
-    non-unital ones otherwise."""
-    if kind is ReductionKind.FERMI:
-        return (
-            AlgebraSignature.make("A1", (("a", 1), ("b", 0)), unital=True),
-            AlgebraSignature.make("A2", (("x", 1), ("y", 0)), unital=True),
-        )
-    return (
-        AlgebraSignature.make("A1", ("a", "b"), unital=False),
-        AlgebraSignature.make("A2", ("x", "y"), unital=False),
-    )
+    """The two-factor signatures used by seeded verification sweeps: the
+    axiom suite's for the reduced product, graded unital algebras (one odd,
+    one even generator each) for fermi, ungraded non-unital ones otherwise."""
+    return _signatures(2, kind.product_kind)
 
 
 class _SweepTable(NamedTuple):
@@ -381,14 +367,11 @@ def reduction_sweep(kind: ReductionKind, seed: int, trials: int, max_word_len: i
     failures) where failures lists (states, word, check) triples.
     Deterministic for a given seed.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    check_word_len(max_word_len)
+    generators = _trial_generators(seed, trials, max_word_len)
     signatures = sweep_signatures(kind)
     checked = 0
     failures = []
-    for trial in range(trials):
-        rng = random.Random(seed * 1_000_003 + trial)
+    for rng in generators:
         states = [gen_random_state(sig, max_word_len, rng) for sig in signatures]
         graded = [_graded(phi) for phi in states]
         joint = JointFunctional(graded, kind.product_kind)

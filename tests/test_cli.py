@@ -1,10 +1,16 @@
 """The command-line surface: outputs, exit codes, and error documents."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncindep import AlgebraSignature, FiniteProbSpace, RandomVariable
 from ncindep.classical import space_to_json, variable_to_json
@@ -474,7 +480,10 @@ def test_missing_state_file_is_a_document_error(capsys, pair_files):
         capsys, "eval", "--product", "boolean", "--state", s1, "/nowhere.json", "--expr", "A1.a"
     )
     assert code == 2
-    assert error_doc(err)["code"] == "document"
+    doc = error_doc(err)
+    assert doc["code"] == "document"
+    assert doc["message"] == "file not found: /nowhere.json"
+    assert doc["context"] == {"path": "/nowhere.json"}
 
 
 def test_malformed_state_file_is_a_document_error(capsys, tmp_path):
@@ -563,6 +572,142 @@ def test_json_booleans_are_document_errors(capsys, tmp_path, field):
     )
     assert code == 2
     assert error_doc(err)["code"] == "document"
+
+
+@pytest.mark.parametrize("command", ["eval", "unitize-in", "unitize-out", "classical"])
+def test_a_directory_for_a_file_is_a_document_error(capsys, tmp_path, pair_files, command):
+    s1, _ = pair_files
+    folder = str(tmp_path)
+    argv = {
+        "eval": ["eval", "--product", "boolean", "--state", folder, "--expr", "A1.a"],
+        "unitize-in": ["state", "unitize", "--state", folder],
+        "unitize-out": ["state", "unitize", "--state", s1, "--out", folder],
+        "classical": ["classical", "independence", "--space", folder, "--x", s1, "--y", s1],
+    }[command]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    doc = error_doc(err)
+    assert doc["code"] == "document" and doc["context"] == {"path": folder}
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}",
+    b'{"max_degree": ' + b"7" * 5000 + b"}",
+    b"[" * 100_000 + b"]" * 100_000,
+], ids=["not-utf-8", "5000-digit-integer", "deep-nesting"])
+@pytest.mark.parametrize("command", ["eval", "classical"])
+def test_a_document_that_does_not_decode_is_a_document_error(capsys, tmp_path, content, command):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    argv = (["eval", "--product", "boolean", "--state", str(path), "--expr", "A1.a"] if command == "eval"
+            else ["classical", "independence", "--space", str(path), "--x", str(path), "--y", str(path)])
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert error_doc(err)["code"] == "document"
+
+
+@pytest.mark.parametrize("path, value", [
+    (("generators", 0, "degree"), None),
+    (("generators", 0, "degree"), 0.5),
+    (("generators", 0, "degree"), "1"),
+    (("generators", 0, "degree"), 1.0),
+    (("name",), ["A1"]),
+    (("name",), None),
+])
+def test_algebra_fields_of_the_wrong_json_type_are_document_errors(capsys, tmp_path, path, value):
+    doc = json.loads(dump_state(total_state(P1, 1, {"a": 1})))
+    *inner, last = path
+    target = doc["algebra"]
+    for key in inner:
+        target = target[key]
+    target[last] = value
+    state = tmp_path / "typed.json"
+    state.write_text(json.dumps(doc))
+    code, _, err = run(
+        capsys, "eval", "--product", "boolean", "--state", str(state), "--expr", "A1.a"
+    )
+    assert code == 2
+    assert error_doc(err)["code"] == "document"
+
+
+@pytest.mark.parametrize("name", [True, 7])
+def test_generator_names_that_are_not_strings_are_document_errors(capsys, tmp_path, name):
+    # read through str(), true would name a generator "True"
+    doc = {
+        "algebra": {"name": "A1", "unital": False, "generators": [{"name": name, "degree": 0}]},
+        "max_degree": 1,
+        "moments": {str(name): "1"},
+    }
+    state = tmp_path / "named.json"
+    state.write_text(json.dumps(doc))
+    code, _, err = run(
+        capsys, "eval", "--product", "boolean", "--state", str(state), "--expr", "A1.%s" % name
+    )
+    assert code == 2
+    assert error_doc(err)["code"] == "document"
+
+
+@pytest.mark.parametrize("label", [["h"], {"h": 1}])
+def test_variable_labels_that_are_arrays_or_objects_are_document_errors(capsys, coin_files, tmp_path, label):
+    variable = tmp_path / "labels.json"
+    variable.write_text(json.dumps({"map": {"h": label, "t": "t"}}))
+    code, _, err = run(
+        capsys, "classical", "independence",
+        "--space", coin_files["coin"], "--x", str(variable), "--y", coin_files["identity"],
+    )
+    assert code == 2
+    assert error_doc(err)["code"] == "document"
+
+
+# Every field of a two-generator state document, as a path of keys.
+_FIELDS = (
+    (), ("algebra",), ("algebra", "name"), ("algebra", "unital"), ("algebra", "generators"),
+    ("algebra", "generators", 0), ("algebra", "generators", 0, "name"),
+    ("algebra", "generators", 1, "degree"), ("max_degree",), ("moments",),
+    ("moments", ""), ("moments", "a"), ("moments", "a b"),
+)
+_BIG = "__big_integer__"  # written out as a 5,000-digit JSON integer
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(_FIELDS),
+                  st.sampled_from([None, 0.5, "x", [], [1, "a"], {}, {"k": None}, _BIG])),
+        min_size=1, max_size=3,
+    ),
+    st.sampled_from(["tensor", "free", "boolean", "q:free:2", "fermi"]),
+)
+def test_mutated_state_documents_never_escape_main(replacements, product):
+    """Each replacement sets one field to a value of another JSON type; the
+    tool answers with a documented exit code and, on error, one JSON line."""
+    doc = json.loads(dump_state(total_state(G1, 2, {"b": "1/2", "a a": 1})))
+    for path, value in replacements:
+        if not path:
+            doc = value
+            continue
+        target = doc
+        try:
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier replacement removed the field
+    text = json.dumps(doc).replace(json.dumps(_BIG), "9" * 5000)
+    # the body runs once per example, so it makes its own file and output
+    # buffers rather than take function-scoped fixtures
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "state.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["eval", "--product", product, "--state", path, "--expr", "A1.a A1.b"])
+    assert code in (0, 2, 3)
+    if code:
+        error_doc(stderr.getvalue())
+    else:
+        assert stderr.getvalue() == ""
 
 
 def test_unknown_product_label_is_a_usage_error(capsys, pair_files):

@@ -30,7 +30,7 @@ from ncindep import (
 )
 from ncindep.moments import _graded, dump_state, load_state
 from ncindep.rational import ONE, ZERO, as_rational
-from conftest import A1, G1, N1, count_view_builds, mono, total_state
+from conftest import A1, G1, N1, count_fills, count_view_builds, mono, total_state
 
 G3 = AlgebraSignature("A3", True, (("a", 1), ("b", 1), ("c", 0)))
 
@@ -398,6 +398,22 @@ def test_scale_multiplies_every_entry():
 def test_scale_round_trips():
     phi = total_state(XN, 2, {"x": "5/7", "x x": "-2"})
     assert scale(scale(phi, "3/4"), "4/3").table == phi.table
+
+
+def test_scale_computes_only_the_entries_it_is_asked_for(monkeypatch):
+    fills = count_fills(monkeypatch)
+    rng = random.Random(5)
+    phi = gen_random_state(N1, 12, rng)
+    pulled = pullback(phi, gen_random_homomorphism(N1, N1, rng), max_degree=6)
+    scaled = scale(pulled, "-1/3")
+    monomials = [mono(N1, "a b a"), mono(N1, "b"), mono(N1, "a b a")]
+    values = [scaled(m) for m in monomials]
+    assert values == [pulled(m) * as_rational("-1/3") for m in monomials]
+    (pulled_state, pulled_ranks), (scaled_state, scaled_ranks) = fills
+    assert (pulled_state, scaled_state) == (pulled, scaled)
+    # each of the two distinct monomials is computed once, in both states
+    assert pulled_ranks == scaled_ranks and len(scaled_ranks) == 2
+    assert scaled_state._dense.count(None) == len(scaled_state._dense) - 2
 
 
 def test_scale_rejects_unital_and_zero():

@@ -14,7 +14,7 @@ from ncindep import (
     normalize_word,
     parse_expression,
 )
-from ncindep.parsing import MAX_DIGITS, word_sort_key
+from ncindep.parsing import MAX_DIGITS, MAX_LETTERS, word_sort_key
 from ncindep.rational import ONE, as_rational
 
 E1 = AlgebraSignature("A1", True, (("x", 0), ("y", 0)))
@@ -117,6 +117,26 @@ def test_numbers_past_the_digit_bound_are_rejected_at_their_offset():
     top = "9" * MAX_DIGITS
     assert parse("0" + top + "/00" + top + " * A1.x") == parse("A1.x")
     assert parse("0" * 5000 + "3 * A1.x^" + "0" * 5000 + "2") == parse("3 * A1.x A1.x")
+
+
+def test_each_term_is_normalized_once(monkeypatch):
+    """An expression of MAX_LETTERS alternating letters in four terms builds
+    four words, one normalize_word call each, whatever the terms' length."""
+    import ncindep.parsing as parsing
+
+    calls = []
+
+    def counted(blocks):
+        calls.append(len(blocks))
+        return normalize_word(blocks)
+
+    monkeypatch.setattr(parsing, "normalize_word", counted)
+    term = " ".join(["A1.x A2.b"] * (MAX_LETTERS // 8))
+    other = "A1.y " + term[5:]
+    poly = parse(" + ".join(["2 * " + term, other, "-1 * " + term, term]))
+    assert calls == [MAX_LETTERS // 4] * 4
+    assert sorted(poly.terms.values()) == [ONE, as_rational(2)]
+    assert {word.num_blocks for word in poly.terms} == {MAX_LETTERS // 4}
 
 
 def test_trailing_garbage_is_rejected():

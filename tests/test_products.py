@@ -2,6 +2,7 @@
 q-deformed families, the centering oracle, and graded tensor values."""
 
 import functools
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -28,8 +29,9 @@ from ncindep import (
     parse_kind_label,
     sum_moment,
 )
+from ncindep.parsing import format_word
 from ncindep.products import admits_unital
-from ncindep.rational import ONE, ZERO, as_rational
+from ncindep.rational import ONE, ZERO, as_rational, format_rational
 from conftest import A1, A2, A3, G1, G2, N1, N2, N3, mono, total_state
 
 # Single-generator factors so the worked fixtures read like the formulas.
@@ -702,3 +704,32 @@ def test_identical_summands_are_transformed_once(monkeypatch, kind, transform):
         if len(states) <= 5:
             letters = [Monomial(sig, ("x",))] * len(states)
             assert value == _sum_by_words(kind, states, letters, 4)
+
+
+# ---------------------------------------------------------------------------
+# q-deformed values, pinned bit for bit
+
+Q_DIGEST = "9f9d24fcd0c24668a3dbab475f6e2a3ddf74d175ffaa07659d6e9590e50afaa6"
+
+
+def test_q_deformed_values_are_pinned_bit_for_bit():
+    """Every q-deformed base at q in {2, -1/3, 1}, under every bracketing of
+    three seeded non-unital factors on every word of up to 4 letters, and
+    its sums of orders 1 to 6 over 1 and over 3 summands."""
+    rng = random.Random(15)
+    factors = [gen_random_state(sig, 4, rng) for sig in (N1, N2, N3)]
+    summands = [gen_random_state(AlgebraSignature("S%d" % i, False, (("x", 0),)), 6, rng) for i in range(3)]
+    words = list(enumerate_words([N1, N2, N3], 4))
+    lines = []
+    for base in (ProductKind.TENSOR, ProductKind.FREE, ProductKind.BOOLEAN):
+        for q in ("2", "-1/3", "1"):
+            kind = QDeformed(base, as_rational(q))
+            for bracketing in (None, "left", "right"):
+                joint = JointFunctional(factors, kind, bracketing=bracketing)
+                lines += ["%s %s %s %s" % (kind_label(kind), bracketing, format_word(word),
+                                           format_rational(joint.evaluate(word))) for word in words]
+            for states in (summands[:1], summands):
+                lines += ["%s sum %d %d %s" % (kind_label(kind), len(states), order,
+                                               format_rational(sum_moment(kind, states, order)))
+                          for order in range(1, 7)]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == Q_DIGEST
