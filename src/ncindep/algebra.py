@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import RegimeMismatch
-from .rational import ONE, Rational, ZERO, as_rational
+from .rational import ONE, Rational, as_rational
 
 
 @dataclass(frozen=True)
@@ -216,20 +216,24 @@ def normalize_word(blocks: Iterable[tuple[int, Monomial]]) -> Word:
     valid :class:`Word`; normalizing twice is the identity.
     """
     out: list[tuple[int, Monomial]] = []
+    runs: dict[int, list] = {}  # position in out -> the letters merged onto its block
     for factor, monomial in blocks:
         factor = int(factor)
         if monomial.is_unit:
             continue
         if out and out[-1][0] == factor:
-            previous = out[-1][1]
-            if previous.algebra != monomial.algebra:
+            first = out[-1][1]
+            if first.algebra != monomial.algebra:
                 raise ValueError(
                     "factor %d is used for two different algebras (%r and %r)"
-                    % (factor, previous.algebra.name, monomial.algebra.name)
+                    % (factor, first.algebra.name, monomial.algebra.name)
                 )
-            out[-1] = (factor, Monomial(previous.algebra, previous.letters + monomial.letters))
+            runs.setdefault(len(out) - 1, []).extend(monomial.letters)
         else:
             out.append((factor, monomial))
+    for position, rest in runs.items():
+        factor, first = out[position]
+        out[position] = factor, Monomial(first.algebra, first.letters + tuple(rest))
     return Word(tuple(out))
 
 
@@ -253,6 +257,19 @@ def single_block_word(factor: int, monomial: Monomial) -> Word:
     return Word(((factor, monomial),))
 
 
+def _collect(terms) -> dict:
+    """The word-to-coefficient dict of (word, exact coefficient) pairs: the
+    coefficients of equal words summed, and words whose sum is zero dropped."""
+    acc: dict[Word, Rational] = {}
+    for word, coeff in terms:
+        total = acc[word] + coeff if word in acc else coeff
+        if total:
+            acc[word] = total
+        else:
+            acc.pop(word, None)
+    return acc
+
+
 class Polynomial:
     """A finite rational linear combination of normal-form words.
 
@@ -264,21 +281,15 @@ class Polynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=()):
-        acc: dict[Word, Rational] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
-        for word, coeff in items:
-            coeff = as_rational(coeff)
-            if not coeff:
-                continue
-            if word in acc:
-                total = acc[word] + coeff
-                if total:
-                    acc[word] = total
-                else:
-                    del acc[word]
-            else:
-                acc[word] = coeff
-        self._terms = acc
+        self._terms = _collect((word, as_rational(coeff)) for word, coeff in items)
+
+    @classmethod
+    def _collected(cls, terms) -> "Polynomial":
+        """Trusted build from (word, exact coefficient) pairs."""
+        result = cls.__new__(cls)
+        result._terms = _collect(terms)
+        return result
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -311,16 +322,7 @@ class Polynomial:
     __hash__ = None  # mutating dicts inside; value-hashing is never needed
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        acc = dict(self._terms)
-        for word, coeff in other._terms.items():
-            total = acc.get(word, ZERO) + coeff
-            if total:
-                acc[word] = total
-            else:
-                acc.pop(word, None)
-        result = Polynomial.__new__(Polynomial)
-        result._terms = acc
-        return result
+        return Polynomial._collected(itertools.chain(self._terms.items(), other._terms.items()))
 
     def __neg__(self) -> "Polynomial":
         return self.scaled(-ONE)
@@ -330,28 +332,15 @@ class Polynomial:
 
     def scaled(self, coeff) -> "Polynomial":
         coeff = as_rational(coeff)
-        result = Polynomial.__new__(Polynomial)
-        if not coeff:
-            result._terms = {}
-        else:
-            result._terms = {w: c * coeff for w, c in self._terms.items()}
-        return result
+        return Polynomial._collected((w, c * coeff) for w, c in self._terms.items())
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return self.scaled(other)
-        acc: dict[Word, Rational] = {}
-        for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                word = normalize_word(w1.blocks + w2.blocks)
-                total = acc.get(word, ZERO) + c1 * c2
-                if total:
-                    acc[word] = total
-                else:
-                    acc.pop(word, None)
-        result = Polynomial.__new__(Polynomial)
-        result._terms = acc
-        return result
+        return Polynomial._collected(
+            (normalize_word(w1.blocks + w2.blocks), c1 * c2)
+            for w1, c1 in self._terms.items() for w2, c2 in other._terms.items()
+        )
 
     def __rmul__(self, coeff):
         return self.scaled(coeff)
@@ -443,15 +432,10 @@ class Homomorphism:
 
 def _retag(polynomial: Polynomial, factor: int) -> Polynomial:
     """Move a single-factor polynomial onto the given free-product factor."""
-    acc = []
-    for word, coeff in polynomial.items():
-        if word.is_empty:
-            acc.append((EMPTY_WORD, coeff))
-        else:
-            _, monomial = word.blocks[0]
-            acc.append((Word(((factor, monomial),)), coeff))
-    result = Polynomial(acc)
-    return result
+    return Polynomial._collected(
+        (Word(((factor, word.blocks[0][1]),)) if word.blocks else EMPTY_WORD, coeff)
+        for word, coeff in polynomial.items()
+    )
 
 
 def apply_homomorphism(homomorphisms: Sequence[Homomorphism], word: Word) -> Polynomial:

@@ -39,7 +39,6 @@ from .algebra import (
     Monomial,
     Polynomial,
     _canonical_letters,
-    all_monomials,
 )
 from .errors import DegreeExceeded, RegimeMismatch, StateDocumentError
 from .rational import ONE, Rational, ZERO, as_rational, format_rational
@@ -99,30 +98,26 @@ class MomentFunctional:
         # the validating body, apart from __init__ so that it can be wrapped
         if self.max_degree < 0:
             raise ValueError("max_degree must be nonnegative")
-        clean = dict(self._table)
-        for monomial, value in clean.items():
+        values = {}
+        for monomial, value in self._table.items():
             if monomial.algebra != self.algebra:
                 raise ValueError("table entry %r is not over %r" % (monomial, self.algebra.name))
             if len(monomial) > self.max_degree:
                 raise ValueError("table entry %r exceeds max_degree %d" % (monomial, self.max_degree))
-            clean[monomial] = as_rational(value)
-        # entries are distinct, over the algebra, and within the bound, so a
-        # count match proves totality.  g generators give at least D
-        # monomials, and at least 2^D when g > 1, so a D too large for the
-        # count fails before any work in D; a table that falls short misses
-        # one of its first len(clean) + 1 monomials.
-        width, count = len(self.algebra.generators), len(clean)
-        deep = width and self.max_degree > (count if width == 1 else count.bit_length())
-        if deep or count != _layout(self.algebra, self.max_degree)[1][-1]:
-            for monomial in all_monomials(self.algebra, self.max_degree):
-                if monomial not in clean:
-                    raise ValueError("moment table is missing %r" % (monomial,))
-        self._layout = _layout(self.algebra, self.max_degree)
-        digit = self._layout[0].__getitem__  # canonical order: by length, then by digits
-        order = sorted(clean.items(), key=lambda item: (len(item[0].letters), list(map(digit, item[0].letters))))
-        self._dense = [value for _, value in order]
+            try:
+                values[monomial.letters] = as_rational(value)
+            except (TypeError, ValueError) as exc:
+                raise type(exc)("bad moment value for %r: %s" % (" ".join(monomial.letters), exc)) from exc
+        # the entries are distinct monomials within the bound, so the walk in
+        # canonical order stops at the first one missing, if any, within
+        # len(values) + 1 steps whatever the bound
+        try:
+            self._dense = [values[letters] for letters in _canonical_letters(self.algebra, self.max_degree)]
+        except KeyError as missing:
+            raise ValueError("moment table is missing %r" % (Monomial(self.algebra, missing.args[0]),)) from None
         if self.algebra.unital and self._dense[0] != ONE:
             raise ValueError("a unital functional must send the unit to 1")
+        self._layout = _layout(self.algebra, self.max_degree)
         self._table = self._letters = self._even = self._fill = None
 
     @classmethod
@@ -149,11 +144,15 @@ class MomentFunctional:
 
     @classmethod
     def from_entries(cls, algebra: AlgebraSignature, max_degree: int, entries) -> "MomentFunctional":
-        """Build from a mapping of letter tuples (or space-joined strings)."""
+        """Build from a mapping of letter tuples (or space-joined strings) to
+        values; an error over a key or its value names the key."""
         table = {}
         for key, value in entries.items():
             letters = tuple(key.split()) if isinstance(key, str) else tuple(key)
-            table[Monomial(algebra, letters)] = as_rational(value)
+            try:
+                table[Monomial(algebra, letters)] = value
+            except (ValueError, RegimeMismatch) as exc:
+                raise type(exc)("bad moment key %r: %s" % (key, exc)) from exc
         return cls(algebra, max_degree, table)
 
     @property
@@ -415,22 +414,12 @@ def state_from_json(doc) -> MomentFunctional:
     moments = doc["moments"]
     if not isinstance(moments, dict):
         raise StateDocumentError("moments must be an object")
-    table = {}
     for key, value in moments.items():
-        letters = tuple(key.split())
-        try:
-            monomial = Monomial(signature, letters)
-        except (ValueError, RegimeMismatch) as exc:
-            raise StateDocumentError("bad moment key %r: %s" % (key, exc)) from exc
         if not isinstance(value, (str, int)) or isinstance(value, bool):
             raise StateDocumentError("moment %r must be a string or integer" % key)
-        try:
-            table[monomial] = as_rational(value)
-        except ValueError as exc:
-            raise StateDocumentError("bad moment value for %r: %s" % (key, exc)) from exc
     try:
-        return MomentFunctional(signature, max_degree, table)
-    except ValueError as exc:
+        return MomentFunctional.from_entries(signature, max_degree, moments)
+    except (ValueError, RegimeMismatch) as exc:
         raise StateDocumentError(str(exc)) from exc
 
 

@@ -229,6 +229,36 @@ def test_polynomial_zero_terms_drop():
     assert not (Polynomial.from_word(w) - Polynomial.from_word(w))
 
 
+_POOL = [EMPTY_WORD] + [normalize_word(blocks(*pairs)) for pairs in (
+    ((0, "a"),), ((1, "x"),), ((0, "a"), (1, "x")), ((1, "x"), (0, "a")), ((0, "a b"),),
+)]
+_TERMS = st.lists(
+    st.tuples(st.sampled_from(_POOL), st.fractions(min_value=-2, max_value=2, max_denominator=2)),
+    max_size=8,
+)
+
+
+def _summed(pairs):
+    """The brute-force reference: summed coefficients, zeros dropped."""
+    acc = {}
+    for word, coeff in pairs:
+        acc[word] = acc.get(word, 0) + coeff
+    return {word: coeff for word, coeff in acc.items() if coeff}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_TERMS, _TERMS, st.integers(-2, 2))
+def test_polynomial_arithmetic_matches_a_brute_force_dict(first, second, k):
+    p, q = Polynomial(first), Polynomial(second)
+    assert p.terms == _summed(first) and Polynomial(dict(first)).terms == _summed(dict(first).items())
+    assert (p + q).terms == _summed(first + second)
+    assert (p - q).terms == _summed(first + [(w, -c) for w, c in second])
+    assert p.scaled(k).terms == (k * p).terms == _summed((w, c * k) for w, c in first)
+    assert (p * q).terms == _summed(
+        (concat_words(w1, w2), c1 * c2) for w1, c1 in first for w2, c2 in second
+    )
+
+
 def test_polynomial_multiplication_concatenates_words():
     p = Polynomial.from_word(normalize_word(blocks((0, "a"),)))
     q = Polynomial.from_word(normalize_word(blocks((0, "b"), (1, "x"))))

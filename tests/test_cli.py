@@ -1,6 +1,7 @@
 """The command-line surface: outputs, exit codes, and error documents."""
 
 import contextlib
+import copy
 import io
 import json
 import os
@@ -684,13 +685,13 @@ def test_mutated_state_documents_never_escape_main(replacements, product):
     doc = json.loads(dump_state(total_state(G1, 2, {"b": "1/2", "a a": 1})))
     for path, value in replacements:
         if not path:
-            doc = value
+            doc = copy.deepcopy(value)
             continue
         target = doc
         try:
             for key in path[:-1]:
                 target = target[key]
-            target[path[-1]] = value
+            target[path[-1]] = copy.deepcopy(value)
         except (KeyError, IndexError, TypeError):
             pass  # an earlier replacement removed the field
     text = json.dumps(doc).replace(json.dumps(_BIG), "9" * 5000)
@@ -704,6 +705,61 @@ def test_mutated_state_documents_never_escape_main(replacements, product):
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(["eval", "--product", product, "--state", path, "--expr", "A1.a A1.b"])
     assert code in (0, 2, 3)
+    if code:
+        error_doc(stderr.getvalue())
+    else:
+        assert stderr.getvalue() == ""
+
+
+# Fields of the space, x and y documents of two coin tosses, as a document
+# and a path of keys.
+_CLASSICAL_FIELDS = (
+    ("space", ()), ("space", ("outcomes",)), ("space", ("outcomes", 0)), ("space", ("weights",)),
+    ("space", ("weights", "hh")), ("x", ()), ("x", ("map",)), ("x", ("map", "hh")),
+    ("y", ("map",)), ("y", ("map", "tt")),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(_CLASSICAL_FIELDS),
+                  st.sampled_from([None, 0.5, "x", "h", "1/3", [], [1, "a"], {}, {"k": None}, _BIG])),
+        min_size=1, max_size=3,
+    )
+)
+def test_mutated_space_and_variable_documents_never_escape_main(replacements):
+    """As the state-document fuzz, over the three documents that
+    `classical independence` reads."""
+    quarter = as_rational("1/4")
+    product = FiniteProbSpace(("hh", "ht", "th", "tt"), {o: quarter for o in ("hh", "ht", "th", "tt")})
+    docs = {
+        "space": space_to_json(product),
+        "x": variable_to_json(RandomVariable(product, {o: o[0] for o in product.outcomes})),
+        "y": variable_to_json(RandomVariable(product, {o: o[1] for o in product.outcomes})),
+    }
+    for (name, path), value in replacements:
+        if not path:
+            docs[name] = copy.deepcopy(value)
+            continue
+        target = docs[name]
+        try:
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = copy.deepcopy(value)
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier replacement removed the field
+    argv = ["classical", "independence"]
+    with tempfile.TemporaryDirectory() as folder:
+        for name, doc in docs.items():
+            path = os.path.join(folder, "%s.json" % name)
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(json.dumps(doc).replace(json.dumps(_BIG), "9" * 5000))
+            argv += ["--" + name, path]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    assert code in (0, 1, 2)
     if code:
         error_doc(stderr.getvalue())
     else:

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import time
 
 import pytest
@@ -28,7 +29,8 @@ from ncindep import (
     state_to_json,
     unitize,
 )
-from ncindep.moments import _graded, dump_state, load_state
+from ncindep.algebra import _canonical_letters
+from ncindep.moments import _graded, dump_state, load_state, signature_to_json
 from ncindep.rational import ONE, ZERO, as_rational
 from conftest import A1, G1, N1, count_fills, count_view_builds, mono, total_state
 
@@ -74,6 +76,38 @@ def test_moment_table_must_be_total():
     table = {Monomial(X, ()): ONE, Monomial(X, ("x",)): ONE}
     with pytest.raises(ValueError):
         MomentFunctional(X, 1, table)  # "y" missing
+
+
+def test_a_table_missing_several_entries_names_the_first_in_canonical_order():
+    table = {m: ONE for m in all_monomials(X, 3)}
+    for text in ("y y x", "x y", "y x x"):
+        del table[mono(X, text)]
+    entries = list(table.items())
+    random.Random(5).shuffle(entries)
+    with pytest.raises(ValueError, match=r"^moment table is missing X\[x y\]$"):
+        MomentFunctional(X, 3, dict(entries))
+
+
+@pytest.mark.parametrize(
+    "algebra,key,value,error,message",
+    [
+        (X, "x z", "1", ValueError, "bad moment key 'x z': unknown generator 'z'"),
+        (X, ("x", "z"), "1", ValueError, "bad moment key ('x', 'z'): unknown generator 'z'"),
+        (XN, "", "1", RegimeMismatch, "bad moment key '': empty monomial is illegal"),
+        (X, "x y", "1/x", ValueError, "bad moment value for 'x y': not a rational literal"),
+        (X, "y", 0.5, TypeError, "bad moment value for 'y': refusing to coerce float"),
+    ],
+)
+def test_bad_keys_and_values_name_the_key(algebra, key, value, error, message):
+    moments = {" ".join(letters): "0" for letters in _canonical_letters(algebra, 2)}
+    if algebra.unital:
+        moments[""] = "1"
+    with pytest.raises(error, match="^" + re.escape(message)):
+        MomentFunctional.from_entries(algebra, 2, {**moments, key: value})
+    if isinstance(key, str) and not isinstance(value, float):  # what a JSON document can hold
+        doc = {"algebra": signature_to_json(algebra), "max_degree": 2, "moments": {**moments, key: value}}
+        with pytest.raises(StateDocumentError, match="^" + re.escape(message)):
+            state_from_json(doc)
 
 
 def test_unit_entry_must_be_one():

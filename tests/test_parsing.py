@@ -139,6 +139,27 @@ def test_each_term_is_normalized_once(monkeypatch):
     assert {word.num_blocks for word in poly.terms} == {MAX_LETTERS // 4}
 
 
+def test_a_run_of_one_factor_is_merged_once(monkeypatch):
+    """A thousand one-letter blocks of one factor make one merged Monomial,
+    not one per merge, and a term of MAX_LETTERS letters of one factor
+    parses to one block."""
+    letter = Monomial(E1, ("x",))
+    built = []
+    check = Monomial.__post_init__
+
+    def counted(self):
+        built.append(self.letters)
+        check(self)
+
+    monkeypatch.setattr(Monomial, "__post_init__", counted)
+    word = normalize_word([(0, letter)] * 1000)
+    assert len(built) == 1
+    monkeypatch.undo()
+    assert word.blocks == ((0, Monomial(E1, ("x",) * 1000)),)
+    poly = parse(" ".join(["A1.x"] * MAX_LETTERS))
+    assert poly.terms == {normalize_word([(0, Monomial(E1, ("x",) * MAX_LETTERS))]): ONE}
+
+
 def test_trailing_garbage_is_rejected():
     with pytest.raises(ExpressionError):
         parse("A1.x )")
