@@ -34,6 +34,7 @@ odd, with random substitutions that keep each generator's degree.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -144,21 +145,37 @@ _TOP_BYTE_INDEX = bytes(byte >> _PALETTE_SHIFT for byte in range(256))
 _TOP_BYTE_REJECTED = bytes(range(len(_MOMENT_PALETTE) << _PALETTE_SHIFT, 256))
 
 
-def _palette_draws(rng: random.Random, count: int) -> list:
-    """``count`` palette entries, the ones ``count`` calls of
-    ``rng.choice(_MOMENT_PALETTE)`` would return.
+def _palette_indices(rng: random.Random, count: int) -> bytes:
+    """The palette indices of ``count`` draws, those of ``count`` calls of
+    ``rng.choice(_MOMENT_PALETTE)``.
 
     The generator words come in bulk, from ``getrandbits``, exactly as many
-    at a time as entries are still missing, so the generator never runs past
+    at a time as draws are still missing, so the generator never runs past
     the words the calls would use.  Written little-endian, word i's top byte
     is byte 4i + 3.
     """
-    draws: list = []
-    while len(draws) < count:
-        missing = count - len(draws)
+    indices = b""
+    while len(indices) < count:
+        missing = count - len(indices)
         tops = rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")[3::4]
-        draws += [_MOMENT_PALETTE[index] for index in tops.translate(_TOP_BYTE_INDEX, _TOP_BYTE_REJECTED)]
-    return draws
+        indices += tops.translate(_TOP_BYTE_INDEX, _TOP_BYTE_REJECTED)
+    return indices
+
+
+@functools.lru_cache(maxsize=64)
+def _draw_places(signature: AlgebraSignature, max_degree: int):
+    """(places, count): per rank past the unit, the index of its monomial's
+    draw, None at an odd monomial of a graded algebra (a range when no
+    monomial is odd), and the number of draws."""
+    flags = _parities(signature, max_degree)
+    if not flags:
+        count = _layout(signature, max_degree)[1][-1] - signature.unital
+        return range(count), count
+    places, count = [], 0
+    for odd in flags:
+        places.append(None if odd else count)
+        count += not odd
+    return places, count
 
 
 def gen_random_state(signature: AlgebraSignature, max_degree: int, seed) -> MomentFunctional:
@@ -166,20 +183,28 @@ def gen_random_state(signature: AlgebraSignature, max_degree: int, seed) -> Mome
     in [1, 8]; the unit gets 1, odd monomials of a graded algebra get 0.
     ``seed`` may be an integer or a ``random.Random``.
 
-    The moments are drawn in the canonical order of the monomials (as
-    :func:`~ncindep.algebra.all_monomials`), one palette entry per even
-    monomial, from the generator's ``getrandbits``: the table, and the
-    generator's state afterwards, are those of one ``rng.choice`` call per
-    even monomial."""
+    One palette entry is drawn per even monomial, in the canonical order of
+    the monomials (as :func:`~ncindep.algebra.all_monomials`), from the
+    generator's ``getrandbits``: the table, and the generator's state
+    afterwards, are those of one ``rng.choice`` call per even monomial.  The
+    draws are kept as palette indices, and each entry is made on its first
+    read, so a state read at a few monomials costs its draws and those
+    reads.  The state is even by construction."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    table = [ONE] if signature.unital else []
-    if not signature.graded:
-        table += _palette_draws(rng, _layout(signature, max_degree)[1][-1] - len(table))
-    else:
-        flags = _parities(signature, max_degree)
-        draws = iter(_palette_draws(rng, flags.count(False)))
-        table += [ZERO if flag else next(draws) for flag in flags]
-    return MomentFunctional._from_dense(signature, max_degree, table)
+    unit = int(signature.unital)
+    places, count = _draw_places(signature, max_degree)
+    indices = _palette_indices(rng, count)
+
+    def fill(rank):
+        place = places[rank - unit]
+        return ZERO if place is None else _MOMENT_PALETTE[indices[place]]
+
+    dense = [None] * (len(places) + unit)
+    if unit:
+        dense[0] = ONE
+    phi = MomentFunctional._from_dense(signature, max_degree, dense, fill)
+    phi._even = True
+    return phi
 
 
 def gen_random_word(signatures: Sequence[AlgebraSignature], max_letters: int, seed) -> Word:

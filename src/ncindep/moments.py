@@ -80,12 +80,14 @@ class MomentFunctional:
     algebras map the unit to 1.  The constructor validates its table; the
     library's own lists skip that through :meth:`_from_dense`.  A list may
     hold ``None`` at entries not computed yet, with a fill that computes
-    an entry from its rank (as :func:`pullback` and :func:`scale` return):
-    a lookup computes and stores the entry it reads, and the whole-table
-    readers (the views, :attr:`is_even`, :func:`unitize`, grading and a
-    further pullback) first complete the list in canonical order through
-    :meth:`_complete`.  Evenness (vanishing on odd monomials of a graded
-    algebra) is not forced; operations that need it check :attr:`is_even`.
+    an entry from its rank (as :func:`pullback`, :func:`scale` and
+    :func:`~ncindep.axioms.gen_random_state` return): a lookup computes and
+    stores the entry it reads, a further pullback or scaling reads its
+    entries the same way, and the whole-table readers (the views,
+    :attr:`is_even` over a graded algebra, :func:`unitize` and grading)
+    first complete the list in canonical order through :meth:`_complete`.
+    Evenness (vanishing on odd monomials of a graded algebra) is not forced;
+    operations that need it check :attr:`is_even`.
     """
 
     __slots__ = ("algebra", "max_degree", "_dense", "_fill", "_layout", "_table", "_letters", "_even")
@@ -145,14 +147,18 @@ class MomentFunctional:
     @classmethod
     def from_entries(cls, algebra: AlgebraSignature, max_degree: int, entries) -> "MomentFunctional":
         """Build from a mapping of letter tuples (or space-joined strings) to
-        values; an error over a key or its value names the key."""
-        table = {}
+        values; an error over a key or its value names the key, and two keys
+        that spell one monomial raise ``ValueError`` naming both."""
+        table, keys = {}, {}
         for key, value in entries.items():
             letters = tuple(key.split()) if isinstance(key, str) else tuple(key)
             try:
-                table[Monomial(algebra, letters)] = value
+                monomial = Monomial(algebra, letters)
             except (ValueError, RegimeMismatch) as exc:
                 raise type(exc)("bad moment key %r: %s" % (key, exc)) from exc
+            if monomial in keys:
+                raise ValueError("moment keys %r and %r name one monomial" % (keys[monomial], key))
+            keys[monomial], table[monomial] = key, value
         return cls(algebra, max_degree, table)
 
     @property
@@ -177,7 +183,8 @@ class MomentFunctional:
     def is_even(self) -> bool:
         """True when every odd-degree monomial up to D has moment 0."""
         if self._even is None:
-            flags, dense = _parities(self.algebra, self.max_degree), self._complete()  # flags past the unit
+            flags = _parities(self.algebra, self.max_degree)  # past the unit; none without odd generators
+            dense = self._complete() if flags else ()
             self._even = not any(itertools.compress(dense[len(dense) - len(flags):], flags))
         return self._even
 
@@ -251,11 +258,12 @@ def pullback(phi: MomentFunctional, hom: Homomorphism, max_degree=None) -> Momen
     longest image monomial fits under phi's bound), and to phi's own bound
     when every image is constant.  Requesting more raises
     ``DegreeExceeded``.  Past the unit, each entry is computed on its first
-    read, and all of them at once by the whole-table readers: a monomial's
-    image is its prefix's image times one generator's image, its monomials
-    kept as (length, rank in length), and each image computed is kept for
-    the monomials it prefixes until the table is complete.  The pullback of
-    an even phi is even, since images keep each generator's degree.
+    read, from the entries of phi it reads, and all of them at once by the
+    whole-table readers: a monomial's image is its prefix's image times one
+    generator's image, its monomials kept as (length, rank in length), and
+    each image computed is kept for the monomials it prefixes until the
+    table is complete.  The pullback of an even phi is even, since images
+    keep each generator's degree.
     """
     if hom.target != phi.algebra:
         raise ValueError("homomorphism does not land in the functional's algebra")
@@ -283,7 +291,7 @@ def pullback(phi: MomentFunctional, hom: Homomorphism, max_degree=None) -> Momen
         probe = Monomial(hom.source, names[:1] * min(max_degree, DegreeExceeded.SHOWN_LETTERS))
         raise DegreeExceeded(probe, feasible, length=max_degree)
     powers = [width**length for length in range(longest + 1)]
-    values = phi._complete()  # holds every image monomial: the images fit under its bound
+    at = phi._at  # every image monomial is in phi's table: the images fit under its bound
     # Counted with a unit at 0, as in a unital source, the monomial at node
     # r > 0 is the one at (r - 1) // g extended by generator (r - 1) % g.
     source_width, shift = len(names), int(not hom.source.unital)
@@ -304,7 +312,7 @@ def pullback(phi: MomentFunctional, hom: Homomorphism, max_degree=None) -> Momen
                     key = length + extra, position * powers[extra] + tail
                     out[key] = out.get(key, 0) + c1 * c2
             den, image = memo[node] = den * factor_den, {key: c for key, c in out.items() if c}
-        moments = [(c, values[offsets[length] + position]) for (length, position), c in image.items()]
+        moments = [(c, at(offsets[length] + position)) for (length, position), c in image.items()]
         common = math.lcm(*(v.denominator for _, v in moments))
         num = sum(c * v.numerator * (common // v.denominator) for c, v in moments)
         return Rational(num, common * den)

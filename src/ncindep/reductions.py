@@ -36,26 +36,33 @@ states.
 :func:`reduction_sweep` makes that check for every short word at once, from
 one table per reduction kind, product kind and length.  The table extends
 each word by one letter, so that a word's image is its prefix's image times
-one letter's, and holds each word's product segments and tensor slots; per
-pair of states each distinct segment and slot is valued once.  Each state
-phi is first replaced by phi_D, phi after the homomorphism that multiplies
-every generator by D, the lcm of phi's denominators, so that its moments are
+one letter's.  It stores ranks, not blocks: each product segment as the rank
+of its letters in its child's moment list, and each tensor slot as the ranks
+of the letter runs it is valued on.  Words with as many segments, as many
+runs and one sign bit (the product's sign times the image's) form a group,
+held as one column of ranks per segment and per run.  Each state phi is
+first replaced by phi_D, phi after the homomorphism that multiplies every
+generator by D, the lcm of phi's denominators, so that its moments are
 integers.  Both routes are natural under algebra homomorphisms, so this
-multiplies both values of a word by the same nonzero integer, and the routes
-are compared as integers.
+multiplies both values of a word by the same nonzero integer.  A group is
+then compared as two lists of integers, built column by column, and only
+the words on which they differ are valued again, one by one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial, reduce
 from typing import NamedTuple, Sequence
 
-from .algebra import Monomial, Word
+from .algebra import Monomial, Word, _canonical_letters
 from .axioms import _signatures, _trial_generators, gen_random_state
-from .moments import MomentFunctional, _graded
+from .moments import MomentFunctional, _graded, _layout
 from .products import JointFunctional, ProductKind, _check_regime
 from .rational import ONE, Rational
 
@@ -204,24 +211,19 @@ class ReducedState:
     def value(self, slot) -> Rational:
         """The slot's value; a slot without letters is the ``int`` 1, so
         that states with integer moments value every slot as an ``int``."""
-        if self.kind is ReductionKind.FERMI:
-            return self.phi.value_of_letters(slot.letters) if slot.letters else 1
-        return math.prod(map(self.phi.value_of_letters, _runs(tuple(slot))))
+        return math.prod(map(self.phi.value_of_letters, _slot_runs(self.kind, slot)))
 
     def __repr__(self):
         return "ReducedState(%s, %r)" % (self.kind.value, self.phi.algebra.name)
 
 
-def _runs(slot: tuple):
-    """The maximal letter runs of an M-reduction slot, split at p."""
-    start = 0
-    for end, entry in enumerate(slot):
-        if entry is _P:
-            if end > start:
-                yield slot[start:end]
-            start = end + 1
-    if len(slot) > start:
-        yield slot[start:]
+def _slot_runs(kind: ReductionKind, slot) -> tuple:
+    """The letter runs a reduced state values a slot by: a fermi slot's
+    letters, none for g alone, or an M-reduction slot's maximal letter runs,
+    split at p."""
+    if kind is ReductionKind.FERMI:
+        return (slot.letters,) if slot.letters else ()
+    return tuple(tuple(run) for letters, run in itertools.groupby(slot, lambda entry: entry is not _P) if letters)
 
 
 def tensor_value(states: Sequence[ReducedState], reduced: ReducedWord) -> Rational:
@@ -260,23 +262,28 @@ def sweep_signatures(kind: ReductionKind):
     return _signatures(2, kind.product_kind)
 
 
+class _SweepGroup(NamedTuple):
+    """The words of a sweep table with one shape: as many product segments,
+    as many tensor runs, and one sign bit, 1 when a word's Koszul sign and
+    its image's sign differ.  ``words`` holds their indices in the table,
+    ascending.  ``segments[i]`` holds each word's i-th segment, and
+    ``runs[i]`` its i-th run, as a place in the factors' moment lists laid
+    end to end: factor f's entry at rank r sits at f's offset plus r."""
+
+    words: array
+    negative: int
+    segments: tuple
+    runs: tuple
+
+
 class _SweepTable(NamedTuple):
     """The words of :func:`enumerate_words` over a kind's sweep signatures,
     in order, as bare block tuples ((factor, letters), ...) with equal blocks
-    one object, and their structure on both routes.  ``tensor_signs`` (the
-    images') and ``signs`` (the Koszul signs) hold a byte per word, 1 for -1.
-    ``slots[f]`` holds the distinct slots of factor f, ``indices[f]`` each
-    word's slot as a position in it; ``segments`` the distinct (child,
-    segment) pairs, word w's at ``positions[ends[w - 1]:ends[w]]``."""
+    one object, and their structure on both routes, as groups of one shape
+    in order of shape."""
 
     words: tuple
-    tensor_signs: bytes
-    slots: tuple
-    indices: tuple
-    signs: bytes
-    segments: tuple
-    positions: array
-    ends: array
+    groups: tuple
 
 
 # One table per reduction kind, product kind and length, and one word list
@@ -315,7 +322,9 @@ def _sweep_table(kind: ReductionKind, joint: JointFunctional, max_word_len: int)
     ``joint``'s product and embedded by ``kind``, built once per reduction
     kind, product kind and length; the structure does not depend on the
     states, and the words are those of every kind over the same letters.
-    A word's image is its prefix's image times its last letter's."""
+    A word's image is its prefix's image times its last letter's.  Segments
+    and runs are placed by their letters' rank in the tables of degree
+    max_word_len."""
     key = (kind, joint.kind, max_word_len)
     if key in _SWEEP_TABLES:
         return _SWEEP_TABLES[key]
@@ -324,29 +333,36 @@ def _sweep_table(kind: ReductionKind, joint: JointFunctional, max_word_len: int)
     letters = [(f, name, degree) for f, sig in enumerate(signatures) for name, degree in sig.generators]
     words = _sweep_words(tuple((f, (name,)) for f, name, _ in letters), max_word_len)
     letter_images = [_letter(kind, n, f, name, degree) for f, name, degree in letters]
-    cut = joint._root.segments
-    distinct_segments, distinct_slots = {}, [{} for _ in signatures]
-    tensor_signs, signs = bytearray(), bytearray()
-    indices, positions, ends = tuple(array("I") for _ in signatures), array("I"), array("I")
-    # Words, images and segments are built in loops of their own, so that what
-    # a trial reads lies close together in memory; interleaved, trials slowed.
-    images = [_unit(kind, n)]
+    places, offset = [], 0  # per factor, letter tuple -> place in the lists laid end to end
+    for sig in signatures:
+        places.append({run: offset + rank for rank, run in enumerate(_canonical_letters(sig, max_word_len))})
+        offset += _layout(sig, max_word_len)[1][-1]
+    images, layer = [], [_unit(kind, n)]
     for _ in range(max_word_len):
-        images = [_times(kind, image, letter_image) for image in images for letter_image in letter_images]
-        for negative, slots in images:
-            tensor_signs.append(negative)
-            for slot, distinct, index in zip(slots, distinct_slots, indices):
-                index.append(distinct.setdefault(slot, len(distinct)))
-    for word in words:
+        layer = [_times(kind, image, letter_image) for image in layer for letter_image in letter_images]
+        images += layer
+    cut = joint._root.segments
+    shapes: dict = {}  # (segment count, run count, sign bit) -> word indices, then one column per segment and run
+    for index, (word, (tensor_negative, slots)) in enumerate(zip(words, images)):
         negative, pairs = cut(word)
-        signs.append(negative)
-        positions.extend(distinct_segments.setdefault(pair, len(distinct_segments)) for pair in pairs)
-        ends.append(len(positions))
-    table = _SWEEP_TABLES[key] = _SweepTable(
-        words, bytes(tensor_signs), tuple(map(tuple, distinct_slots)), indices,
-        bytes(signs), tuple(distinct_segments), positions, ends,
-    )
+        # a leaf child's segment of a normal-form word is one block
+        segments = [places[k][segment[0][1]] for k, segment in pairs]
+        runs = [places[f][run] for f, slot in enumerate(slots) for run in _slot_runs(kind, slot)]
+        shape = (len(segments), len(runs), negative ^ tensor_negative)
+        if shape not in shapes:
+            shapes[shape] = [array("I") for _ in range(1 + len(segments) + len(runs))]
+        for column, value in zip(shapes[shape], (index, *segments, *runs)):
+            column.append(value)
+    groups = tuple(_SweepGroup(columns[0], negative, tuple(columns[1:1 + count]), tuple(columns[1 + count:]))
+                   for (count, _, negative), columns in sorted(shapes.items()))
+    table = _SWEEP_TABLES[key] = _SweepTable(words, groups)
     return table
+
+
+def _column_products(values: list, columns: tuple):
+    """Per word of a group, the product of the values its columns place."""
+    factors = [map(values.__getitem__, column) for column in columns]
+    return reduce(partial(map, operator.mul), factors)
 
 
 def reduction_sweep(kind: ReductionKind, seed: int, trials: int, max_word_len: int = 5):
@@ -354,15 +370,18 @@ def reduction_sweep(kind: ReductionKind, seed: int, trials: int, max_word_len: i
     valued by the product's rule and by the tensor route and compared
     exactly.  ``max_word_len`` runs from 1 to MAX_WORD_LEN.
 
-    The words, their product segments and their tensor slots come from one
-    table per kind and length.  Per trial each drawn state phi is replaced
-    by its D-graded form phi_D(w) = D^|w| phi(w), D the lcm of its
-    denominators, so that every moment is an integer.  Each distinct
-    segment and each distinct slot is valued once.  A word's product value
-    is its sign times its segments' values, its tensor value its sign times
-    its two slots' values.  Both carry the same factor, the product over the
-    factors f of D_f to the number of the word's letters from f, so integer
-    equality is exact rational equality.  A mismatch is valued again by
+    The words and their structure on both routes come from one table per
+    kind and length, in groups of words with as many segments, as many
+    tensor runs and one sign bit.  Per trial each drawn state phi is
+    replaced by its D-graded form phi_D(w) = D^|w| phi(w), D the lcm of its
+    denominators, so that every moment is an integer, and the graded lists
+    are laid end to end.  A group is valued column by column: the product
+    route is the list of its words' segment products, the tensor route the
+    list of their run products, negated when the sign bit is set, and the
+    two lists are compared whole.  Both routes carry the same factor, the
+    product over the factors f of D_f to the number of the word's letters
+    from f, so integer equality is exact rational equality.  The words on
+    which a group's lists differ are valued again, in word order, by
     :func:`verify_reduction` on the drawn states.  Returns (checked,
     failures) where failures lists (states, word, check) triples.
     Deterministic for a given seed.
@@ -375,20 +394,18 @@ def reduction_sweep(kind: ReductionKind, seed: int, trials: int, max_word_len: i
         states = [gen_random_state(sig, max_word_len, rng) for sig in signatures]
         graded = [_graded(phi) for phi in states]
         joint = JointFunctional(graded, kind.product_kind)
+        _check_regime(kind.product_kind, graded)  # the reduced states' regime
         table = _sweep_table(kind, joint, max_word_len)
-        words, tensor_signs, slots, indices, signs, segments, positions, ends = table
-        children = joint._root.children
-        values = [children[k].eval_blocks(segment) for k, segment in segments]
-        left, right = (list(map(ReducedState(kind, phi).value, factor_slots))
-                       for phi, factor_slots in zip(graded, slots))
-        start = 0
-        for blocks, end, negative, tensor_negative, i, j in zip(words, ends, signs, tensor_signs, *indices):
-            lhs = math.prod(map(values.__getitem__, positions[start:end]))
-            start = end
-            if negative != tensor_negative:
-                lhs = -lhs
-            if lhs != left[i] * right[j]:
-                word = Word(tuple((f, Monomial(signatures[f], letters)) for f, letters in blocks))
-                failures.append((states, word, verify_reduction(kind, states, word)))
-        checked += len(words)
+        values = [value for phi in graded for value in phi._dense]
+        differing = []
+        for group in table.groups:
+            lhs = list(_column_products(values, group.segments))
+            rhs = _column_products(values, group.runs)
+            rhs = list(map(operator.neg, rhs) if group.negative else rhs)
+            if lhs != rhs:
+                differing += itertools.compress(group.words, map(operator.ne, lhs, rhs))
+        for index in sorted(differing):
+            word = Word(tuple((f, Monomial(signatures[f], letters)) for f, letters in table.words[index]))
+            failures.append((states, word, verify_reduction(kind, states, word)))
+        checked += len(table.words)
     return checked, failures

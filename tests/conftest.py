@@ -65,8 +65,9 @@ def count_view_builds(monkeypatch):
 
 def count_fills(monkeypatch):
     """Patch the trusted build that every state with entries computed on
-    first read (every pullback) is made by; returns a list of (state, ranks),
-    one per such state, ``ranks`` the ranks its fill computed, in order."""
+    first read (every drawn state and every pullback) is made by; returns a
+    list of (state, ranks), one per such state, ``ranks`` the ranks its fill
+    computed, in order."""
     fills = []
     build = moments.MomentFunctional._from_dense.__func__
 
@@ -85,3 +86,17 @@ def count_fills(monkeypatch):
 
     monkeypatch.setattr(moments.MomentFunctional, "_from_dense", classmethod(counting))
     return fills
+
+
+def count_reads(monkeypatch):
+    """Patch the entry reader that every lookup of a state goes through;
+    returns a dict from each state read to the set of ranks read from it."""
+    reads = {}
+    read = moments.MomentFunctional._at
+
+    def counting(self, rank):
+        reads.setdefault(self, set()).add(rank)
+        return read(self, rank)
+
+    monkeypatch.setattr(moments.MomentFunctional, "_at", counting)
+    return reads

@@ -26,7 +26,7 @@ from ncindep import (
 )
 from ncindep.axioms import _MOMENT_PALETTE
 from ncindep.rational import ONE, ZERO, as_rational
-from conftest import A1, A2, G1, N1, count_fills, count_view_builds
+from conftest import A1, A2, G1, N1, count_fills, count_reads, count_view_builds
 
 NAMED = (
     ProductKind.TENSOR,
@@ -97,18 +97,22 @@ def test_functoriality_builds_no_letter_keyed_views(monkeypatch):
 
 
 def test_functoriality_computes_only_the_pulled_entries_it_reads(monkeypatch):
-    """A trial at word length 6 pulls back two states to degree 6, 126 or
-    127 entries each, and its words read a few of them: only those are
-    computed, each once."""
+    """A trial at word length 6 draws two target states of degree 12, 8,190
+    or 8,191 entries each, and pulls them back to degree 6, 126 or 127
+    entries each.  Its words read a few entries of each, and in each of the
+    four states exactly the entries read are computed, each once."""
     fills = count_fills(monkeypatch)
+    reads = count_reads(monkeypatch)
     for kind in NAMED + (ProductKind.FERMI,):
         fills.clear()
         report = run_axiom_suite(Axiom.FUNCTORIALITY, kind, seed=11, trials=1, max_word_len=6)
         assert report.passed and report.checked, kind
-        assert len(fills) == 2, kind
+        assert [len(state._dense) - state.unital for state, _ in fills] == [8190, 8190, 126, 126], kind
         for state, ranks in fills:
-            assert len(state._dense) >= 126 and 1 <= len(ranks) <= 16, (kind, ranks)
             assert len(set(ranks)) == len(ranks), (kind, ranks)
+            assert set(ranks) == reads[state], (kind, ranks)
+            assert 1 <= len(ranks) <= (64 if len(state._dense) > 8000 else 16), (kind, ranks)
+            assert state._dense.count(None) == len(state._dense) - len(ranks) - state.unital, kind
 
 
 def test_degenerate_keeps_the_structural_conditions():

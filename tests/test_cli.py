@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncindep import AlgebraSignature, FiniteProbSpace, RandomVariable
+from ncindep import AlgebraSignature, FiniteProbSpace, RandomVariable, gen_random_state
 from ncindep.classical import space_to_json, variable_to_json
-from ncindep.cli import CLT_WORK_BUDGET, _build_parser, main
+from ncindep.cli import CLT_WORK_BUDGET, MAX_FREE_RUNS, _build_parser, main
 from ncindep.moments import dump_state, load_state
 from ncindep.rational import as_rational
 from conftest import total_state
@@ -495,6 +495,38 @@ def test_malformed_state_file_is_a_document_error(capsys, tmp_path):
     )
     assert code == 2
     assert error_doc(err)["code"] == "document"
+
+
+def test_two_keys_of_one_moment_are_a_document_error(capsys, tmp_path, pair_files):
+    doc = json.loads(dump_state(total_state(P1, 2, {"a": "1/2"})))
+    doc["moments"][" a "] = "2"
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys, "eval", "--product", "boolean", "--state", str(path), pair_files[1], "--expr", "A1.a"
+    )
+    assert (code, out) == (2, "")
+    assert error_doc(err) == {
+        "code": "document", "message": "moment keys 'a' and ' a ' name one monomial", "context": {}}
+
+
+@pytest.mark.parametrize("product", ["free", "q:free:2"])
+def test_free_words_of_too_many_runs_are_refused_before_any_work(capsys, tmp_path, product):
+    """A 200-letter alternating word over two degree-3 states is refused at
+    the boundary, before the free recursion could run past the stack."""
+    paths = []
+    for signature, degree in ((P1, 3), (P2, 3), (P1, 12), (P2, 12)):
+        paths.append(str(tmp_path / ("s%d.json" % len(paths))))
+        dump_state(gen_random_state(signature, degree, len(paths)), paths[-1])
+    word = " ".join(("A1.a", "A2.b")[i % 2] for i in range(200))
+    code, out, err = run(capsys, "eval", "--product", product, "--state", *paths[:2], "--expr", word)
+    assert (code, out) == (2, "")
+    assert error_doc(err) == {"code": "usage", "context": {}, "message": (
+        "a word of 200 runs exceeds the free product's bound of %d runs" % MAX_FREE_RUNS)}
+    if product == "free":  # a word at the bound evaluates
+        word = " ".join(("A1.a", "A2.b")[i % 2] for i in range(MAX_FREE_RUNS))
+        code, out, err = run(capsys, "eval", "--product", product, "--state", *paths[2:], "--expr", word)
+        assert (code, err) == (0, "") and out.startswith(str(as_rational(out.split()[0])))
 
 
 def test_words_beyond_the_table_bound_are_degree_errors(capsys, pair_files):

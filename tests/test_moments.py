@@ -32,7 +32,7 @@ from ncindep import (
 from ncindep.algebra import _canonical_letters
 from ncindep.moments import _graded, dump_state, load_state, signature_to_json
 from ncindep.rational import ONE, ZERO, as_rational
-from conftest import A1, G1, N1, count_fills, count_view_builds, mono, total_state
+from conftest import A1, G1, N1, count_fills, count_reads, count_view_builds, mono, total_state
 
 G3 = AlgebraSignature("A3", True, (("a", 1), ("b", 1), ("c", 0)))
 
@@ -107,6 +107,21 @@ def test_bad_keys_and_values_name_the_key(algebra, key, value, error, message):
     if isinstance(key, str) and not isinstance(value, float):  # what a JSON document can hold
         doc = {"algebra": signature_to_json(algebra), "max_degree": 2, "moments": {**moments, key: value}}
         with pytest.raises(StateDocumentError, match="^" + re.escape(message)):
+            state_from_json(doc)
+
+
+@pytest.mark.parametrize("first,second", [("x", " x "), ("x x", "x  x"), (("x",), "x")])
+def test_two_keys_of_one_monomial_are_refused(first, second):
+    """Two keys that spell one monomial are two values for one moment: the
+    error names both keys, whichever value comes last."""
+    moments = {" ".join(letters): "0" for letters in _canonical_letters(XN, 2)}
+    moments.pop(first if isinstance(first, str) else " ".join(first))
+    message = "moment keys %r and %r name one monomial" % (first, second)
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        MomentFunctional.from_entries(XN, 2, {**moments, first: "1", second: "2"})
+    if isinstance(first, str):
+        doc = {"algebra": signature_to_json(XN), "max_degree": 2, "moments": {**moments, first: "1", second: "2"}}
+        with pytest.raises(StateDocumentError, match="^" + re.escape(message) + "$"):
             state_from_json(doc)
 
 
@@ -370,7 +385,8 @@ def test_an_error_in_a_fill_reaches_the_reader():
 def test_pullbacks_of_even_states_are_even_without_the_walk():
     """Images keep each generator's degree, so pulling back an even state
     gives an even one: preset, and equal to the walk over the completed
-    table.  A state that is not even leaves the walk to decide."""
+    table.  A state that is not even leaves the walk to decide, and a state
+    over an ungraded algebra needs no walk."""
     for signature in (G1, G3):
         source = AlgebraSignature("B", True, (("u", 1), ("v", 0), ("w", 1)))
         for seed in (0, 1, 2):
@@ -387,6 +403,9 @@ def test_pullbacks_of_even_states_are_even_without_the_walk():
     assert pulled._even is None
     assert not pulled.is_even and pulled._even is False
     assert pulled(mono(source, "u")) == as_rational("1/2")
+    # over an ungraded algebra no monomial is odd: evenness reads no entry
+    scaled = scale(pullback(gen_random_state(N1, 6, 3), gen_random_homomorphism(N1, N1, 3)), 2)
+    assert scaled._even is None and scaled.is_even and scaled._dense.count(None) == len(scaled._dense)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +454,11 @@ def test_scale_round_trips():
 
 
 def test_scale_computes_only_the_entries_it_is_asked_for(monkeypatch):
+    """Scaling a pullback of a drawn state and reading two monomials
+    computes two entries of the scaled and the pulled state, each once, and
+    of the drawn state exactly those the pulled entries read."""
     fills = count_fills(monkeypatch)
+    reads = count_reads(monkeypatch)
     rng = random.Random(5)
     phi = gen_random_state(N1, 12, rng)
     pulled = pullback(phi, gen_random_homomorphism(N1, N1, rng), max_degree=6)
@@ -443,11 +466,14 @@ def test_scale_computes_only_the_entries_it_is_asked_for(monkeypatch):
     monomials = [mono(N1, "a b a"), mono(N1, "b"), mono(N1, "a b a")]
     values = [scaled(m) for m in monomials]
     assert values == [pulled(m) * as_rational("-1/3") for m in monomials]
-    (pulled_state, pulled_ranks), (scaled_state, scaled_ranks) = fills
-    assert (pulled_state, scaled_state) == (pulled, scaled)
+    (drawn_state, drawn_ranks), (pulled_state, pulled_ranks), (scaled_state, scaled_ranks) = fills
+    assert (drawn_state, pulled_state, scaled_state) == (phi, pulled, scaled)
     # each of the two distinct monomials is computed once, in both states
     assert pulled_ranks == scaled_ranks and len(scaled_ranks) == 2
     assert scaled_state._dense.count(None) == len(scaled_state._dense) - 2
+    # the drawn state computes only the image monomials of those two, once
+    assert len(set(drawn_ranks)) == len(drawn_ranks) and set(drawn_ranks) == reads[phi]
+    assert 1 <= len(drawn_ranks) <= 2 * 4 ** 2 and drawn_state._dense.count(None) == len(phi._dense) - len(drawn_ranks)
 
 
 def test_scale_rejects_unital_and_zero():

@@ -3,6 +3,7 @@ ordinary tensor independence: embeddings, enlarged states, verification."""
 
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -351,52 +352,89 @@ def test_sweep_tables_share_one_word_list_per_length():
         assert all(table.words is tables[0].words for table in tables), length
 
 
+def table_places(kind, length):
+    """(factor, letters) at each place of the sweep's moment lists laid end
+    to end: each factor's monomials up to ``length``, in canonical order."""
+    return [(f, m.letters) for f, sig in enumerate(sweep_signatures(kind))
+            for m in all_monomials(sig, length)]
+
+
+def grouped_words(table):
+    """(group, word index, segment places, run places) for every word of a
+    sweep table, in word order; each word sits in exactly one group."""
+    found = []
+    for group in table.groups:
+        columns = group.segments + group.runs
+        assert all(len(column) == len(group.words) for column in columns)
+        assert list(group.words) == sorted(group.words)
+        for at, index in enumerate(group.words):
+            found.append((index, group, [c[at] for c in group.segments], [c[at] for c in group.runs]))
+    found.sort(key=lambda entry: entry[0])
+    assert [index for index, *_ in found] == list(range(len(table.words)))
+    return [(group, index, segments, runs) for index, group, segments, runs in found]
+
+
+def slot_runs(kind, slot):
+    """The letter runs of a slot: a fermi slot's letters (none for g
+    alone), or an M-reduction slot cut at each p."""
+    if kind is ReductionKind.FERMI:
+        return [slot.letters] if slot.letters else []
+    runs, run = [], []
+    for entry in slot + (P,):
+        if entry is P:
+            if run:
+                runs.append(tuple(run))
+            run = []
+        else:
+            run.append(entry)
+    return runs
+
+
 @pytest.mark.parametrize("kind", list(ReductionKind), ids=lambda kind: kind.value)
 def test_sweep_images_are_the_embedded_words(kind):
-    """Each cached image, a sign and a distinct slot per factor, rebuilds
-    the embedding of its enumerated word, and the sign times the slots'
-    values is the word's tensor value."""
+    """Each word's run columns place the letter runs of its embedding, slot
+    by slot, and its sign bit with the product's Koszul sign gives the
+    image's sign: the sign times the runs' values is the word's tensor
+    value."""
     signatures = sweep_signatures(kind)
     rng = random.Random(17)
     for length in range(1, 6):
-        table = _sweep_table(kind, zero_joint(kind, length), length)
-        signs, slots, indices = table.tensor_signs, table.slots, table.indices
-        assert all(len(set(factor_slots)) == len(factor_slots) for factor_slots in slots)
+        joint = zero_joint(kind, length)
+        table = _sweep_table(kind, joint, length)
+        places = table_places(kind, length)
         words = list(enumerate_words(signatures, length))
-        assert len(signs) == len(words) and all(len(index) == len(words) for index in indices)
-        reduced = [ReducedState(kind, gen_random_state(sig, length, rng)) for sig in signatures]
-        left, right = ([state.value(slot) for slot in factor_slots]
-                       for state, factor_slots in zip(reduced, slots))
-        for word, negative, i, j in zip(words, signs, *indices):
+        states = [gen_random_state(sig, length, rng) for sig in signatures]
+        reduced = [ReducedState(kind, phi) for phi in states]
+        for group, index, _, runs in grouped_words(table):
+            word = words[index]
             embedded = embed_word(kind, 2, word)
-            assert ReducedWord(kind, -ONE if negative else ONE, (slots[0][i], slots[1][j])) == embedded
-            value = left[i] * right[j]
+            expected = [(f, run) for f, slot in enumerate(embedded.slots) for run in slot_runs(kind, slot)]
+            assert [places[p] for p in runs] == expected, word
+            negative = group.negative ^ joint._root.segments(table.words[index])[0]
+            assert embedded.sign == (-ONE if negative else ONE), word
+            value = product(states[f].value_of_letters(letters) for f, letters in map(places.__getitem__, runs))
             assert (-value if negative else value) == tensor_value(reduced, embedded), word
         assert _sweep_table(kind, zero_joint(kind, length), length) is table
 
 
 @pytest.mark.parametrize("kind", list(ReductionKind), ids=lambda kind: kind.value)
 def test_product_images_are_the_evaluated_words(kind):
-    """Each cached product image, a Koszul sign and the word's segments,
-    rebuilds the joint functional's value of its enumerated word: the sign
-    times the children's values on the segments."""
+    """Each word's segment columns place child k's segments as factor k's
+    letters, and its sign bit with the image's sign gives the Koszul sign:
+    the sign times the segments' values is the joint functional's value."""
     signatures = sweep_signatures(kind)
     rng = random.Random(23)
     for length in range(1, 6):
         states = [gen_random_state(sig, length, rng) for sig in signatures]
         joint = JointFunctional(states, kind.product_kind)
         table = _sweep_table(kind, joint, length)
-        signs, segments, positions, ends = table.signs, table.segments, table.positions, table.ends
-        assert len(set(segments)) == len(segments)
-        assert all(len(segment) == 1 for _, segment in segments)
+        places = table_places(kind, length)
         words = list(enumerate_words(signatures, length))
-        assert len(signs) == len(ends) == len(words) and ends[-1] == len(positions)
-        children = joint._root.children
-        values = [children[k].eval_blocks(segment) for k, segment in segments]
-        start = 0
-        for word, negative, end in zip(words, signs, ends):
-            value = product(values[p] for p in positions[start:end])
-            start = end
+        for group, index, segments, runs in grouped_words(table):
+            word = words[index]
+            assert len(segments) <= word.num_letters
+            negative = group.negative ^ (embed_word(kind, 2, word).sign == -ONE)
+            value = product(states[f].value_of_letters(letters) for f, letters in map(places.__getitem__, segments))
             assert (-value if negative else value) == joint.evaluate(word), word
         other = JointFunctional([gen_random_state(sig, length, rng) for sig in signatures],
                                 kind.product_kind)
@@ -436,17 +474,23 @@ def test_graded_states_hold_the_rescaled_moments_as_ints():
 
 @pytest.mark.parametrize("kind", list(ReductionKind), ids=lambda kind: kind.value)
 def test_graded_states_value_every_sweep_slot_as_an_int(kind):
-    """Slots without letters (an empty monotone slot, a boolean slot of p
-    alone, a fermi slot of g alone) included, so that sweeps never multiply
-    through a rational."""
+    """Every place a column reads holds an int in the graded lists laid end
+    to end, and so does every word's product on both routes, a fermi slot
+    of g alone (no run) included, so that sweeps never multiply through a
+    rational."""
     signatures = sweep_signatures(kind)
     rng = random.Random(29)
     for length in range(1, 6):
-        slots = _sweep_table(kind, zero_joint(kind, length), length).slots
-        for signature, factor_slots in zip(signatures, slots):
-            state = ReducedState(kind, _graded(gen_random_state(signature, length, rng)))
-            values = [state.value(slot) for slot in factor_slots]
-            assert all(type(value) is int for value in values), kind
+        table = _sweep_table(kind, zero_joint(kind, length), length)
+        graded = [_graded(gen_random_state(signature, length, rng)) for signature in signatures]
+        values = [graded[f].value_of_letters(letters) for f, letters in table_places(kind, length)]
+        for group, index, segments, runs in grouped_words(table):
+            for places in (segments, runs):
+                assert all(type(values[p]) is int for p in places), kind
+                assert type(math.prod(values[p] for p in places)) is int, kind
+            slots = embed_word(kind, 2, Word(tuple(
+                (f, Monomial(signatures[f], letters)) for f, letters in table.words[index]))).slots
+            assert all(type(ReducedState(kind, phi).value(slot)) is int for phi, slot in zip(graded, slots))
 
 
 def test_sweeps_over_hand_made_states(monkeypatch):
