@@ -18,6 +18,7 @@ shared freely between threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -402,7 +403,6 @@ class Homomorphism:
                         "image of %r is not homogeneous of degree %d" % (name, degree)
                     )
         object.__setattr__(self, "images", images)
-        object.__setattr__(self, "_monomial_cache", {})
 
     @classmethod
     def identity(cls, signature: AlgebraSignature) -> "Homomorphism":
@@ -414,28 +414,55 @@ class Homomorphism:
 
     def apply_monomial(self, monomial: Monomial) -> Polynomial:
         """Image of a source monomial: the product of its letters' images."""
-        if monomial.algebra != self.source:
-            raise ValueError("monomial does not belong to the source algebra")
-        cache = self._monomial_cache
-        hit = cache.get(monomial.letters)
-        if hit is not None:
-            return hit
-        if monomial.is_unit:
-            result = Polynomial.from_word(EMPTY_WORD)
-        else:
-            result = self.images[monomial.letters[0]]
-            for letter in monomial.letters[1:]:
-                result = result * self.images[letter]
-        cache[monomial.letters] = result
-        return result
+        return apply_homomorphism((self,), single_block_word(0, monomial))
 
 
-def _retag(polynomial: Polynomial, factor: int) -> Polynomial:
-    """Move a single-factor polynomial onto the given free-product factor."""
-    return Polynomial._collected(
-        (Word(((factor, word.blocks[0][1]),)) if word.blocks else EMPTY_WORD, coeff)
-        for word, coeff in polynomial.items()
+def _join(first: tuple, second: tuple) -> tuple:
+    """Two bare normal-form words multiplied: their block tuples joined, with
+    a last and a first block of one factor merged."""
+    if first and second and first[-1][0] == second[0][0]:
+        return first[:-1] + ((first[-1][0], first[-1][1] + second[0][1]),) + second[1:]
+    return first + second
+
+
+def _times(left: dict, right: dict) -> dict:
+    """The product of two expansions, each a dict from bare normal-form
+    words to nonzero coefficients, expanded by bilinearity."""
+    return _collect(
+        (_join(w1, w2), c1 * c2) for w1, c1 in left.items() for w2, c2 in right.items()
     )
+
+
+def _image_terms(homomorphisms: Sequence[Homomorphism], blocks, memo: dict) -> dict:
+    """The image of a bare normal-form word ((factor, letters), ...) under
+    the free product of ``homomorphisms``, as a dict from bare normal-form
+    words to nonzero coefficients.
+
+    Block ``(k, letters)`` becomes the product of its letters' images under
+    the k-th homomorphism, each image word moved onto factor k, and the
+    block images are multiplied in order.  A unit term contributes the empty
+    word, so the blocks on either side of it merge when they share a
+    factor, and terms whose coefficients sum to zero are dropped.  ``memo``
+    keeps each block's image for the words that repeat the block.
+    """
+    terms = {(): ONE}
+    for block in blocks:
+        image = memo.get(block)
+        if image is None:
+            factor, letters = block
+            images = homomorphisms[factor].images
+            image = memo[block] = functools.reduce(_times, (
+                {((factor, word.blocks[0][1].letters),) if word.blocks else (): coeff
+                 for word, coeff in images[letter].items()}
+                for letter in letters
+            ))
+        terms = _times(terms, image)
+    return terms
+
+
+def _word_of(algebras: Sequence[AlgebraSignature], blocks) -> Word:
+    """The word of a bare normal-form word over the given factor algebras."""
+    return Word(tuple((factor, Monomial(algebras[factor], letters)) for factor, letters in blocks))
 
 
 def apply_homomorphism(homomorphisms: Sequence[Homomorphism], word: Word) -> Polynomial:
@@ -444,17 +471,18 @@ def apply_homomorphism(homomorphisms: Sequence[Homomorphism], word: Word) -> Pol
     Block ``(k, m)`` is replaced by the image of ``m`` under the k-th
     homomorphism, re-tagged onto factor ``k`` of the free product of the
     targets; the block images are then multiplied in order, expanding by
-    bilinearity and re-normalizing every resulting word.
+    bilinearity and re-normalizing every resulting word; the expansion
+    runs on bare block tuples, and only its result is built as words.
     """
-    result = Polynomial.from_word(EMPTY_WORD)
     for factor, monomial in word.blocks:
-        try:
-            hom = homomorphisms[factor]
-        except IndexError:
+        if factor >= len(homomorphisms):
             raise ValueError("word uses factor %d, but only %d homomorphisms given"
-                             % (factor, len(homomorphisms))) from None
-        result = result * _retag(hom.apply_monomial(monomial), factor)
-    return result
+                             % (factor, len(homomorphisms)))
+        if monomial.algebra != homomorphisms[factor].source:
+            raise ValueError("monomial does not belong to the source algebra")
+    terms = _image_terms(homomorphisms, tuple((f, m.letters) for f, m in word.blocks), {})
+    targets = [hom.target for hom in homomorphisms]
+    return Polynomial._collected((_word_of(targets, blocks), coeff) for blocks, coeff in terms.items())
 
 
 def _canonical_letters(algebra: AlgebraSignature, max_degree: int):

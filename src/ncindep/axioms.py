@@ -4,12 +4,17 @@ Each axiom is checked word-by-word on randomly generated states and words:
 equality of two functionals on every word up to the degree bound is what
 linearity leaves to check.  Each law's trial yields, word by word, the two
 values the law equates, and one comparison loop counts and compares them
-for every law.  A report lists every failing comparison with a full
-serialization of its inputs, so any witness can be replayed by hand or
-through the command line; a trial's witnesses share one serialization of
-its states.  Reports are bit-identical for a given seed: the per-trial
-generator is derived from (seed, trial index) alone, trials are mutually
-independent, and results are assembled in trial order.
+for every law.  Trials draw their words as bare normal-form block tuples
+((factor, letters), ...) and value them through the joint functional's
+trusted entry, ``JointFunctional.value_of_blocks``; functoriality expands
+a word's image on bare tuples too.  A report lists every failing
+comparison with a full serialization of its inputs, so any witness can be
+replayed by hand or through the command line.  The inputs are built on
+their first read, from the word formatted, the law's own keys, and the
+trial's states, serialized once for all of its witnesses; a check that
+only counts failures builds none.  Reports are bit-identical for a given
+seed: the per-trial generator is derived from (seed, trial index) alone,
+trials are mutually independent, and results are assembled in trial order.
 
 The laws:
 
@@ -49,14 +54,16 @@ from .algebra import (
     Monomial,
     Polynomial,
     Word,
-    all_monomials,
-    apply_homomorphism,
+    _canonical_letters,
+    _image_terms,
+    _word_of,
     normalize_word,
+    single_block_word,
 )
 from .errors import RegimeMismatch
 from .moments import MomentFunctional, _layout, _parities, pullback, state_to_json
 from .parsing import format_expression, format_word
-from .products import JointFunctional, ProductKind, QDeformed, admits_unital, kind_label
+from .products import JointFunctional, ProductKind, QDeformed, _append, admits_unital, kind_label
 from .rational import ONE, Rational, ZERO, format_rational
 
 
@@ -70,13 +77,16 @@ class Axiom(Enum):
     MIRROR = "mirror"
 
 
-@dataclass(frozen=True)
 class AxiomFailure:
-    """One failing comparison: replayable inputs and both values."""
+    """One failing comparison: both values, and the replayable inputs,
+    which ``build`` makes on their first read."""
 
-    inputs: dict
-    lhs: Rational
-    rhs: Rational
+    def __init__(self, build, lhs: Rational, rhs: Rational):
+        self._build, self.lhs, self.rhs = build, lhs, rhs
+
+    @functools.cached_property
+    def inputs(self) -> dict:
+        return self._build()
 
 
 @dataclass(frozen=True)
@@ -207,21 +217,27 @@ def gen_random_state(signature: AlgebraSignature, max_degree: int, seed) -> Mome
     return phi
 
 
+def _alphabet(signatures):
+    """The (factor, generator name) pairs of the factors, in order."""
+    return [(index, name) for index, signature in enumerate(signatures) for name in signature.generator_names]
+
+
+def _random_blocks(alphabet, max_letters: int, rng: random.Random) -> tuple:
+    """A random bare normal-form word ((factor, letters), ...) of
+    1..max_letters letters drawn from ``alphabet``, the letters of one
+    factor that follow each other merged into one block as they are drawn."""
+    blocks: list = []
+    for _ in range(rng.randint(1, max_letters)):
+        factor, name = rng.choice(alphabet)
+        _append(blocks, (factor, (name,)))
+    return tuple(blocks)
+
+
 def gen_random_word(signatures: Sequence[AlgebraSignature], max_letters: int, seed) -> Word:
     """Random normal-form word with 1..max_letters single-generator letters.
     ``seed`` may be an integer or a ``random.Random``."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    alphabet = [
-        (index, name)
-        for index, signature in enumerate(signatures)
-        for name in signature.generator_names
-    ]
-    length = rng.randint(1, max_letters)
-    blocks = []
-    for _ in range(length):
-        index, name = rng.choice(alphabet)
-        blocks.append((index, Monomial(signatures[index], (name,))))
-    return normalize_word(blocks)
+    return _word_of(signatures, _random_blocks(_alphabet(signatures), max_letters, rng))
 
 
 def gen_random_homomorphism(
@@ -238,14 +254,13 @@ def gen_random_homomorphism(
     images = {}
     for name in source.generator_names:
         degree = source.degree_of(name)
-        poly = Polynomial.zero()
+        terms = []
         for _ in range(rng.randint(1, 2)):
             monomial = _random_monomial(target, degree, max_image_letters, rng)
-            coeff = Rational(rng.randint(-2, 2), rng.randint(1, 4))
-            poly = poly + Polynomial.from_monomial(monomial, 0, coeff)
+            terms.append((single_block_word(0, monomial), Rational(rng.randint(-2, 2), rng.randint(1, 4))))
         if source.unital and rng.random() < 0.25 and not degree:
-            poly = poly + Polynomial.from_word(EMPTY_WORD, Rational(rng.randint(-2, 2), 1))
-        images[name] = poly
+            terms.append((EMPTY_WORD, Rational(rng.randint(-2, 2), 1)))
+        images[name] = Polynomial._collected(terms)
     return Homomorphism(source, target, images)
 
 
@@ -293,23 +308,18 @@ def _signatures(count: int, kind, names=_FACTOR_NAMES, gens=_FACTOR_GENS):
 
 
 def _trial_words(signatures, max_letters, rng, count):
-    """Deterministic words guaranteeing shapes random sampling might miss,
-    the return-to-first-factor shape and a full tour of the factors, then
-    ``count`` random words."""
-    gens = [sig.generator_names[0] for sig in signatures]
-    letter = lambda i: (i, Monomial(signatures[i], (gens[i],)))
-    shapes = [
-        [letter(0), letter(1), letter(0)],
-        [letter(i) for i in range(len(signatures))],
-        [letter(1), letter(0), letter(1), letter(0)],
-    ]
+    """Bare words: deterministic ones guaranteeing shapes random sampling
+    might miss, the return-to-first-factor shape and a full tour of the
+    factors, each letter a factor's first generator, then ``count`` random
+    words, drawn as :func:`gen_random_word` draws."""
+    shapes = ((0, 1, 0), tuple(range(len(signatures))), (1, 0, 1, 0))
     words = []
     for shape in shapes:
-        if len(shape) <= max_letters:
-            word = normalize_word(shape)
-            if word not in words:
-                words.append(word)
-    return words + [gen_random_word(signatures, max_letters, rng) for _ in range(count)]
+        word = tuple((i, signatures[i].generator_names[:1]) for i in shape)
+        if len(word) <= max_letters and word not in words:
+            words.append(word)
+    alphabet = _alphabet(signatures)
+    return words + [_random_blocks(alphabet, max_letters, rng) for _ in range(count)]
 
 
 # Longest words the seeded checks take.  Work grows about fourfold per
@@ -365,25 +375,32 @@ def run_axiom_suite(
 
 def _failures(states, comparisons):
     """(checked, failures) of a trial's comparisons.  A failure's inputs are
-    the states, serialized once at the trial's first failure and shared by
-    its later witnesses, the word, and the law's own ``extra`` keys."""
+    made on their first read: the states, serialized at the first read of
+    any of the trial's witnesses and shared by all of them, the word, and
+    the law's own ``extra`` keys."""
     checked = 0
     failures = []
-    docs = None
+    docs = functools.cache(lambda: [state_to_json(phi) for phi in states])
     for word, lhs, rhs, extra in comparisons:
         checked += 1
         if lhs != rhs:
-            if docs is None:
-                docs = [state_to_json(phi) for phi in states]
-            failures.append(AxiomFailure({"states": docs, "word": format_word(word), **extra}, lhs, rhs))
+            failures.append(AxiomFailure(functools.partial(_inputs, docs, word, extra), lhs, rhs))
     return checked, failures
+
+
+def _inputs(docs, word, extra) -> dict:
+    signatures, blocks = word
+    return {"states": docs(), "word": format_word(_word_of(signatures, blocks)),
+            **(extra() if callable(extra) else extra)}
 
 
 # ---------------------------------------------------------------------------
 # Per-axiom trials.  Each draws its inputs from the trial's generator and
 # returns (states, comparisons): the states a witness replays, and an
 # iterator of (word, lhs, rhs, extra), the two values the law equates on
-# the word and the witness keys of the law's own inputs.
+# the word and the witness keys of the law's own inputs.  The word is a
+# pair (signatures, blocks): the factors' algebras and a bare normal-form
+# word over them.  ``extra`` is a dict, or a function that makes it.
 
 
 def _trial_associativity(kind, rng, max_word_len):
@@ -393,7 +410,8 @@ def _trial_associativity(kind, rng, max_word_len):
     right = JointFunctional(states, kind, bracketing="right")
     words = _trial_words(signatures, max_word_len, rng, 8)
     return states, (
-        (word, left.evaluate(word), right.evaluate(word), {"bracketing": "left-vs-right"})
+        ((signatures, word), left.value_of_blocks(word), right.value_of_blocks(word),
+         {"bracketing": "left-vs-right"})
         for word in words
     )
 
@@ -405,12 +423,14 @@ def _trial_unit_law(kind, rng, max_word_len):
     delta = MomentFunctional(trivial_sig, max_word_len, {Monomial(trivial_sig, ()): ONE})
     sides = ((JointFunctional([phi, delta], kind), 0, "phi*delta"),
              (JointFunctional([delta, phi], kind), 1, "delta*phi"))
+    signatures = (signature, signature)  # phi's algebra, on either factor
 
     def comparisons():
-        for monomial in all_monomials(signature, max_word_len):
+        for letters in _canonical_letters(signature, max_word_len):
             for joint, factor, side in sides:
-                word = normalize_word([(factor, monomial)])
-                yield word, joint.evaluate(word), phi(monomial), {"side": side}
+                word = ((factor, letters),) if letters else ()
+                yield ((signatures, word), joint.value_of_blocks(word), phi.value_of_letters(letters),
+                       {"side": side})
 
     return [phi], comparisons()
 
@@ -422,9 +442,10 @@ def _trial_inclusion(kind, rng, max_word_len):
 
     def comparisons():
         for index in (0, 1):
-            for monomial in all_monomials(signatures[index], max_word_len):
-                word = normalize_word([(index, monomial)])
-                yield word, joint.evaluate(word), states[index](monomial), {"factor": index}
+            for letters in _canonical_letters(signatures[index], max_word_len):
+                word = ((index, letters),) if letters else ()
+                yield ((signatures, word), joint.value_of_blocks(word),
+                       states[index].value_of_letters(letters), {"factor": index})
 
     return states, comparisons()
 
@@ -444,13 +465,18 @@ def _trial_functoriality(kind, rng, max_word_len):
     joint_target = JointFunctional(target_states, kind)
     joint_pulled = JointFunctional(pulled, kind)
     words = _trial_words(sources, max_word_len, rng, 6)
-    hom_doc = {"homomorphisms": [
+    images: dict = {}  # each source block's image, for every word that has the block
+
+    def image_value(word):
+        terms = _image_terms(homs, word, images).items()
+        return sum((coeff * joint_target.value_of_blocks(image) for image, coeff in terms), ZERO)
+
+    hom_doc = functools.cache(lambda: {"homomorphisms": [
         {name: format_expression(image) for name, image in hom.images.items()}
         for hom in homs
-    ]}
+    ]})
     return target_states, (
-        (word, joint_target.evaluate_polynomial(apply_homomorphism(homs, word)),
-         joint_pulled.evaluate(word), hom_doc)
+        ((sources, word), image_value(word), joint_pulled.value_of_blocks(word), hom_doc)
         for word in words
     )
 
@@ -465,11 +491,12 @@ def _trial_factorization(kind, rng, max_word_len):
             first_len = rng.randint(1, max(1, max_word_len - 1))
             second_len = rng.randint(1, max(1, max_word_len - first_len))
             first, second = (
-                Monomial(sig, tuple(rng.choice(sig.generator_names) for _ in range(length)))
+                tuple(rng.choice(sig.generator_names) for _ in range(length))
                 for sig, length in zip(signatures, (first_len, second_len))
             )
-            word = Word(((0, first), (1, second)))
-            yield word, joint.evaluate(word), states[0](first) * states[1](second), {}
+            word = ((0, first), (1, second))
+            yield ((signatures, word), joint.value_of_blocks(word),
+                   states[0].value_of_letters(first) * states[1].value_of_letters(second), {})
 
     return states, comparisons()
 
@@ -490,7 +517,8 @@ def _trial_swapped(kind, other, rng, max_word_len):
     swapped = JointFunctional([states[1], states[0]], other)
     words = _trial_words(signatures, max_word_len, rng, 8)
     return states, (
-        (word, joint.evaluate(word), swapped.evaluate(Word(tuple((1 - f, m) for f, m in word.blocks))), {})
+        ((signatures, word), joint.value_of_blocks(word),
+         swapped.value_of_blocks(tuple((1 - f, letters) for f, letters in word)), {})
         for word in words
     )
 

@@ -10,8 +10,9 @@ Subcommands:
 
 Exact rationals are the wire truth; decimal renderings are advisory.
 Two bounds refuse work before it starts: ``CLT_WORK_BUDGET`` caps ``clt``
-and ``check`` jobs, and ``MAX_FREE_RUNS`` caps the runs of letters from one
-factor in a word that ``eval`` values under a free product.
+and ``check`` jobs, and ``MAX_FREE_RUNS`` (from ``ncindep.products``) caps
+the runs of letters from one factor in a word that a free product values,
+so ``eval`` exits 2 on a longer one.
 Errors leave a single-line JSON object {code, message, context} on stderr.
 Exit codes: 0 success or expected outcome, 1 assertion failure, 2 usage or
 parse error, 3 degree or regime error.
@@ -30,7 +31,8 @@ from .classical import independence_equivalence, load_space, load_variable
 from .errors import DegreeExceeded, ExpressionError, RegimeMismatch, StateDocumentError
 from .moments import MomentFunctional, dump_state, load_state, unitize
 from .parsing import format_word, parse_expression
-from .products import JointFunctional, ProductKind, QDeformed, parse_kind_label, sum_moment
+from .products import JointFunctional, ProductKind, parse_kind_label, sum_moment
+from .products import MAX_FREE_RUNS  # noqa: F401  the bound named above, importable here too
 from .rational import (
     as_rational,
     decimal_rendering,
@@ -44,11 +46,6 @@ from .reductions import ReductionKind, reduction_sweep
 # values about 4^max_len words per trial; larger jobs are refused before
 # any summand or state is built
 CLT_WORK_BUDGET = 10**8
-
-# The free product's value of a word sums over sets of its runs, so its cost
-# about doubles per two runs: an alternating word of 24 letters takes under
-# a second and one of 32 about ten; longer words are refused before any work
-MAX_FREE_RUNS = 24
 
 
 class _UsageError(Exception):
@@ -133,11 +130,6 @@ def _cmd_eval(args) -> int:
     states = [load_state(path) for path in args.state]
     kind = parse_kind_label(args.product)
     polynomial = parse_expression(args.expr, [phi.algebra for phi in states])
-    if (kind.base if isinstance(kind, QDeformed) else kind) is ProductKind.FREE:
-        for word, _ in polynomial.items():
-            if word.num_blocks > MAX_FREE_RUNS:
-                raise _UsageError("a word of %d runs exceeds the free product's bound of %d runs"
-                                  % (word.num_blocks, MAX_FREE_RUNS))
     total = JointFunctional(states, kind).evaluate_polynomial(polynomial)
     print(format_rational(total))
     print("~ %s" % decimal_rendering(total))

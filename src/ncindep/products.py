@@ -68,6 +68,11 @@ class ProductKind(Enum):
     FERMI = "fermi"
 
 
+# The free product's value of a word sums over sets of its runs, so its cost
+# about doubles per two runs: an alternating word of 24 letters takes under
+# a second and one of 32 about ten; longer words are refused before any work
+MAX_FREE_RUNS = 24
+
 _Q_BASES = (ProductKind.TENSOR, ProductKind.FREE, ProductKind.BOOLEAN)
 
 # Whether a run of child j splits the open segment of child k (j != k).
@@ -332,7 +337,8 @@ class JointFunctional:
     composite side's own values for its cumulants.  A q-deformed kind builds
     the tree of its base kind over the factors scaled by 1/q and scales its
     values by q.  Evaluation caches are internal and never change observable
-    results.
+    results.  A free or q-deformed free product refuses, with ``ValueError``
+    before any work, a word of more than ``MAX_FREE_RUNS`` blocks.
     """
 
     def __init__(self, factors: Sequence[MomentFunctional], kind, bracketing=None):
@@ -362,8 +368,10 @@ class JointFunctional:
             raise ValueError("bracketing must be None, 'left', or 'right'")
         self._root = root
         self._q = q if isinstance(kind, QDeformed) else None
+        self._max_runs = MAX_FREE_RUNS if base is ProductKind.FREE else None
 
-    def _validate(self, word: Word):
+    def _check(self, word: Word):
+        """Reject a word this functional cannot value, before any work."""
         n = len(self.factors)
         for factor, monomial in word.blocks:
             if factor >= n:
@@ -375,23 +383,35 @@ class JointFunctional:
                     "block over %r sits on factor %d, which belongs to %r"
                     % (monomial.algebra.name, factor, self.factors[factor].algebra.name)
                 )
-
-    def evaluate(self, word: Word) -> Rational:
-        self._validate(word)
         if word.is_empty and not self.factors[0].unital:
             raise RegimeMismatch(
                 "the empty word is the unit, which the non-unital regime lacks"
             )
-        value = self._root.eval_blocks(tuple((f, m.letters) for f, m in word.blocks))
+        if self._max_runs is not None and word.num_blocks > self._max_runs:
+            raise ValueError("a word of %d runs exceeds the free product's bound of %d runs"
+                             % (word.num_blocks, self._max_runs))
+
+    def value_of_blocks(self, blocks) -> Rational:
+        """Value of a trusted normal-form word given as a bare block tuple
+        ((factor, letters), ...), over the joined factors."""
+        value = self._root.eval_blocks(blocks)
         return value if self._q is None else self._q * value
+
+    def evaluate(self, word: Word) -> Rational:
+        self._check(word)
+        return self.value_of_blocks(tuple((f, m.letters) for f, m in word.blocks))
 
     __call__ = evaluate
 
     def evaluate_polynomial(self, polynomial: Polynomial) -> Rational:
-        total = ZERO
-        for word, coeff in polynomial.items():
-            total += coeff * self.evaluate(word)
-        return total
+        """Value of a polynomial; every word is checked before any is valued."""
+        for word in polynomial.terms:
+            self._check(word)
+        return sum(
+            (coeff * self.value_of_blocks(tuple((f, m.letters) for f, m in word.blocks))
+             for word, coeff in polynomial.items()),
+            ZERO,
+        )
 
     def __repr__(self):
         names = ", ".join(phi.algebra.name for phi in self.factors)

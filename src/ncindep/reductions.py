@@ -60,7 +60,7 @@ from enum import Enum
 from functools import partial, reduce
 from typing import NamedTuple, Sequence
 
-from .algebra import Monomial, Word, _canonical_letters
+from .algebra import Monomial, Word, _canonical_letters, _word_of
 from .axioms import _signatures, _trial_generators, gen_random_state
 from .moments import MomentFunctional, _graded, _layout
 from .products import JointFunctional, ProductKind, _check_regime
@@ -405,7 +405,7 @@ def reduction_sweep(kind: ReductionKind, seed: int, trials: int, max_word_len: i
             if lhs != rhs:
                 differing += itertools.compress(group.words, map(operator.ne, lhs, rhs))
         for index in sorted(differing):
-            word = Word(tuple((f, Monomial(signatures[f], letters)) for f, letters in table.words[index]))
+            word = _word_of(signatures, table.words[index])
             failures.append((states, word, verify_reduction(kind, states, word)))
         checked += len(table.words)
     return checked, failures

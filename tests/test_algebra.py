@@ -1,22 +1,30 @@
 """Words, normal forms, homomorphisms, and Z2 degrees."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncindep import (
+    AlgebraSignature,
     EMPTY_WORD,
     Homomorphism,
     Monomial,
     Polynomial,
     RegimeMismatch,
     Word,
+    all_monomials,
     apply_homomorphism,
     concat_words,
+    enumerate_words,
+    gen_random_homomorphism,
     normalize_word,
+    single_block_word,
     word_degree,
 )
-from conftest import A1, A2, G1, N1, mono
+from ncindep.algebra import _image_terms
+from conftest import A1, A2, G1, G2, N1, N2, mono
 
 
 def blocks(*pairs):
@@ -211,6 +219,74 @@ def test_homomorphisms_respect_concatenation(pair):
     wb = normalize_word(realize(second))
     joined = apply_homomorphism((h1, h2), concat_words(wa, wb))
     assert joined == apply_homomorphism((h1, h2), wa) * apply_homomorphism((h1, h2), wb)
+
+
+def product_of_block_images(homomorphisms, word):
+    """The route the bare expansion replaced: each block's image, the
+    product of its letters' images, re-tagged onto the block's factor, and
+    the block images multiplied in order under ``Polynomial.__mul__``."""
+    result = Polynomial.from_word(EMPTY_WORD)
+    for factor, monomial in word.blocks:
+        image = Polynomial.from_word(EMPTY_WORD)
+        for letter in monomial.letters:
+            image = image * homomorphisms[factor].images[letter]
+        result = result * Polynomial(
+            (Word(((factor, w.blocks[0][1]),)) if w.blocks else EMPTY_WORD, c) for w, c in image.items()
+        )
+    return result
+
+
+def poly(algebra, *terms):
+    """A single-factor polynomial from (coefficient, "letters") pairs."""
+    return Polynomial((single_block_word(0, mono(algebra, text)), c) for c, text in terms)
+
+
+# Hand-made pairs: unital constants, which make blocks of one factor meet
+# once a unit term drops out, and cancelling terms, (a + 1)(a - 1) = a a - 1
+# and (x - 1)(x + 1) = x x - 1; odd images of odd generators of a graded
+# algebra; and a non-unital pair.
+HAND_MADE = (
+    (Homomorphism(A1, A1, {"a": poly(A1, (1, "a"), (1, "")), "b": poly(A1, (1, "a"), (-1, ""))}),
+     Homomorphism(A2, A2, {"x": poly(A2, (1, "x"), (-1, "")), "y": poly(A2, (3, ""))})),
+    (Homomorphism(G1, G1, {"a": poly(G1, (1, "a b"), (-2, "b a")), "b": poly(G1, (1, "b b"), ("1/2", ""))}),
+     Homomorphism(G2, G2, {"x": poly(G2, (1, "y x"), (1, "x")), "y": poly(G2, (-1, "y"), (1, "x x"))})),
+    (Homomorphism(N1, N1, {"a": poly(N1, (1, "a"), (1, "b")), "b": poly(N1, (1, "b a"), (-1, "a b"))}),
+     Homomorphism(N2, N2, {"x": poly(N2, (2, "x y")), "y": poly(N2, (1, "x"), (-1, "y"))})),
+)
+
+
+def test_homomorphisms_expand_as_products_of_block_images():
+    """``apply_homomorphism``, its bare expansion and ``apply_monomial``
+    equal the product of the re-tagged block images under
+    ``Polynomial.__mul__``, on every word of up to four letters, for the
+    hand-made pairs and for random pairs in each regime; the expansion
+    holds no zero coefficient."""
+    pairs = list(HAND_MADE)
+    for unital, odd in ((True, 0), (False, 0), (True, 1)):
+        sources = [AlgebraSignature.make(n, ((g, odd), h), unital=unital) for n, g, h in (("B1", "u", "v"), ("B2", "w", "z"))]
+        targets = [AlgebraSignature.make(n, ((g, odd), h), unital=unital) for n, g, h in (("C1", "a", "b"), ("C2", "x", "y"))]
+        for seed in range(3):
+            rng = random.Random(seed)
+            pairs.append(tuple(gen_random_homomorphism(s, t, rng) for s, t in zip(sources, targets)))
+    for homomorphisms in pairs:
+        signatures = [hom.source for hom in homomorphisms]
+        for word in enumerate_words(signatures, 4):
+            got = apply_homomorphism(homomorphisms, word)
+            want = product_of_block_images(homomorphisms, word)
+            assert got == want, word
+            bare = _image_terms(homomorphisms, tuple((f, m.letters) for f, m in word.blocks), {})
+            assert bare == {tuple((f, m.letters) for f, m in w.blocks): c for w, c in want.items()}, word
+        for hom in homomorphisms:
+            for monomial in all_monomials(hom.source, 3):
+                want = Polynomial.from_word(EMPTY_WORD)
+                for letter in monomial.letters:
+                    want = want * hom.images[letter]
+                assert hom.apply_monomial(monomial) == want, monomial
+    # the a terms of (a + 1)(a - 1) cancel, and a y a's unit term joins a a
+    a_b = normalize_word(blocks((0, "a b")))
+    assert apply_homomorphism(HAND_MADE[0], a_b) == poly(A1, (1, "a a"), (-1, ""))
+    a_y_a = normalize_word(blocks((0, "a"), (1, "y"), (0, "a")))
+    assert apply_homomorphism(HAND_MADE[0], a_y_a) == poly(A1, (3, "a a"), (6, "a"), (3, ""))
 
 
 # ---------------------------------------------------------------------------

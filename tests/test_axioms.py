@@ -20,6 +20,7 @@ from ncindep import (
     gen_random_homomorphism,
     gen_random_state,
     gen_random_word,
+    normalize_word,
     pullback,
     run_axiom_suite,
     state_to_json,
@@ -237,10 +238,14 @@ def test_a_failing_trial_serializes_each_state_once(monkeypatch):
     monkeypatch.setattr(axioms, "state_to_json", counted)
     report = run_axiom_suite(Axiom.FACTORIZATION, ProductKind.DEGENERATE, seed=4, trials=1, max_word_len=4)
     assert len(report.failures) == 8
+    # nothing is serialized until a witness is read
+    assert serialized == []
+    assert report.failures[-1].inputs["word"]
     assert len(serialized) == 2 and serialized[0] is not serialized[1]
     shared = report.failures[0].inputs["states"]
     assert shared == [state_to_json(phi) for phi in serialized]
     assert all(witness.inputs["states"] is shared for witness in report.failures)
+    assert len(serialized) == 2  # every witness read, the states serialized once
     # a passing trial serializes nothing
     del serialized[:]
     assert run_axiom_suite(Axiom.FACTORIZATION, ProductKind.TENSOR, seed=4, trials=1).passed
@@ -406,6 +411,26 @@ def test_random_words_are_reproducible_and_bounded():
     w2 = gen_random_word((A1, A2), 5, 42)
     assert w1 == w2
     assert w1.num_letters <= 5
+
+
+@pytest.mark.parametrize("signatures", [(A1, A2), (N1,), (G1, A2, A1)], ids=["two", "one", "three"])
+def test_the_bare_word_draw_is_a_letter_by_letter_draw(signatures):
+    """The bare draw and ``gen_random_word`` give the word of one
+    ``randint`` and one ``choice`` of a letter per letter, normalized, and
+    leave the generator in the same state."""
+    from ncindep.axioms import _alphabet, _random_blocks
+
+    alphabet = _alphabet(signatures)
+    for max_letters in (1, 2, 5, 8):
+        for seed in range(25):
+            rng = random.Random(seed)
+            letters = [rng.choice(alphabet) for _ in range(rng.randint(1, max_letters))]
+            want = normalize_word([(f, Monomial(signatures[f], (name,))) for f, name in letters])
+            bare_rng, word_rng = random.Random(seed), random.Random(seed)
+            bare = _random_blocks(alphabet, max_letters, bare_rng)
+            assert bare == tuple((f, m.letters) for f, m in want.blocks)
+            assert gen_random_word(signatures, max_letters, word_rng) == want
+            assert bare_rng.getstate() == word_rng.getstate() == rng.getstate()
 
 
 def test_enumerate_words_counts_letter_sequences():

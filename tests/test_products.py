@@ -16,6 +16,7 @@ from ncindep import (
     JointFunctional,
     MomentFunctional,
     Monomial,
+    Polynomial,
     ProductKind,
     QDeformed,
     RegimeMismatch,
@@ -30,7 +31,7 @@ from ncindep import (
     sum_moment,
 )
 from ncindep.parsing import format_word
-from ncindep.products import admits_unital
+from ncindep.products import MAX_FREE_RUNS, admits_unital
 from ncindep.rational import ONE, ZERO, as_rational, format_rational
 from conftest import A1, A2, A3, G1, G2, N1, N2, N3, mono, total_state
 
@@ -344,6 +345,34 @@ def test_a_free_product_of_four_hundred_factors_nests_shallowly():
     joint = JointFunctional(phis, ProductKind.FREE)
     word = Word(((0, Monomial(signatures[0], ("x",))), (399, Monomial(signatures[399], ("x",)))))
     assert joint.evaluate(word) == as_rational("1/2") * as_rational("1/401")
+
+
+@pytest.mark.parametrize("kind, unital", [(ProductKind.FREE, True), (QDeformed(ProductKind.FREE, 2), False)])
+def test_free_words_of_too_many_runs_are_refused_before_any_work(monkeypatch, kind, unital):
+    """A 200-letter alternating word is refused with ValueError, by
+    ``evaluate`` and by ``evaluate_polynomial``, before any word is valued;
+    other kinds value it."""
+    signatures = (A1, A2) if unital else (N1, N2)
+    phis = [gen_random_state(sig, 3, seed) for seed, sig in enumerate(signatures)]
+    letters = [(0, Monomial(signatures[0], ("a",))), (1, Monomial(signatures[1], ("x",)))]
+    long_word = Word(tuple(letters[i % 2] for i in range(200)))
+    short_word = Word(tuple(letters))
+    joint = JointFunctional(phis, kind)
+    valued = []
+    monkeypatch.setattr(JointFunctional, "value_of_blocks",
+                        lambda self, blocks: valued.append(blocks) or ONE)
+    message = "a word of 200 runs exceeds the free product's bound of %d runs" % MAX_FREE_RUNS
+    with pytest.raises(ValueError, match=message):
+        joint.evaluate(long_word)
+    with pytest.raises(ValueError, match=message):
+        joint.evaluate_polynomial(Polynomial.from_word(short_word) + Polynomial.from_word(long_word))
+    assert valued == []
+    monkeypatch.undo()
+    assert joint.evaluate_polynomial(Polynomial.from_word(short_word, 3)) == 3 * joint.evaluate(short_word)
+    boolean = JointFunctional([gen_random_state(sig, 3, 1) for sig in (N1, N2)], ProductKind.BOOLEAN)
+    nonunital = Word(tuple((f, Monomial((N1, N2)[f], m.letters)) for f, m in long_word.blocks))
+    assert boolean.evaluate(nonunital) == (
+        boolean.evaluate(Word((nonunital.blocks[0],))) * boolean.evaluate(Word((nonunital.blocks[1],)))) ** 100
 
 
 # ---------------------------------------------------------------------------
