@@ -465,6 +465,21 @@ def _word_of(algebras: Sequence[AlgebraSignature], blocks) -> Word:
     return Word(tuple((factor, Monomial(algebras[factor], letters)) for factor, letters in blocks))
 
 
+def _bare(word: Word, algebras: Sequence[AlgebraSignature]) -> tuple:
+    """The bare normal-form word ((factor, letters), ...) of a word over the
+    given factor algebras, the inverse of :func:`_word_of`.  Raises
+    ``ValueError`` when a block's factor is out of range, or when its
+    algebra is not that factor's: the one check that each block lies in
+    the image of its factor's inclusion."""
+    for factor, monomial in word.blocks:
+        if factor >= len(algebras):
+            raise ValueError("word uses factor %d but only %d factors are given" % (factor, len(algebras)))
+        if monomial.algebra != algebras[factor]:
+            raise ValueError("block over %r sits on factor %d, which belongs to %r"
+                             % (monomial.algebra.name, factor, algebras[factor].name))
+    return tuple((factor, monomial.letters) for factor, monomial in word.blocks)
+
+
 def apply_homomorphism(homomorphisms: Sequence[Homomorphism], word: Word) -> Polynomial:
     """Apply the free product of ``homomorphisms`` to a word.
 
@@ -474,13 +489,8 @@ def apply_homomorphism(homomorphisms: Sequence[Homomorphism], word: Word) -> Pol
     bilinearity and re-normalizing every resulting word; the expansion
     runs on bare block tuples, and only its result is built as words.
     """
-    for factor, monomial in word.blocks:
-        if factor >= len(homomorphisms):
-            raise ValueError("word uses factor %d, but only %d homomorphisms given"
-                             % (factor, len(homomorphisms)))
-        if monomial.algebra != homomorphisms[factor].source:
-            raise ValueError("monomial does not belong to the source algebra")
-    terms = _image_terms(homomorphisms, tuple((f, m.letters) for f, m in word.blocks), {})
+    blocks = _bare(word, [hom.source for hom in homomorphisms])
+    terms = _image_terms(homomorphisms, blocks, {})
     targets = [hom.target for hom in homomorphisms]
     return Polynomial._collected((_word_of(targets, blocks), coeff) for blocks, coeff in terms.items())
 

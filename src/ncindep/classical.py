@@ -156,12 +156,9 @@ def independence_equivalence(x: RandomVariable, y: RandomVariable) -> Independen
     ``jointfactor`` compares the law of the paired map against the product
     of the marginal laws.  The two booleans agree on every instance.
     """
-    if x.domain is not y.domain and x.domain != y.domain:
-        raise ValueError("variables must share a domain space")
+    law_joint = pushforward(joint_variable(x, y))  # checks the shared domain first
     law_x = pushforward(x)
     law_y = pushforward(y)
-    joint = joint_variable(x, y)
-    law_joint = pushforward(joint)
     atomwise = all(
         law_joint.weight((u, v)) == law_x.weight(u) * law_y.weight(v)
         for u in x.codomain

@@ -10,9 +10,9 @@ Subcommands:
 
 Exact rationals are the wire truth; decimal renderings are advisory.
 Two bounds refuse work before it starts: ``CLT_WORK_BUDGET`` caps ``clt``
-and ``check`` jobs, and ``MAX_FREE_RUNS`` (from ``ncindep.products``) caps
-the runs of letters from one factor in a word that a free product values,
-so ``eval`` exits 2 on a longer one.
+and ``check`` jobs, and ``MAX_FREE_RUNS`` (importable from
+``ncindep.products`` only) caps the runs of letters from one factor in a
+word that a free product values, so ``eval`` exits 2 on a longer one.
 Errors leave a single-line JSON object {code, message, context} on stderr.
 Exit codes: 0 success or expected outcome, 1 assertion failure, 2 usage or
 parse error, 3 degree or regime error.
@@ -32,7 +32,6 @@ from .errors import DegreeExceeded, ExpressionError, RegimeMismatch, StateDocume
 from .moments import MomentFunctional, dump_state, load_state, unitize
 from .parsing import format_word, parse_expression
 from .products import JointFunctional, ProductKind, parse_kind_label, sum_moment
-from .products import MAX_FREE_RUNS  # noqa: F401  the bound named above, importable here too
 from .rational import (
     as_rational,
     decimal_rendering,
@@ -48,13 +47,9 @@ from .reductions import ReductionKind, reduction_sweep
 CLT_WORK_BUDGET = 10**8
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 @functools.lru_cache(maxsize=1)
@@ -62,12 +57,14 @@ def _build_parser() -> _Parser:
     """The argument parser, built on first use and shared by every
     :func:`main` call: parsing leaves no state on it."""
     parser = _Parser(prog="ncindep", description=__doc__.splitlines()[0])
+    parser.set_defaults(run=None)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
     p_eval = sub.add_parser("eval", help="evaluate an expression under a product")
     p_eval.add_argument("--product", required=True, help="tensor|free|boolean|monotone|antimonotone|degenerate|fermi|q:<base>:<q>")
     p_eval.add_argument("--state", required=True, nargs="+", help="state document files, one per factor")
     p_eval.add_argument("--expr", required=True, help="expression over Algebra.generator letters")
+    p_eval.set_defaults(run=_cmd_eval)
 
     p_check = sub.add_parser("check", help="run an axiom suite or reduction sweep")
     p_check.add_argument("target", nargs="?", choices=["reduction"], help="'reduction' for reduction sweeps; omit for axiom checks")
@@ -77,23 +74,27 @@ def _build_parser() -> _Parser:
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--trials", type=int, default=50)
     p_check.add_argument("--max-len", dest="max_len", type=int, default=None, help="maximum word length, 1 to %d (default 6 for axioms, 5 for reductions)" % MAX_WORD_LEN)
+    p_check.set_defaults(run=_cmd_check)
 
     p_clt = sub.add_parser("clt", help="moments of sums of independent copies")
     p_clt.add_argument("--product", required=True, help="product kind, as for eval; x is odd for fermi")
     p_clt.add_argument("--moments", required=True, help="comma-separated m1,...,mD of one summand")
     p_clt.add_argument("--n", required=True, type=int, help="number of summands")
     p_clt.add_argument("--order", required=True, type=int, help="moment order to compute")
+    p_clt.set_defaults(run=_cmd_clt)
 
     p_classical = sub.add_parser("classical", help="finite classical probability")
     p_classical.add_argument("action", choices=["independence"])
     p_classical.add_argument("--space", required=True, help="probability space JSON file")
     p_classical.add_argument("--x", required=True, help="first variable JSON file")
     p_classical.add_argument("--y", required=True, help="second variable JSON file")
+    p_classical.set_defaults(run=_cmd_classical)
 
     p_state = sub.add_parser("state", help="state document utilities")
     p_state.add_argument("action", choices=["unitize"])
     p_state.add_argument("--state", required=True, help="non-unital state document file")
     p_state.add_argument("--out", help="output file (default: stdout)")
+    p_state.set_defaults(run=_cmd_state)
 
     return parser
 
@@ -120,7 +121,7 @@ def _check_work(trials: int, max_len: int) -> None:
     check_word_len(max_len)
     work = trials * 4**max_len
     if work > CLT_WORK_BUDGET:
-        raise _UsageError(
+        raise ValueError(
             "check work trials * 4^max_len = %d (trials=%d, max-len=%d) exceeds the budget of %d"
             % (work, trials, max_len, CLT_WORK_BUDGET)
         )
@@ -136,13 +137,40 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_check_axiom(args) -> int:
+def _cmd_check(args) -> int:
+    if args.target == "reduction":
+        if not args.kind:
+            raise ValueError("check reduction needs --kind")
+        try:
+            kind = ReductionKind(args.kind.strip().lower())
+        except ValueError:
+            raise ValueError("unknown reduction kind %r" % args.kind) from None
+        max_len = 5 if args.max_len is None else args.max_len
+        _check_work(args.trials, max_len)
+        checked, failures = reduction_sweep(kind, args.seed, args.trials, max_len)
+        print(
+            "reduction=%s seed=%d trials=%d max-len=%d checked=%d failures=%d"
+            % (kind.value, args.seed, args.trials, max_len, checked, len(failures))
+        )
+        for _, word, check in failures[:3]:
+            print(
+                "witness: word=%s lhs=%s rhs=%s"
+                % (format_word(word), format_rational(check.lhs), format_rational(check.rhs))
+            )
+        if failures:
+            _emit_error(
+                "mismatch",
+                "reduction verification failed",
+                {"kind": kind.value, "failures": len(failures)},
+            )
+            return 1
+        return 0
     if not args.axiom or not args.product:
-        raise _UsageError("check needs --axiom and --product (or the 'reduction' target)")
+        raise ValueError("check needs --axiom and --product (or the 'reduction' target)")
     try:
         axiom = Axiom(args.axiom.strip().lower())
     except ValueError:
-        raise _UsageError("unknown axiom %r" % args.axiom) from None
+        raise ValueError("unknown axiom %r" % args.axiom) from None
     kind = parse_kind_label(args.product)
     max_len = 6 if args.max_len is None else args.max_len
     _check_work(args.trials, max_len)
@@ -150,7 +178,7 @@ def _cmd_check_axiom(args) -> int:
     for line in report.lines():
         print(line)
     if not report.checked:
-        raise _UsageError("the check compared no words")
+        raise ValueError("the check compared no words")
     expected = expected_outcome(axiom, kind)
     as_expected = report.passed == expected
     print(
@@ -171,50 +199,21 @@ def _cmd_check_axiom(args) -> int:
     return 1
 
 
-def _cmd_check_reduction(args) -> int:
-    if not args.kind:
-        raise _UsageError("check reduction needs --kind")
-    try:
-        kind = ReductionKind(args.kind.strip().lower())
-    except ValueError:
-        raise _UsageError("unknown reduction kind %r" % args.kind) from None
-    max_len = 5 if args.max_len is None else args.max_len
-    _check_work(args.trials, max_len)
-    checked, failures = reduction_sweep(kind, args.seed, args.trials, max_len)
-    print(
-        "reduction=%s seed=%d trials=%d max-len=%d checked=%d failures=%d"
-        % (kind.value, args.seed, args.trials, max_len, checked, len(failures))
-    )
-    for _, word, check in failures[:3]:
-        print(
-            "witness: word=%s lhs=%s rhs=%s"
-            % (format_word(word), format_rational(check.lhs), format_rational(check.rhs))
-        )
-    if failures:
-        _emit_error(
-            "mismatch",
-            "reduction verification failed",
-            {"kind": kind.value, "failures": len(failures)},
-        )
-        return 1
-    return 0
-
-
 def _cmd_clt(args) -> int:
     kind = parse_kind_label(args.product)
     try:
         moments = [parse_rational(piece) for piece in args.moments.split(",")]
     except ValueError as exc:
-        raise _UsageError("bad --moments list: %s" % exc) from None
+        raise ValueError("bad --moments list: %s" % exc) from None
     if not moments:
-        raise _UsageError("--moments must list at least one moment")
+        raise ValueError("--moments must list at least one moment")
     if args.n < 1:
-        raise _UsageError("--n must be at least 1")
+        raise ValueError("--n must be at least 1")
     if args.order < 1:
-        raise _UsageError("--order must be at least 1")
+        raise ValueError("--order must be at least 1")
     work = args.n * args.order**3
     if work > CLT_WORK_BUDGET:
-        raise _UsageError(
+        raise ValueError(
             "clt work n * order^3 = %d (n=%d, order=%d) exceeds the budget of %d"
             % (work, args.n, args.order, CLT_WORK_BUDGET)
         )
@@ -260,24 +259,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(_attach_moments(sys.argv[1:] if argv is None else argv))
-        if args.command is None:
-            raise _UsageError("a subcommand is required (eval, check, clt, classical, state)")
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "check":
-            if args.target == "reduction":
-                return _cmd_check_reduction(args)
-            return _cmd_check_axiom(args)
-        if args.command == "clt":
-            return _cmd_clt(args)
-        if args.command == "classical":
-            return _cmd_classical(args)
-        if args.command == "state":
-            return _cmd_state(args)
-        raise _UsageError("unknown command %r" % args.command)
-    except _UsageError as exc:
-        _emit_error("usage", str(exc), {})
-        return 2
+        if args.run is None:
+            raise ValueError("a subcommand is required (eval, check, clt, classical, state)")
+        return args.run(args)
     except ExpressionError as exc:
         _emit_error("expression", str(exc), {"offset": exc.offset})
         return 2

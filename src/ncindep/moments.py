@@ -188,20 +188,6 @@ class MomentFunctional:
             self._even = not any(itertools.compress(dense[len(dense) - len(flags):], flags))
         return self._even
 
-    def _value(self, letters) -> Rational:
-        """The moment of a letter tuple, computed on its first read; None
-        when the letters are no monomial of the table (a foreign letter, or
-        more than D of them)."""
-        digits, offsets = self._layout
-        width, rank = len(digits), 0
-        try:
-            for letter in letters:
-                rank = rank * width + digits[letter]
-            rank += offsets[len(letters)]
-        except LookupError:
-            return None
-        return self._at(rank) if rank < len(self._dense) else None
-
     def _at(self, rank) -> Rational:
         """The entry at ``rank``, computed on its first read."""
         value = self._dense[rank]
@@ -212,17 +198,25 @@ class MomentFunctional:
     def __call__(self, monomial: Monomial) -> Rational:
         if monomial.algebra != self.algebra:
             raise ValueError("monomial %r is not over %r" % (monomial, self.algebra.name))
-        if len(monomial) > self.max_degree:
-            raise DegreeExceeded(monomial, self.max_degree)
-        return self._value(monomial.letters)
+        return self.value_of_letters(monomial.letters)
 
     def value_of_letters(self, letters) -> Rational:
-        """Moment of the monomial with the given letters (over this algebra)."""
+        """Moment of the monomial with the given letters (over this algebra),
+        computed on its first read.  Letters that are no monomial of the
+        table raise as :class:`Monomial` does (a foreign letter, or the
+        empty word without a unit) or, past D, ``DegreeExceeded``."""
         letters = tuple(letters)
-        value = self._value(letters)
-        if value is None:  # beyond D, or not a monomial here: the checked route raises
-            return self(Monomial(self.algebra, letters))
-        return value
+        digits, offsets = self._layout
+        width, rank = len(digits), 0
+        try:
+            for letter in letters:
+                rank = rank * width + digits[letter]
+            rank += offsets[len(letters)]
+        except LookupError:
+            rank = len(self._dense)
+        if rank < len(self._dense):
+            return self._at(rank)
+        raise DegreeExceeded(Monomial(self.algebra, letters), self.max_degree)
 
     def __repr__(self):
         return "MomentFunctional(%s, D=%d)" % (self.algebra.name, self.max_degree)

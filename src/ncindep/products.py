@@ -52,7 +52,7 @@ from enum import Enum
 from functools import partial, reduce
 from typing import Sequence
 
-from .algebra import Monomial, Polynomial, Word
+from .algebra import Polynomial, Word, _bare
 from .errors import RegimeMismatch
 from .moments import MomentFunctional, scale
 from .rational import ONE, Rational, ZERO, as_rational, format_rational, parse_rational, product
@@ -350,6 +350,7 @@ class JointFunctional:
         _check_regime(kind, factors)
         self.factors = factors
         self.kind = kind
+        self._algebras = tuple(phi.algebra for phi in factors)
         q, base, leaves = _deformed(kind, factors)
         odd = None
         if base is ProductKind.FERMI:
@@ -370,26 +371,18 @@ class JointFunctional:
         self._q = q if isinstance(kind, QDeformed) else None
         self._max_runs = MAX_FREE_RUNS if base is ProductKind.FREE else None
 
-    def _check(self, word: Word):
-        """Reject a word this functional cannot value, before any work."""
-        n = len(self.factors)
-        for factor, monomial in word.blocks:
-            if factor >= n:
-                raise ValueError(
-                    "word uses factor %d but only %d factors are joined" % (factor, n)
-                )
-            if monomial.algebra != self.factors[factor].algebra:
-                raise ValueError(
-                    "block over %r sits on factor %d, which belongs to %r"
-                    % (monomial.algebra.name, factor, self.factors[factor].algebra.name)
-                )
-        if word.is_empty and not self.factors[0].unital:
+    def _check(self, word: Word) -> tuple:
+        """The bare block tuple of a word this functional can value; any
+        other word is rejected before any work."""
+        blocks = _bare(word, self._algebras)
+        if not blocks and not self.factors[0].unital:
             raise RegimeMismatch(
                 "the empty word is the unit, which the non-unital regime lacks"
             )
-        if self._max_runs is not None and word.num_blocks > self._max_runs:
+        if self._max_runs is not None and len(blocks) > self._max_runs:
             raise ValueError("a word of %d runs exceeds the free product's bound of %d runs"
-                             % (word.num_blocks, self._max_runs))
+                             % (len(blocks), self._max_runs))
+        return blocks
 
     def value_of_blocks(self, blocks) -> Rational:
         """Value of a trusted normal-form word given as a bare block tuple
@@ -398,20 +391,14 @@ class JointFunctional:
         return value if self._q is None else self._q * value
 
     def evaluate(self, word: Word) -> Rational:
-        self._check(word)
-        return self.value_of_blocks(tuple((f, m.letters) for f, m in word.blocks))
+        return self.value_of_blocks(self._check(word))
 
     __call__ = evaluate
 
     def evaluate_polynomial(self, polynomial: Polynomial) -> Rational:
         """Value of a polynomial; every word is checked before any is valued."""
-        for word in polynomial.terms:
-            self._check(word)
-        return sum(
-            (coeff * self.value_of_blocks(tuple((f, m.letters) for f, m in word.blocks))
-             for word, coeff in polynomial.items()),
-            ZERO,
-        )
+        terms = [(self._check(word), coeff) for word, coeff in polynomial.items()]
+        return sum((coeff * self.value_of_blocks(blocks) for blocks, coeff in terms), ZERO)
 
     def __repr__(self):
         names = ", ".join(phi.algebra.name for phi in self.factors)
@@ -654,12 +641,12 @@ def sum_moment(kind, states: Sequence[MomentFunctional], order: int, generators=
             raise ValueError("need one designated generator per state")
     # each distinct (state, generator) is read once
     summands = list(zip(states, names))
-    letters = {(phi, name): Monomial(phi.algebra, (name,)) for phi, name in summands}
+    degrees = {(phi, name): phi.algebra.degree_of(name) for phi, name in summands}
     _check_regime(kind, states)
-    q, kind, scaled = _deformed(kind, [phi for phi, _ in letters])
+    q, kind, scaled = _deformed(kind, [phi for phi, _ in degrees])
     moments = {
-        (phi, name): [summand(Monomial(phi.algebra, (name,) * k)) for k in range(1, order + 1)]
-        for (phi, name), summand in zip(letters, scaled)
+        (phi, name): [summand.value_of_letters((name,) * k) for k in range(1, order + 1)]
+        for (phi, name), summand in zip(degrees, scaled)
     }
     denominator = math.lcm(*(m.denominator for row in moments.values() for m in row))
     powers = [denominator**k for k in range(order + 1)]
@@ -668,5 +655,5 @@ def sum_moment(kind, states: Sequence[MomentFunctional], order: int, generators=
         for summand, row in moments.items()
     }
     series = [rows[summand] for summand in summands]
-    odd = [kind is ProductKind.FERMI and letters[summand].degree == 1 for summand in summands]
+    odd = [kind is ProductKind.FERMI and degrees[summand] == 1 for summand in summands]
     return q * Rational(_sum_series(kind, series, odd)[order], powers[order])

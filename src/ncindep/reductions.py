@@ -145,9 +145,12 @@ def _unit(kind: ReductionKind, n: int):
     return 0, (FermiSlot((), 0, 0) if kind is ReductionKind.FERMI else (),) * n
 
 
-def _embed(kind: ReductionKind, n: int, word: Word):
-    """Image (negative, slots) of a normal-form word over n factors: the
-    product of its letters' images."""
+def embed_word(kind: ReductionKind, n: int, word: Word) -> ReducedWord:
+    """Image of a normal-form word over n factors under the reduction's
+    letter-wise embedding: the product of its letters' images, multiplied
+    out slot by slot."""
+    if not isinstance(kind, ReductionKind):
+        raise TypeError("kind must be a ReductionKind")
     degrees = [None] * n
     image = _unit(kind, n)
     for factor, monomial in word.blocks:
@@ -160,15 +163,7 @@ def _embed(kind: ReductionKind, n: int, word: Word):
             raise ValueError("factor %d is used for two different algebras" % factor)
         for letter in monomial.letters:
             image = _times(kind, image, _letter(kind, n, factor, letter, generators[letter]))
-    return image
-
-
-def embed_word(kind: ReductionKind, n: int, word: Word) -> ReducedWord:
-    """Image of a normal-form word over n factors under the reduction's
-    letter-wise embedding, multiplied out slot by slot."""
-    if not isinstance(kind, ReductionKind):
-        raise TypeError("kind must be a ReductionKind")
-    negative, slots = _embed(kind, n, word)
+    negative, slots = image
     return ReducedWord(kind, -ONE if negative else ONE, slots)
 
 
@@ -394,7 +389,6 @@ def reduction_sweep(kind: ReductionKind, seed: int, trials: int, max_word_len: i
         states = [gen_random_state(sig, max_word_len, rng) for sig in signatures]
         graded = [_graded(phi) for phi in states]
         joint = JointFunctional(graded, kind.product_kind)
-        _check_regime(kind.product_kind, graded)  # the reduced states' regime
         table = _sweep_table(kind, joint, max_word_len)
         values = [value for phi in graded for value in phi._dense]
         differing = []

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from ncindep import AlgebraSignature, FiniteProbSpace, RandomVariable, gen_random_state
 from ncindep.classical import space_to_json, variable_to_json
-from ncindep.cli import CLT_WORK_BUDGET, MAX_FREE_RUNS, _build_parser, main
+from ncindep.cli import CLT_WORK_BUDGET, _build_parser, main
 from ncindep.moments import dump_state, load_state
+from ncindep.products import MAX_FREE_RUNS
 from ncindep.rational import as_rational
 from conftest import total_state
 
@@ -796,6 +797,99 @@ def test_mutated_space_and_variable_documents_never_escape_main(replacements):
         error_doc(stderr.getvalue())
     else:
         assert stderr.getvalue() == ""
+
+
+# The error codes each exit code may carry.
+_CODES = {1: {"mismatch"}, 2: {"usage", "expression", "document"}, 3: {"degree", "regime"}}
+
+# The argv vocabulary: "@name" stands for files of the fixture below, "@pair"
+# for two state files, and "@out" for --out <scratch file>, the only file
+# main may write.
+_HEADS = (
+    ("eval",), ("check",), ("check", "reduction"), ("clt",), ("classical", "independence"),
+    ("state", "unitize"), ("check", "unitize"), ("state",), ("frobnicate",), ("",), (),
+)
+_NUMBERS = ("-1", "0", "1", "2", "3")
+_KINDS = ("tensor", "free", "boolean", "monotone", "antimonotone", "degenerate", "fermi",
+          "q:free:2", "q:tensor:-1", "q:boolean:0", "q:fermi:2", "q:free", "sideways")
+_STATES = ("@pair", "@pair", "@s1", "@g1", "@missing", "@space")
+_DOCUMENTS = ("@space", "@x", "@y", "@missing", "@s1")
+_FLAG_VALUES = {
+    "--product": _KINDS, "--kind": ("fermi", "boolean", "monotone", "antimonotone", "tensor"),
+    "--state": _STATES,
+    "--expr": ("A1.a", "A1.a A2.b A1.a", "1/2 * A1.a + A2.b^2", "A1.b A2.x", "A1.a^3", "A1.", "("),
+    "--axiom": ("symmetry", "associativity", "unitlaw", "factorization", "bogus"),
+    "--seed": _NUMBERS, "--trials": _NUMBERS, "--max-len": _NUMBERS, "--n": _NUMBERS,
+    "--order": _NUMBERS, "--moments": ("0,1,0,1", "1/2,1", "-1,1", "1,,2", "1/0", ""),
+    "--space": _DOCUMENTS, "--x": _DOCUMENTS, "--y": _DOCUMENTS,
+}
+# each command's own flags
+_HEAD_FLAGS = {
+    "eval": ("--product", "--state", "--expr"),
+    "check": ("--axiom", "--product", "--kind", "--seed", "--trials", "--max-len"),
+    "clt": ("--product", "--moments", "--n", "--order"),
+    "classical": ("--space", "--x", "--y"),
+    "state": ("--state",),
+}
+_NOISE = ("@out", "@s2", "@missing", "reduction", "--trials", "1/2", "", "-1")
+_ANY_VALUE = tuple(sorted({value for values in _FLAG_VALUES.values() for value in values}))
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("argv")
+    paths = {name: str(folder / ("%s.json" % name[1:])) for name in ("@s1", "@s2", "@g1", "@space", "@x", "@y")}
+    dump_state(total_state(P1, 2, {"a": "1/2"}), paths["@s1"])
+    dump_state(total_state(P2, 2, {"b": "1/3"}), paths["@s2"])
+    dump_state(total_state(G1, 2, {"b": "1/2"}), paths["@g1"])
+    quarter = as_rational("1/4")
+    space = FiniteProbSpace(("hh", "ht", "th", "tt"), {o: quarter for o in ("hh", "ht", "th", "tt")})
+    for name, doc in (("@space", space_to_json(space)),
+                      ("@x", variable_to_json(RandomVariable(space, {o: o[0] for o in space.outcomes}))),
+                      ("@y", variable_to_json(RandomVariable(space, {o: o[1] for o in space.outcomes})))):
+        with open(paths[name], "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+    tokens = {name: [path] for name, path in paths.items()}
+    tokens["@pair"] = [paths["@s1"], paths["@s2"]]
+    tokens["@missing"] = [str(folder / "missing.json")]
+    tokens["@out"] = ["--out", str(folder / "out.json")]
+    return tokens
+
+
+@st.composite
+def _argvs(draw):
+    """A head and all its own flags, each with one of its own values, in
+    any order; then up to three edits, each dropping a flag or putting in a
+    noise word or a flag of any value."""
+    head = draw(st.sampled_from(_HEADS))
+    flags = _HEAD_FLAGS.get(head[0] if head else "", ())
+    pairs = [(flag, draw(st.sampled_from(_FLAG_VALUES[flag]))) for flag in draw(st.permutations(flags))]
+    noise = st.one_of(st.sampled_from(_NOISE).map(lambda word: (word,)),
+                      st.tuples(st.sampled_from(sorted(_FLAG_VALUES)), st.sampled_from(_ANY_VALUE)))
+    for _ in range(draw(st.integers(0, 3))):
+        if pairs and draw(st.booleans()):
+            del pairs[draw(st.integers(0, len(pairs) - 1))]
+        else:
+            pairs.insert(draw(st.integers(0, len(pairs))), draw(noise))
+    return [*head, *(token for item in pairs for token in item)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_argvs())
+def test_any_argv_gets_a_documented_exit_code(argv_files, words):
+    """main answers every argv drawn from the vocabulary with an exit code
+    in {0, 1, 2, 3}, and on stderr at most JSON lines whose code matches
+    it.  A work budget of 3 trials of 3 letters keeps every check cheap:
+    a larger one is refused as a usage error."""
+    argv = [path for word in words for path in argv_files.get(word, [word])]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("ncindep.cli.CLT_WORK_BUDGET", 3 * 4**3)
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    for line in stderr.getvalue().splitlines():
+        assert error_doc(line + "\n")["code"] in _CODES.get(code, ()), argv
 
 
 def test_unknown_product_label_is_a_usage_error(capsys, pair_files):

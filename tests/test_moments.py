@@ -256,12 +256,23 @@ def test_trusted_builds_pass_the_validating_constructor():
 
 
 def test_trusted_builds_reject_long_and_foreign_letters():
+    """A lookup miss raises, and computes no entry of a state filled on read."""
+    partial = 0  # states with entries not computed yet, where a miss could fill one
     for phi in _trusted_builds():
         name = phi.algebra.generator_names[0]
+        computed = sum(value is not None for value in phi._dense)
+        partial += computed < len(phi._dense)
         with pytest.raises(DegreeExceeded):
             phi.value_of_letters((name,) * (phi.max_degree + 1))
         with pytest.raises(ValueError):  # not KeyError
             phi.value_of_letters(("nope",))
+        with pytest.raises(ValueError):
+            phi(Monomial(AlgebraSignature("Other", phi.unital, phi.algebra.generators), (name,)))
+        if not phi.unital:
+            with pytest.raises(RegimeMismatch):
+                phi.value_of_letters(())
+        assert sum(value is not None for value in phi._dense) == computed, phi
+    assert partial >= 8
 
 
 # ---------------------------------------------------------------------------

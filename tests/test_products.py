@@ -13,6 +13,7 @@ from ncindep import (
     AlgebraSignature,
     DegreeExceeded,
     EMPTY_WORD,
+    Homomorphism,
     JointFunctional,
     MomentFunctional,
     Monomial,
@@ -21,6 +22,7 @@ from ncindep import (
     QDeformed,
     RegimeMismatch,
     Word,
+    apply_homomorphism,
     enumerate_words,
     eval_graded_tensor,
     free_centering_oracle,
@@ -206,13 +208,41 @@ def test_kind_labels_round_trip():
         assert parse_kind_label(kind_label(kind)) == kind
 
 
-def test_word_factor_validation():
-    phi1 = total_state(U1, 2)
-    phi2 = total_state(U2, 2)
+def test_word_factor_validation(monkeypatch):
+    """Every entry that takes a Word refuses, with ValueError before any
+    value, a block on a factor past the given ones and a block over an
+    algebra that is not its factor's.  The twins share their factor's
+    generator names, so without the check they would be valued silently."""
+    import ncindep.algebra as algebra
+
+    phi1 = total_state(U1, 2, {"a": "1/2"})
+    phi2 = total_state(U2, 2, {"b": "1/3"})
     joint = JointFunctional((phi1, phi2), ProductKind.TENSOR)
+    homomorphisms = (Homomorphism.identity(U1), Homomorphism.identity(U2))
+    a, b = Monomial(U1, ("a",)), Monomial(U2, ("b",))
+    twin_a = Monomial(AlgebraSignature("T", True, (("a", 0),)), ("a",))
+    twin_b = Monomial(AlgebraSignature("A2", False, (("b", 0),)), ("b",))
     stray = Word(((2, Monomial(AlgebraSignature("A3", True, (("s", 0),)), ("s",))),))
-    with pytest.raises(ValueError):
-        joint.evaluate(stray)
+    words = (stray, Word(((0, a), (2, a))), Word(((0, twin_a),)), Word(((0, a), (1, twin_b))),
+             Word(((1, b), (0, twin_a), (1, b))), Word(((1, a),)))
+
+    def refused(*args):
+        raise AssertionError("a value was computed")
+
+    monkeypatch.setattr(JointFunctional, "value_of_blocks", refused)
+    monkeypatch.setattr(algebra, "_image_terms", refused)
+    monkeypatch.setattr(MomentFunctional, "letters_table", property(refused))
+    valid = Polynomial.from_word(Word(((0, a), (1, b))))
+    entries = (
+        joint.evaluate,
+        lambda word: joint.evaluate_polynomial(valid + Polynomial.from_word(word)),
+        lambda word: apply_homomorphism(homomorphisms, word),
+        lambda word: free_centering_oracle(phi1, phi2, word),
+    )
+    for word in words:
+        for entry in entries:
+            with pytest.raises(ValueError):
+                entry(word)
 
 
 # ---------------------------------------------------------------------------
