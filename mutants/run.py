@@ -1,0 +1,191 @@
+"""Mutation gate: how many one-edit faults the named tests catch.
+
+Each mutant below is one exact text edit of one source file (its old text
+must occur there exactly once) and either the ids of the tests expected to
+kill it or, for an edit that changes no result, the reason it cannot be
+killed.  For each mutant the tree is copied to a temporary directory, the
+edit is made in the copy, and the named tests run there, stopping at the
+first failure; a mutant is killed when a named test fails.  For an
+equivalent mutant only its old text is looked for, so that the record is
+kept current.  The named tests run first on an unedited copy, where all of
+them must pass, so that a kill is the edit's doing.  Nothing in the
+working tree is edited.
+
+Usage, from anywhere (standard library and pytest only)::
+
+    python3 mutants/run.py
+
+Prints one line per mutant (killed, SURVIVED or equivalent, and the
+seconds the run took), then the kill rate over the mutants that are not
+equivalent.  Exits 1 when such a mutant survives, when an old text no
+longer matches, or when the named tests fail on the unedited tree.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    killers: tuple
+    equivalent: str = ""  # why the edit changes no result, for a mutant no test can kill
+
+
+MUTANTS = (
+    # the sweep proves a word once per table
+    Mutant(
+        "proof-ignores-sign-bit", "src/ncindep/reductions.py",
+        "negative, not negative and sorted(segments) == sorted(runs))",
+        "negative, sorted(segments) == sorted(runs))",
+        ("tests/test_reductions.py::test_proved_words_agree_on_both_public_routes",
+         "tests/test_reductions.py::test_sweeps_without_the_proof_give_the_same_results"),
+    ),
+    Mutant(
+        "proof-compares-sets", "src/ncindep/reductions.py",
+        "not negative and sorted(segments) == sorted(runs))",
+        "not negative and set(segments) == set(runs))",
+        (),
+        "a sweep joins two factors, and under a padding product each factor's segments, as each "
+        "factor's runs under a reduction, are either all its blocks or their one concatenation; "
+        "two such lists with one set are equal",
+    ),
+    # the laws run on integer-graded inputs
+    Mutant(
+        "graded-power-one-too-high", "src/ncindep/moments.py",
+        "powers = [D**length for length in range(phi.max_degree + 1)]",
+        "powers = [D**(length + 1) for length in range(phi.max_degree + 1)]",
+        ("tests/test_moments.py::test_lazy_grading_makes_the_entries_it_reads_as_ints",
+         "tests/test_reductions.py::test_graded_states_hold_the_rescaled_moments_as_ints"),
+    ),
+    Mutant(
+        "pullback-int-path-drops-denominator", "src/ncindep/moments.py",
+        "return num if den == 1 else Rational(num, den)",
+        "return num",
+        ("tests/test_moments.py::test_pullbacks_of_integer_inputs_are_ints",),
+    ),
+    Mutant(
+        "witness-values-from-graded-inputs", "src/ncindep/axioms.py",
+        "drawn = functools.cache(lambda: law(states, homs))",
+        "drawn = functools.cache(lambda: graded)",
+        ("tests/test_axioms.py::test_factorization_fails_by_exactly_inverse_q_for_the_deformation",
+         "tests/test_axioms.py::test_reports_are_pinned_bit_for_bit"),
+    ),
+    Mutant(
+        "free-unit-seed-zero", "src/ncindep/products.py",
+        "self._values: dict = {(): 1}",
+        "self._values: dict = {(): 0}",
+        ("tests/test_products.py::test_empty_word_is_the_unit_in_the_unital_regime",
+         "tests/test_products.py::test_evaluate_returns_a_fraction_for_every_word"),
+    ),
+    # one path per check
+    Mutant(
+        "bare-skips-algebra-check", "src/ncindep/algebra.py",
+        "if monomial.algebra != algebras[factor]:",
+        "if False:",
+        ("tests/test_products.py::test_word_factor_validation",),
+    ),
+    Mutant(
+        "bare-factor-bound-off-by-one", "src/ncindep/algebra.py",
+        "if factor >= len(algebras):",
+        "if factor > len(algebras):",
+        ("tests/test_products.py::test_word_factor_validation",),
+    ),
+    Mutant(
+        "lookup-miss-reads-zero", "src/ncindep/moments.py",
+        "raise DegreeExceeded(Monomial(self.algebra, letters), self.max_degree)",
+        "return ZERO",
+        ("tests/test_cli.py::test_words_beyond_the_table_bound_are_degree_errors",),
+    ),
+    Mutant(
+        "check-dispatch-swapped", "src/ncindep/cli.py",
+        'if args.target == "reduction":',
+        'if args.target != "reduction":',
+        ("tests/test_cli.py::test_check_axiom_pass_is_exit_zero",),
+    ),
+    Mutant(
+        "polynomial-valued-while-checked", "src/ncindep/products.py",
+        "terms = [(self._check(word), coeff) for word, coeff in polynomial.items()]",
+        "terms = ((self._check(word), coeff) for word, coeff in polynomial.items())",
+        ("tests/test_products.py::test_word_factor_validation",),
+    ),
+)
+
+
+def _copy(into: str) -> str:
+    tree = os.path.join(into, "tree")
+    shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
+        ".git", "__pycache__", ".pytest_cache", ".hypothesis", "mutants"))
+    return tree
+
+
+def _run_tests(tree: str, killers) -> tuple:
+    """(pytest exit code, seconds) of the named tests in ``tree``."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONDONTWRITEBYTECODE="1")
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *killers],
+        cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return done.returncode, time.perf_counter() - start
+
+
+def _edit(tree: str, mutant: Mutant, write=True) -> bool:
+    """Make the mutant's edit in ``tree``, or with ``write`` false only look
+    for it; False when its old text does not occur exactly once."""
+    path = os.path.join(tree, mutant.path)
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    if text.count(mutant.old) != 1:
+        return False
+    if write:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text.replace(mutant.old, mutant.new))
+    return True
+
+
+def main() -> int:
+    killers = sorted({test for mutant in MUTANTS for test in mutant.killers})
+    with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
+        if killers:
+            code, seconds = _run_tests(_copy(os.path.join(scratch, "clean")), killers)
+            if code != 0:
+                print("the named tests fail on the unedited tree (pytest exit %d)" % code)
+                return 1
+            print("unedited tree: the named tests pass (%.1f s)" % seconds)
+        killed, faults = 0, 0
+        for number, mutant in enumerate(MUTANTS):
+            tree = ROOT if mutant.equivalent else _copy(os.path.join(scratch, str(number)))
+            if not _edit(tree, mutant, write=not mutant.equivalent):
+                print("%-40s OLD TEXT NOT FOUND once in %s" % (mutant.name, mutant.path))
+                faults += 1
+                continue
+            if mutant.equivalent:
+                print("%-40s equivalent: %s" % (mutant.name, mutant.equivalent))
+                continue
+            code, seconds = _run_tests(tree, mutant.killers)
+            if code == 1:
+                killed += 1
+                print("%-40s killed in %.1f s" % (mutant.name, seconds))
+            else:
+                faults += 1
+                print("%-40s %s (pytest exit %d, %.1f s)"
+                      % (mutant.name, "SURVIVED" if code == 0 else "ERROR", code, seconds))
+            shutil.rmtree(tree)
+    counted = sum(not mutant.equivalent for mutant in MUTANTS)
+    print("killed %d of %d mutants (%d equivalent not counted)" % (killed, counted, len(MUTANTS) - counted))
+    return 1 if faults else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

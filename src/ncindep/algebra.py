@@ -445,7 +445,7 @@ def _image_terms(homomorphisms: Sequence[Homomorphism], blocks, memo: dict) -> d
     factor, and terms whose coefficients sum to zero are dropped.  ``memo``
     keeps each block's image for the words that repeat the block.
     """
-    terms = {(): ONE}
+    terms = {(): 1}
     for block in blocks:
         image = memo.get(block)
         if image is None:
@@ -492,7 +492,7 @@ def apply_homomorphism(homomorphisms: Sequence[Homomorphism], word: Word) -> Pol
     blocks = _bare(word, [hom.source for hom in homomorphisms])
     terms = _image_terms(homomorphisms, blocks, {})
     targets = [hom.target for hom in homomorphisms]
-    return Polynomial._collected((_word_of(targets, blocks), coeff) for blocks, coeff in terms.items())
+    return Polynomial._collected((_word_of(targets, blocks), Rational(coeff)) for blocks, coeff in terms.items())
 
 
 def _canonical_letters(algebra: AlgebraSignature, max_degree: int):

@@ -2,17 +2,23 @@
 
 Each axiom is checked word-by-word on randomly generated states and words:
 equality of two functionals on every word up to the degree bound is what
-linearity leaves to check.  Each law's trial yields, word by word, the two
+linearity leaves to check.  Each law's trial gives, word by word, the two
 values the law equates, and one comparison loop counts and compares them
 for every law.  Trials draw their words as bare normal-form block tuples
 ((factor, letters), ...) and value them through the joint functional's
 trusted entry, ``JointFunctional.value_of_blocks``; functoriality expands
-a word's image on bare tuples too.  A report lists every failing
-comparison with a full serialization of its inputs, so any witness can be
-replayed by hand or through the command line.  The inputs are built on
-their first read, from the word formatted, the law's own keys, and the
+a word's image on bare tuples too.  Every law is checked on integer-graded
+inputs: each drawn state phi as phi_D(w) = D^|w| phi(w), D = 840 the lcm
+of the palette's denominators, and each homomorphism with its generators'
+images rescaled to integer coefficients.  Each side of a law is natural
+under such rescalings, so it is the drawn side times one nonzero integer
+per word and the verdicts are the drawn inputs' own.  A report lists every
+failing comparison with its values and a full serialization of its inputs,
+so any witness can be replayed by hand or through the command line.  Both
+are made on their first read, the values from the word on the drawn
+inputs, the inputs from the word formatted, the law's own keys, and the
 trial's states, serialized once for all of its witnesses; a check that
-only counts failures builds none.  Reports are bit-identical for a given
+only counts failures makes neither.  Reports are bit-identical for a given
 seed: the per-trial generator is derived from (seed, trial index) alone,
 trials are mutually independent, and results are assembled in trial order.
 
@@ -42,6 +48,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -61,7 +68,7 @@ from .algebra import (
     single_block_word,
 )
 from .errors import RegimeMismatch
-from .moments import MomentFunctional, _layout, _parities, pullback, state_to_json
+from .moments import MomentFunctional, _graded, _layout, _parities, pullback, state_to_json
 from .parsing import format_expression, format_word
 from .products import JointFunctional, ProductKind, QDeformed, _append, admits_unital, kind_label
 from .rational import ONE, Rational, ZERO, format_rational
@@ -78,15 +85,19 @@ class Axiom(Enum):
 
 
 class AxiomFailure:
-    """One failing comparison: both values, and the replayable inputs,
-    which ``build`` makes on their first read."""
+    """One failing comparison: both values, which ``values`` makes at the
+    first read of either, and the replayable inputs, which ``build`` makes
+    on their first read."""
 
-    def __init__(self, build, lhs: Rational, rhs: Rational):
-        self._build, self.lhs, self.rhs = build, lhs, rhs
+    def __init__(self, build, values):
+        self._build, self._values = build, functools.cache(values)
 
     @functools.cached_property
     def inputs(self) -> dict:
         return self._build()
+
+    lhs = property(lambda self: self._values()[0])
+    rhs = property(lambda self: self._values()[1])
 
 
 @dataclass(frozen=True)
@@ -297,6 +308,7 @@ _FACTOR_NAMES = ("A1", "A2", "A3")
 _FACTOR_GENS = (("a", "b"), ("x", "y"), ("s", "t"))
 
 
+@functools.lru_cache(maxsize=64)
 def _signatures(count: int, kind, names=_FACTOR_NAMES, gens=_FACTOR_GENS):
     """The suite's factor algebras: unital for the unital kinds, and with an
     odd first generator for the graded tensor."""
@@ -373,18 +385,43 @@ def run_axiom_suite(
     return AxiomReport(axiom, kind, seed, trials, tuple(failures), checked)
 
 
-def _failures(states, comparisons):
-    """(checked, failures) of a trial's comparisons.  A failure's inputs are
-    made on their first read: the states, serialized at the first read of
-    any of the trial's witnesses and shared by all of them, the word, and
-    the law's own ``extra`` keys."""
+# The grade of the laws' inputs: D times any palette entry is an integer.
+_GRADE = math.lcm(*(value.denominator for value in _MOMENT_PALETTE))
+
+
+def _integral(hom: Homomorphism) -> Homomorphism:
+    """h_c: each generator u's image scaled by c_u = den_u D^L_u (den_u the
+    lcm of its denominators, L_u its longest monomial) and each monomial m
+    in it divided by D^|m|, D = _GRADE: every coefficient is an integer, and
+    phi_D o h_c is phi o h with each generator u scaled by c_u."""
+    images = {}
+    for name, image in hom.images.items():
+        terms = image.terms
+        den = math.lcm(*(c.denominator for c in terms.values()))
+        longest = max((w.num_letters for w in terms), default=0)
+        images[name] = Polynomial._collected(
+            (w, c.numerator * (den // c.denominator) * _GRADE ** (longest - w.num_letters))
+            for w, c in terms.items())
+    return Homomorphism(hom.source, hom.target, images)
+
+
+def _failures(states, homs, law, comparisons):
+    """(checked, failures) of a trial's comparisons, made on the graded
+    inputs.  A failure's values are made on the drawn inputs at their first
+    read, and its inputs at theirs: the states, serialized at the first
+    read of any of the trial's witnesses and shared by all of them, the
+    word, and the law's own ``extra`` keys."""
+    graded = law([_graded(phi, _GRADE) for phi in states], [_integral(hom) for hom in homs])
+    drawn = functools.cache(lambda: law(states, homs))
+    docs = functools.cache(lambda: [state_to_json(phi) for phi in states])
     checked = 0
     failures = []
-    docs = functools.cache(lambda: [state_to_json(phi) for phi in states])
-    for word, lhs, rhs, extra in comparisons:
+    for word, item, extra in comparisons:
         checked += 1
+        lhs, rhs = graded(item)
         if lhs != rhs:
-            failures.append(AxiomFailure(functools.partial(_inputs, docs, word, extra), lhs, rhs))
+            failures.append(AxiomFailure(functools.partial(_inputs, docs, word, extra),
+                                         lambda item=item: tuple(map(Rational, drawn()(item)))))
     return checked, failures
 
 
@@ -396,24 +433,26 @@ def _inputs(docs, word, extra) -> dict:
 
 # ---------------------------------------------------------------------------
 # Per-axiom trials.  Each draws its inputs from the trial's generator and
-# returns (states, comparisons): the states a witness replays, and an
-# iterator of (word, lhs, rhs, extra), the two values the law equates on
-# the word and the witness keys of the law's own inputs.  The word is a
-# pair (signatures, blocks): the factors' algebras and a bare normal-form
-# word over them.  ``extra`` is a dict, or a function that makes it.
+# returns (states, homs, law, comparisons): the states a witness replays,
+# the homomorphisms functoriality substitutes, the law, and an iterator of
+# (word, item, extra).  law(states, homs), over drawn or graded inputs,
+# maps an item to the two values the law equates on it.  The word is a pair
+# (signatures, blocks), a bare normal-form word and its factors' algebras;
+# the item is what the law reads of it; ``extra`` holds the witness keys of
+# the law's own inputs, a dict or a function that makes it.
 
 
 def _trial_associativity(kind, rng, max_word_len):
     signatures = _signatures(3, kind)
     states = [gen_random_state(sig, max_word_len, rng) for sig in signatures]
-    left = JointFunctional(states, kind, bracketing="left")
-    right = JointFunctional(states, kind, bracketing="right")
     words = _trial_words(signatures, max_word_len, rng, 8)
-    return states, (
-        ((signatures, word), left.value_of_blocks(word), right.value_of_blocks(word),
-         {"bracketing": "left-vs-right"})
-        for word in words
-    )
+
+    def law(states, homs):
+        left = JointFunctional(states, kind, bracketing="left")
+        right = JointFunctional(states, kind, bracketing="right")
+        return lambda word: (left.value_of_blocks(word), right.value_of_blocks(word))
+
+    return states, (), law, (((signatures, word), word, {"bracketing": "left-vs-right"}) for word in words)
 
 
 def _trial_unit_law(kind, rng, max_word_len):
@@ -421,33 +460,37 @@ def _trial_unit_law(kind, rng, max_word_len):
     phi = gen_random_state(signature, max_word_len, rng)
     trivial_sig = AlgebraSignature.make("E", (), unital=True)
     delta = MomentFunctional(trivial_sig, max_word_len, {Monomial(trivial_sig, ()): ONE})
-    sides = ((JointFunctional([phi, delta], kind), 0, "phi*delta"),
-             (JointFunctional([delta, phi], kind), 1, "delta*phi"))
     signatures = (signature, signature)  # phi's algebra, on either factor
+
+    def law(states, homs):
+        phi, = states
+        joints = (JointFunctional([phi, delta], kind), JointFunctional([delta, phi], kind))
+        return lambda item: (joints[item[0]].value_of_blocks(item[1]), phi.value_of_letters(item[2]))
 
     def comparisons():
         for letters in _canonical_letters(signature, max_word_len):
-            for joint, factor, side in sides:
+            for factor, side in enumerate(("phi*delta", "delta*phi")):
                 word = ((factor, letters),) if letters else ()
-                yield ((signatures, word), joint.value_of_blocks(word), phi.value_of_letters(letters),
-                       {"side": side})
+                yield (signatures, word), (factor, word, letters), {"side": side}
 
-    return [phi], comparisons()
+    return [phi], (), law, comparisons()
 
 
 def _trial_inclusion(kind, rng, max_word_len):
     signatures = _signatures(2, kind)
     states = [gen_random_state(sig, max_word_len, rng) for sig in signatures]
-    joint = JointFunctional(states, kind)
+
+    def law(states, homs):
+        joint = JointFunctional(states, kind)
+        return lambda item: (joint.value_of_blocks(item[1]), states[item[0]].value_of_letters(item[2]))
 
     def comparisons():
         for index in (0, 1):
             for letters in _canonical_letters(signatures[index], max_word_len):
                 word = ((index, letters),) if letters else ()
-                yield ((signatures, word), joint.value_of_blocks(word),
-                       states[index].value_of_letters(letters), {"factor": index})
+                yield (signatures, word), (index, word, letters), {"factor": index}
 
-    return states, comparisons()
+    return states, (), law, comparisons()
 
 
 def _trial_functoriality(kind, rng, max_word_len):
@@ -458,33 +501,36 @@ def _trial_functoriality(kind, rng, max_word_len):
         gen_random_homomorphism(source, target, rng)
         for source, target in zip(sources, targets)
     ]
-    pulled = [
-        pullback(phi, hom, max_degree=max_word_len)
-        for phi, hom in zip(target_states, homs)
-    ]
-    joint_target = JointFunctional(target_states, kind)
-    joint_pulled = JointFunctional(pulled, kind)
     words = _trial_words(sources, max_word_len, rng, 6)
-    images: dict = {}  # each source block's image, for every word that has the block
 
-    def image_value(word):
-        terms = _image_terms(homs, word, images).items()
-        return sum((coeff * joint_target.value_of_blocks(image) for image, coeff in terms), ZERO)
+    def law(states, homs):
+        pulled = [pullback(phi, hom, max_degree=max_word_len) for phi, hom in zip(states, homs)]
+        joint_target = JointFunctional(states, kind)
+        joint_pulled = JointFunctional(pulled, kind)
+        images: dict = {}  # each source block's image, for every word that has the block
+
+        def values(word):
+            terms = _image_terms(homs, word, images).items()
+            return (sum(coeff * joint_target.value_of_blocks(image) for image, coeff in terms),
+                    joint_pulled.value_of_blocks(word))
+
+        return values
 
     hom_doc = functools.cache(lambda: {"homomorphisms": [
         {name: format_expression(image) for name, image in hom.images.items()}
         for hom in homs
     ]})
-    return target_states, (
-        ((sources, word), image_value(word), joint_pulled.value_of_blocks(word), hom_doc)
-        for word in words
-    )
+    return target_states, homs, law, (((sources, word), word, hom_doc) for word in words)
 
 
 def _trial_factorization(kind, rng, max_word_len):
     signatures = _signatures(2, kind)
     states = [gen_random_state(sig, max_word_len, rng) for sig in signatures]
-    joint = JointFunctional(states, kind)
+
+    def law(states, homs):
+        joint = JointFunctional(states, kind)
+        return lambda word: (joint.value_of_blocks(word),
+                             states[0].value_of_letters(word[0][1]) * states[1].value_of_letters(word[1][1]))
 
     def comparisons():
         for _ in range(8):
@@ -495,10 +541,9 @@ def _trial_factorization(kind, rng, max_word_len):
                 for sig, length in zip(signatures, (first_len, second_len))
             )
             word = ((0, first), (1, second))
-            yield ((signatures, word), joint.value_of_blocks(word),
-                   states[0].value_of_letters(first) * states[1].value_of_letters(second), {})
+            yield (signatures, word), word, {}
 
-    return states, comparisons()
+    return states, (), law, comparisons()
 
 
 # The kind that the factor swap turns each asymmetric kind into.
@@ -513,14 +558,15 @@ def _trial_swapped(kind, other, rng, max_word_len):
     words with the two factors, and their states, swapped."""
     signatures = _signatures(2, kind)
     states = [gen_random_state(sig, max_word_len, rng) for sig in signatures]
-    joint = JointFunctional(states, kind)
-    swapped = JointFunctional([states[1], states[0]], other)
     words = _trial_words(signatures, max_word_len, rng, 8)
-    return states, (
-        ((signatures, word), joint.value_of_blocks(word),
-         swapped.value_of_blocks(tuple((1 - f, letters) for f, letters in word)), {})
-        for word in words
-    )
+
+    def law(states, homs):
+        joint = JointFunctional(states, kind)
+        swapped = JointFunctional([states[1], states[0]], other)
+        return lambda word: (joint.value_of_blocks(word),
+                             swapped.value_of_blocks(tuple((1 - f, letters) for f, letters in word)))
+
+    return states, (), law, (((signatures, word), word, {}) for word in words)
 
 
 _TRIAL_RUNNERS = {

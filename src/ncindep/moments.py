@@ -27,6 +27,7 @@ are exact rational literals, ``"p/q"`` or a bare integer.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import json
@@ -256,8 +257,9 @@ def pullback(phi: MomentFunctional, hom: Homomorphism, max_degree=None) -> Momen
     whole-table readers: a monomial's image is its prefix's image times one
     generator's image, its monomials kept as (length, rank in length), and
     each image computed is kept for the monomials it prefixes until the
-    table is complete.  The pullback of an even phi is even, since images
-    keep each generator's degree.
+    table is complete.  Over integer images, an entry that reads moments of
+    phi, all ``int``s, is an ``int``.  The pullback of an even phi is even,
+    since images keep each generator's degree.
     """
     if hom.target != phi.algebra:
         raise ValueError("homomorphism does not land in the functional's algebra")
@@ -307,13 +309,16 @@ def pullback(phi: MomentFunctional, hom: Homomorphism, max_degree=None) -> Momen
                     out[key] = out.get(key, 0) + c1 * c2
             den, image = memo[node] = den * factor_den, {key: c for key, c in out.items() if c}
         moments = [(c, at(offsets[length] + position)) for (length, position), c in image.items()]
+        if moments and all(type(v) is int for _, v in moments):  # an integer phi: no moment denominators
+            num = sum(c * v for c, v in moments)
+            return num if den == 1 else Rational(num, den)
         common = math.lcm(*(v.denominator for _, v in moments))
         num = sum(c * v.numerator * (common // v.denominator) for c, v in moments)
         return Rational(num, common * den)
 
     dense = [None] * _layout(hom.source, max_degree)[1][-1]
     if hom.source.unital:
-        dense[0] = ONE
+        dense[0] = phi._dense[0]  # phi(h(1)) = phi(1), an int when phi is graded
     pulled = MomentFunctional._from_dense(hom.source, max_degree, dense, fill)
     if phi.is_even:
         pulled._even = True
@@ -344,16 +349,32 @@ def scale(phi: MomentFunctional, coeff) -> MomentFunctional:
                                        lambda rank: phi._at(rank) * coeff)
 
 
-def _graded(phi: MomentFunctional) -> MomentFunctional:
-    """phi_D(w) = D^|w| phi(w), D the lcm of phi's denominators: phi on the
-    generators rescaled by D, with every moment an ``int``."""
-    dense, offsets = phi._complete(), phi._layout[1]
-    denominator = math.lcm(*(value.denominator for value in dense))
-    graded = []  # length by length; without a unit, length 0's slice is empty
-    for length, (start, end) in enumerate(zip(offsets, offsets[1:])):
-        power = denominator**length
-        graded += [value.numerator * (power // value.denominator) for value in dense[start:end]]
-    return MomentFunctional._from_dense(phi.algebra, phi.max_degree, graded)
+def _graded(phi: MomentFunctional, D=None) -> MomentFunctional:
+    """phi_D(w) = D^|w| phi(w), phi on the generators rescaled by D, with
+    every moment an ``int``, and even when phi is.  With D given, each entry
+    is made on its first read and raises ``ValueError`` if not an integer;
+    without it, D is the lcm of phi's denominators, all made at once."""
+    if D is None:
+        graded = _graded(phi, math.lcm(*(value.denominator for value in phi._complete())))
+        graded._complete()
+        return graded
+    offsets = phi._layout[1]
+    powers = [D**length for length in range(phi.max_degree + 1)]
+
+    def fill(rank):
+        value = phi._at(rank)
+        # offsets[0] is past the end without a unit, so the search starts at 1
+        numerator, rest = divmod(value.numerator * powers[bisect.bisect_right(offsets, rank, 1) - 1],
+                                 value.denominator)
+        if rest:
+            raise ValueError("moment %s at rank %d is not an integer at D = %d" % (value, rank, D))
+        return numerator
+
+    dense = [None] * len(phi._dense)
+    dense[:phi.unital] = [1] * phi.unital  # the unit stays 1
+    graded = MomentFunctional._from_dense(phi.algebra, phi.max_degree, dense, fill)
+    graded._even = phi._even
+    return graded
 
 
 # ---------------------------------------------------------------------------

@@ -150,7 +150,7 @@ class _Leaf:
 
     def eval_blocks(self, blocks) -> Rational:
         # a normal-form word over one factor has exactly one block
-        return self.phi.value_of_letters(blocks[0][1]) if blocks else ONE
+        return self.phi.value_of_letters(blocks[0][1]) if blocks else 1
 
 
 class _Node:
@@ -225,7 +225,7 @@ class _Degenerate(_Node):
 
     def eval_blocks(self, blocks) -> Rational:
         owners = {self.child_of[factor] for factor, _ in blocks}
-        return self.children[owners.pop()].eval_blocks(blocks) if len(owners) == 1 else ZERO
+        return self.children[owners.pop()].eval_blocks(blocks) if len(owners) == 1 else 0
 
 
 def _first_block_sum(cumulant, runs, positions, gap, proper=False) -> Rational:
@@ -234,7 +234,7 @@ def _first_block_sum(cumulant, runs, positions, gap, proper=False) -> Rational:
     i..j-1 after an element of S up to the next one or to the end; an empty
     gap counts 1.  With ``proper`` the set of all positions is left out."""
     first, rest = positions[0], positions[1:]
-    total = ZERO
+    total = 0
     for size in range(len(rest) + (not proper)):
         for others in itertools.combinations(rest, size):
             chosen = (first,) + others
@@ -253,7 +253,7 @@ class _Free(_Node):
 
     def __init__(self, children):
         super().__init__(children)
-        self._values: dict = {(): ONE}
+        self._values: dict = {(): 1}
         self._cumulants: list = [{} for _ in self.children]
 
     def eval_blocks(self, blocks) -> Rational:
@@ -386,12 +386,13 @@ class JointFunctional:
 
     def value_of_blocks(self, blocks) -> Rational:
         """Value of a trusted normal-form word given as a bare block tuple
-        ((factor, letters), ...), over the joined factors."""
+        ((factor, letters), ...), over the joined factors; an ``int`` when
+        the factors' moments read are."""
         value = self._root.eval_blocks(blocks)
         return value if self._q is None else self._q * value
 
     def evaluate(self, word: Word) -> Rational:
-        return self.value_of_blocks(self._check(word))
+        return Rational(self.value_of_blocks(self._check(word)))
 
     __call__ = evaluate
 

@@ -3,7 +3,9 @@
 Every quantity the engine computes is an exact rational number, a
 ``fractions.Fraction``; floating point appears only in advisory decimal
 renderings.  Rationals print as ``p/q`` (or a bare integer), hash
-consistently, and interoperate with Python ints.
+consistently, and interoperate with Python ints.  The trusted paths may
+carry ``int``s, exact too, so that integer-graded states are valued in
+integer arithmetic; the public entries return ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ def as_rational(value):
 
 
 def product(values):
-    """Product of exact values, starting from the first one; ``ONE`` when
-    there are none, so no product begins with a multiplication by one."""
+    """Product of exact values, starting from the first one; the ``int`` 1
+    when there are none, so that a product of ints stays an ``int``."""
     values = iter(values)
-    total = next(values, ONE)
+    total = next(values, 1)
     for value in values:
         total *= value
     return total

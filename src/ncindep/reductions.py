@@ -40,13 +40,16 @@ one letter's.  It stores ranks, not blocks: each product segment as the rank
 of its letters in its child's moment list, and each tensor slot as the ranks
 of the letter runs it is valued on.  Words with as many segments, as many
 runs and one sign bit (the product's sign times the image's) form a group,
-held as one column of ranks per segment and per run.  Each state phi is
-first replaced by phi_D, phi after the homomorphism that multiplies every
-generator by D, the lcm of phi's denominators, so that its moments are
-integers.  Both routes are natural under algebra homomorphisms, so this
-multiplies both values of a word by the same nonzero integer.  A group is
-then compared as two lists of integers, built column by column, and only
-the words on which they differ are valued again, one by one.
+held as one column of ranks per segment and per run.  A word of sign bit 0
+whose segments and runs are the same ranks, with multiplicity, is proved as
+the table is built: both routes are one signed product of moments on every
+state, so a sweep values only the other, open, groups.  For those each state
+phi is first replaced by phi_D, phi after the homomorphism that multiplies
+every generator by D, the lcm of phi's denominators, so that its moments
+are integers.  Both routes are natural under algebra homomorphisms, so this
+multiplies both values of a word by the same nonzero integer.  An open
+group is then compared as two lists of integers, built column by column,
+and only the words on which they differ are valued again, one by one.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ import operator
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from typing import NamedTuple, Sequence
 
 from .algebra import Monomial, Word, _canonical_letters, _word_of
@@ -259,14 +262,16 @@ def sweep_signatures(kind: ReductionKind):
 
 class _SweepGroup(NamedTuple):
     """The words of a sweep table with one shape: as many product segments,
-    as many tensor runs, and one sign bit, 1 when a word's Koszul sign and
-    its image's sign differ.  ``words`` holds their indices in the table,
-    ascending.  ``segments[i]`` holds each word's i-th segment, and
+    as many tensor runs, one sign bit, 1 when a word's Koszul sign and its
+    image's sign differ, and whether they are proved (sign bit 0, and the
+    same places on both routes).  ``words`` holds their indices in the
+    table, ascending.  ``segments[i]`` holds each word's i-th segment, and
     ``runs[i]`` its i-th run, as a place in the factors' moment lists laid
     end to end: factor f's entry at rank r sits at f's offset plus r."""
 
     words: array
     negative: int
+    proved: bool
     segments: tuple
     runs: tuple
 
@@ -337,20 +342,22 @@ def _sweep_table(kind: ReductionKind, joint: JointFunctional, max_word_len: int)
         layer = [_times(kind, image, letter_image) for image in layer for letter_image in letter_images]
         images += layer
     cut = joint._root.segments
-    shapes: dict = {}  # (segment count, run count, sign bit) -> word indices, then one column per segment and run
+    # a slot's run places, for every word whose image has the slot
+    slot_places = cache(lambda f, slot: [places[f][run] for run in _slot_runs(kind, slot)])
+    shapes: dict = {}  # (segment count, run count, sign bit, proved) -> rows (word index, segments..., runs...)
     for index, (word, (tensor_negative, slots)) in enumerate(zip(words, images)):
         negative, pairs = cut(word)
         # a leaf child's segment of a normal-form word is one block
         segments = [places[k][segment[0][1]] for k, segment in pairs]
-        runs = [places[f][run] for f, slot in enumerate(slots) for run in _slot_runs(kind, slot)]
-        shape = (len(segments), len(runs), negative ^ tensor_negative)
-        if shape not in shapes:
-            shapes[shape] = [array("I") for _ in range(1 + len(segments) + len(runs))]
-        for column, value in zip(shapes[shape], (index, *segments, *runs)):
-            column.append(value)
-    groups = tuple(_SweepGroup(columns[0], negative, tuple(columns[1:1 + count]), tuple(columns[1 + count:]))
-                   for (count, _, negative), columns in sorted(shapes.items()))
-    table = _SWEEP_TABLES[key] = _SweepTable(words, groups)
+        runs = [place for f, slot in enumerate(slots) for place in slot_places(f, slot)]
+        negative ^= tensor_negative
+        shape = (len(segments), len(runs), negative, not negative and sorted(segments) == sorted(runs))
+        shapes.setdefault(shape, []).append((index, *segments, *runs))
+    groups = []
+    for (count, _, negative, proved), rows in sorted(shapes.items()):
+        indices, *columns = map(partial(array, "I"), zip(*rows))
+        groups.append(_SweepGroup(indices, negative, proved, tuple(columns[:count]), tuple(columns[count:])))
+    table = _SWEEP_TABLES[key] = _SweepTable(words, tuple(groups))
     return table
 
 
@@ -367,19 +374,21 @@ def reduction_sweep(kind: ReductionKind, seed: int, trials: int, max_word_len: i
 
     The words and their structure on both routes come from one table per
     kind and length, in groups of words with as many segments, as many
-    tensor runs and one sign bit.  Per trial each drawn state phi is
-    replaced by its D-graded form phi_D(w) = D^|w| phi(w), D the lcm of its
-    denominators, so that every moment is an integer, and the graded lists
-    are laid end to end.  A group is valued column by column: the product
-    route is the list of its words' segment products, the tensor route the
-    list of their run products, negated when the sign bit is set, and the
-    two lists are compared whole.  Both routes carry the same factor, the
-    product over the factors f of D_f to the number of the word's letters
-    from f, so integer equality is exact rational equality.  The words on
-    which a group's lists differ are valued again, in word order, by
-    :func:`verify_reduction` on the drawn states.  Returns (checked,
-    failures) where failures lists (states, word, check) triples.
-    Deterministic for a given seed.
+    tensor runs and one sign bit; a proved group is counted, not valued.
+    Per trial the states are drawn and joined under the product, which
+    checks their regime.  When the table has an open group, each drawn
+    state phi is replaced by its D-graded form phi_D(w) = D^|w| phi(w), D
+    the lcm of its denominators, so that every moment is an integer, and
+    the graded lists are laid end to end.  An open group is valued column
+    by column: the product route is the list of its words' segment
+    products, the tensor route the list of their run products, negated when
+    the sign bit is set, and the two lists are compared whole.  Both routes
+    carry the same factor, the product over the factors f of D_f to the
+    number of the word's letters from f, so integer equality is exact
+    rational equality.  The words on which a group's lists differ are
+    valued again, in word order, by :func:`verify_reduction` on the drawn
+    states.  Returns (checked, failures) where failures lists (states,
+    word, check) triples.  Deterministic for a given seed.
     """
     generators = _trial_generators(seed, trials, max_word_len)
     signatures = sweep_signatures(kind)
@@ -387,12 +396,12 @@ def reduction_sweep(kind: ReductionKind, seed: int, trials: int, max_word_len: i
     failures = []
     for rng in generators:
         states = [gen_random_state(sig, max_word_len, rng) for sig in signatures]
-        graded = [_graded(phi) for phi in states]
-        joint = JointFunctional(graded, kind.product_kind)
+        joint = JointFunctional(states, kind.product_kind)
         table = _sweep_table(kind, joint, max_word_len)
-        values = [value for phi in graded for value in phi._dense]
+        groups = [group for group in table.groups if not group.proved]
+        values = [value for phi in states for value in _graded(phi)._dense] if groups else ()
         differing = []
-        for group in table.groups:
+        for group in groups:
             lhs = list(_column_products(values, group.segments))
             rhs = _column_products(values, group.runs)
             rhs = list(map(operator.neg, rhs) if group.negative else rhs)

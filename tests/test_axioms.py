@@ -1,9 +1,12 @@
 """Seeded law checking: which product kinds satisfy which conditions."""
 
+import collections
 import hashlib
 import itertools
 import json
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -99,16 +102,17 @@ def test_functoriality_builds_no_letter_keyed_views(monkeypatch):
 
 def test_functoriality_computes_only_the_pulled_entries_it_reads(monkeypatch):
     """A trial at word length 6 draws two target states of degree 12, 8,190
-    or 8,191 entries each, and pulls them back to degree 6, 126 or 127
-    entries each.  Its words read a few entries of each, and in each of the
-    four states exactly the entries read are computed, each once."""
+    or 8,191 entries each, grades them, and pulls the graded states back to
+    degree 6, 126 or 127 entries each.  Its words read a few entries of
+    each, and in each of the six states exactly the entries read are
+    computed, each once."""
     fills = count_fills(monkeypatch)
     reads = count_reads(monkeypatch)
     for kind in NAMED + (ProductKind.FERMI,):
         fills.clear()
         report = run_axiom_suite(Axiom.FUNCTORIALITY, kind, seed=11, trials=1, max_word_len=6)
         assert report.passed and report.checked, kind
-        assert [len(state._dense) - state.unital for state, _ in fills] == [8190, 8190, 126, 126], kind
+        assert [len(state._dense) - state.unital for state, _ in fills] == [8190] * 4 + [126, 126], kind
         for state, ranks in fills:
             assert len(set(ranks)) == len(ranks), (kind, ranks)
             assert set(ranks) == reads[state], (kind, ranks)
@@ -127,6 +131,7 @@ def test_factorization_fails_with_witness_for_degenerate():
     witness = report.failures[0]
     assert witness.lhs == ZERO  # multi-block words vanish
     assert witness.rhs != ZERO
+    assert all(type(w.lhs) is type(w.rhs) is Fraction for w in report.failures)
 
 
 def test_factorization_fails_by_exactly_inverse_q_for_the_deformation():
@@ -259,8 +264,16 @@ def test_every_witness_carries_its_laws_own_inputs(monkeypatch):
 
     def failing(runner):
         def run_trial(kind, rng, max_word_len):
-            states, comparisons = runner(kind, rng, max_word_len)
-            return states, ((word, lhs, rhs + 1, extra) for word, lhs, rhs, extra in comparisons)
+            states, homs, law, comparisons = runner(kind, rng, max_word_len)
+
+            def off_by_one(*inputs):
+                values = law(*inputs)
+
+                def shifted(item):
+                    lhs, rhs = values(item)
+                    return lhs, rhs + 1
+                return shifted
+            return states, homs, off_by_one, comparisons
         return run_trial
 
     for axiom in Axiom:
@@ -272,6 +285,7 @@ def test_every_witness_carries_its_laws_own_inputs(monkeypatch):
         assert report.checked == len(report.failures) > 0, axiom
         for witness in report.failures:
             assert witness.lhs + 1 == witness.rhs
+            assert type(witness.lhs) is type(witness.rhs) is Fraction
             assert len(witness.inputs["states"]) == {Axiom.UNIT_LAW: 1, Axiom.ASSOCIATIVITY: 3}.get(axiom, 2)
             assert isinstance(witness.inputs["word"], str)
         own[axiom] = [{key: value for key, value in witness.inputs.items() if key not in ("states", "word")}
@@ -284,6 +298,67 @@ def test_every_witness_carries_its_laws_own_inputs(monkeypatch):
     assert all(extra == own[Axiom.FUNCTORIALITY][0] for extra in own[Axiom.FUNCTORIALITY])
     for axiom in (Axiom.FACTORIZATION, Axiom.SYMMETRY, Axiom.MIRROR):
         assert all(extra == {} for extra in own[axiom]), axiom
+
+
+def test_suite_signatures_are_built_once():
+    """Repeated calls give the one cached tuple, equal to a fresh build."""
+    from ncindep.axioms import _signatures
+
+    for kind in REPORT_KINDS:
+        for count in (1, 2, 3):
+            first = _signatures(count, kind)
+            assert _signatures(count, kind) is first
+            assert first == _signatures.__wrapped__(count, kind)
+        sources = _signatures(2, kind, ("B1", "B2"), (("u", "v"), ("w", "z")))
+        assert sources == _signatures.__wrapped__(2, kind, ("B1", "B2"), (("u", "v"), ("w", "z")))
+        assert [sig.name for sig in sources] == ["B1", "B2"]
+
+
+def _grade(homs, word):
+    """The product of a word's letters' grades: 840 per letter, or c_u =
+    den_u 840^L_u per letter u under the homomorphisms, den_u the lcm of
+    u's image's denominators and L_u its longest monomial."""
+    signatures, blocks = word
+    factor = 1
+    for f, letters in blocks:
+        for letter in letters:
+            if homs:
+                terms = homs[f].images[letter].terms
+                factor *= (math.lcm(*(c.denominator for c in terms.values()))
+                           * 840 ** max((w.num_letters for w in terms), default=0))
+            else:
+                factor *= 840
+    return factor
+
+
+def test_graded_laws_give_the_drawn_verdicts():
+    """Every comparison of every runnable law, valued on the graded inputs
+    and on the drawn ones: the same verdict word by word, and each graded
+    value the drawn one times the word's grading factor."""
+    import ncindep.axioms as axioms
+    from ncindep.moments import _graded
+
+    assert axioms._GRADE == 840 == math.lcm(*(value.denominator for value in _MOMENT_PALETTE))
+    verdicts = collections.Counter()
+    for axiom in Axiom:
+        for kind in REPORT_KINDS:
+            try:
+                run_axiom_suite(axiom, kind, seed=0, trials=1, max_word_len=1)
+            except RegimeMismatch:
+                continue
+            for seed, max_word_len in itertools.product(range(5), (3, 6)):
+                for rng in axioms._trial_generators(seed, 2, max_word_len):
+                    states, homs, law, comparisons = axioms._TRIAL_RUNNERS[axiom](kind, rng, max_word_len)
+                    graded = law([_graded(phi, 840) for phi in states], [axioms._integral(hom) for hom in homs])
+                    drawn = law(states, homs)
+                    for word, item, _ in comparisons:
+                        (lhs, rhs), (exact_lhs, exact_rhs) = graded(item), drawn(item)
+                        assert (lhs == rhs) == (exact_lhs == exact_rhs), (axiom, kind, word)
+                        factor = _grade(homs, word)
+                        assert lhs == exact_lhs * factor and rhs == exact_rhs * factor, (axiom, kind, word)
+                        verdicts[axiom, exact_lhs == exact_rhs] += 1
+    assert all(verdicts[axiom, True] for axiom in Axiom)
+    assert verdicts[Axiom.FACTORIZATION, False] and verdicts[Axiom.SYMMETRY, False]
 
 
 def test_trial_count_must_be_positive():

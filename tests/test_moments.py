@@ -4,6 +4,7 @@ import json
 import random
 import re
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -417,6 +418,78 @@ def test_pullbacks_of_even_states_are_even_without_the_walk():
     # over an ungraded algebra no monomial is odd: evenness reads no entry
     scaled = scale(pullback(gen_random_state(N1, 6, 3), gen_random_homomorphism(N1, N1, 3)), 2)
     assert scaled._even is None and scaled.is_even and scaled._dense.count(None) == len(scaled._dense)
+
+
+# ---------------------------------------------------------------------------
+# integer grading
+
+
+def test_lazy_grading_makes_the_entries_it_reads_as_ints():
+    """At a given D, each entry read is the int phi(w) D^|w|, and only the
+    entries read are made; the unit stays 1 and the evenness is phi's."""
+    for signature in (A1, N1, G1, G3):
+        for seed in (1, 2):
+            phi = gen_random_state(signature, 6, seed)
+            graded = _graded(phi, 840)
+            assert graded.algebra == signature and graded.max_degree == 6
+            assert graded._even is phi._even is True
+            letters = list(_canonical_letters(signature, 6))
+            read = random.Random(seed).sample(letters, 9)
+            for key in read:
+                value = graded.value_of_letters(key)
+                assert type(value) is int and value == phi.value_of_letters(key) * 840 ** len(key), key
+            made = {rank for rank, value in enumerate(graded._dense) if value is not None}
+            assert made == {letters.index(key) for key in read} | ({0} if signature.unital else set())
+            assert graded.is_even and sum(value is not None for value in graded._dense) == len(made)
+            assert graded.letters_table == {key: value * 840 ** len(key) for key, value in phi.letters_table.items()}
+    uneven = total_state(G1, 3, {"a": "1/2"})
+    assert _graded(uneven, 2)._even is None and not _graded(uneven, 2).is_even
+
+
+def test_lazy_grading_refuses_a_d_that_leaves_a_fraction():
+    phi = total_state(N1, 3, {"a": "1/11", "b": "3/8", "a b": "5/16"})
+    graded = _graded(phi, 840)
+    assert graded.value_of_letters(("b",)) == 315 and graded.value_of_letters(("a", "b")) == 5 * 840**2 // 16
+    with pytest.raises(ValueError, match="not an integer at D = 840"):
+        graded.value_of_letters(("a",))
+    assert _graded(phi, 9240).value_of_letters(("a",)) == 840
+    with pytest.raises(ValueError, match="not an integer"):
+        _graded(phi, 4).value_of_letters(("b",))
+
+
+def _rational_copy(phi):
+    """phi with every entry a Fraction, read through the rational route."""
+    return MomentFunctional._from_dense(phi.algebra, phi.max_degree, [as_rational(v) for v in phi._complete()])
+
+
+def test_pullbacks_of_integer_inputs_are_ints():
+    """A graded state pulled back along integer images gives int entries,
+    but for the Fraction 0 of a vanishing image, and along rational images
+    the entries of the rational route; a drawn state gives Fractions."""
+    from ncindep.axioms import _integral
+
+    fractional = 0
+    for signature in (A1, N1, G1):
+        source = AlgebraSignature("B", signature.unital, (("u", signature.generators[0][1]), ("v", 0)))
+        for seed in (3, 4, 5):
+            phi = gen_random_state(signature, 6, seed)
+            hom = gen_random_homomorphism(source, signature, seed)
+            graded = _graded(phi, 840)
+            integral = _integral(hom)
+            assert all(type(c) is int for image in integral.images.values() for c in image.terms.values())
+            ints = pullback(graded, integral)._complete()
+            assert all(type(value) is int for value in ints if value)
+            assert all(value == 0 for value in ints if type(value) is not int)
+            assert ints == pullback(_rational_copy(graded), integral)._complete()
+            drawn = pullback(phi, hom)._complete()
+            assert all(type(value) is Fraction for value in drawn)
+            assert pullback(graded, hom)._complete() == pullback(_rational_copy(graded), hom)._complete()
+            # small ints, so that the images' denominators show
+            small = _graded(total_state(signature, 6, {"b": 1, "b b": -2, "b b b b": 3, "a a": 2}), 1)
+            exact = pullback(small, hom)._complete()
+            assert exact == pullback(_rational_copy(small), hom)._complete()
+            fractional += sum(type(value) is Fraction and value.denominator > 1 for value in exact)
+    assert fractional > 50
 
 
 # ---------------------------------------------------------------------------

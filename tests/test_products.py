@@ -143,6 +143,27 @@ def test_empty_word_is_the_unit_in_the_unital_regime():
         assert JointFunctional((phi1, phi2), kind).evaluate(EMPTY_WORD) == ONE
 
 
+def test_evaluate_returns_a_fraction_for_every_word():
+    """The evaluators' seeds are ints, so that graded states stay in ints;
+    on rational inputs the public entry still gives a Fraction, for the
+    unit and a degenerate mixed word too, which the seeds alone make."""
+    unital = (ProductKind.TENSOR, ProductKind.FREE, ProductKind.FERMI)
+    for kind in unital:
+        signatures = (G1, G2) if kind is ProductKind.FERMI else (A1, A2)
+        states = [gen_random_state(sig, 3, 5) for sig in signatures]
+        joint = JointFunctional(states, kind)
+        assert joint.value_of_blocks(()) == 1
+        for value in (joint.evaluate(EMPTY_WORD), joint(EMPTY_WORD)):
+            assert type(value) is Fraction and value == ONE, kind
+    states = [gen_random_state(sig, 3, 6) for sig in (N1, N2)]
+    mixed = normalize_word([(0, mono(N1, "a")), (1, mono(N2, "x"))])
+    for kind in tuple(ProductKind) + (QDeformed(ProductKind.FREE, 2),):
+        joint = JointFunctional(states, kind)
+        for word in itertools.chain([mixed], enumerate_words((N1, N2), 3)):
+            assert type(joint.evaluate(word)) is Fraction and type(joint(word)) is Fraction, (kind, word)
+    assert JointFunctional(states, ProductKind.DEGENERATE).evaluate(mixed) == ZERO
+
+
 def test_empty_word_is_rejected_without_units():
     phi1 = total_state(P1, 2)
     phi2 = total_state(P2, 2)

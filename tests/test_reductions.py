@@ -605,6 +605,85 @@ def test_sweep_verdicts_under_wrong_products_are_pinned(monkeypatch):
     assert digest.hexdigest() == WRONG_PRODUCT_VERDICTS
 
 
+def joins(kind, states):
+    """(product, joint functional) of the states under every padding
+    product whose regime admits them, the reduced one included."""
+    for product_kind in PADDING_PRODUCTS:
+        try:
+            yield product_kind, JointFunctional(states, product_kind)
+        except RegimeMismatch:
+            continue
+
+
+@pytest.mark.parametrize("kind", list(ReductionKind), ids=lambda kind: kind.value)
+def test_proved_words_agree_on_both_public_routes(kind):
+    """Every word of a proved group, under every padding product, has one
+    value on the joint functional and on the tensor route of its image, on
+    hand-made states (denominators 7, 11, 13 and a zero) and on two draws."""
+    signatures = sweep_signatures(kind)
+    rng = random.Random(31)
+    proved = 0
+    for length in range(1, 6):
+        words = list(enumerate_words(signatures, length))
+        pairs = [[hand_state(sig, length, shift) for shift, sig in enumerate(signatures)]]
+        pairs += [[gen_random_state(sig, length, rng) for sig in signatures] for _ in range(2)]
+        for states in pairs:
+            reduced = [ReducedState(kind, phi) for phi in states]
+            for product_kind, joint in joins(kind, states):
+                for group in _sweep_table(kind, joint, length).groups:
+                    if group.proved:
+                        for index in group.words:
+                            word = words[index]
+                            assert joint.evaluate(word) == tensor_value(reduced, embed_word(kind, 2, word)), (
+                                product_kind, word)
+                        proved += len(group.words)
+    assert proved > 3 * sum(4**k for k in range(1, 6))
+
+
+def _open(table):
+    """The table with every group open."""
+    return table._replace(groups=tuple(group._replace(proved=False) for group in table.groups))
+
+
+def test_sweeps_without_the_proof_give_the_same_results(monkeypatch):
+    """With every group open, every sweep, under every padding product,
+    checks as many words and finds the same failures."""
+    import ncindep.reductions as reductions
+
+    def outcomes():
+        found = {}
+        for kind, wrong, seed, length in itertools.product(ReductionKind, PADDING_PRODUCTS, (1, 2, 3), (3, 4, 5)):
+            monkeypatch.setattr(reductions, "JointFunctional",
+                                lambda factors, _, wrong=wrong: JointFunctional(factors, wrong))
+            try:
+                checked, failures = reduction_sweep(kind, seed=seed, trials=1, max_word_len=length)
+            except RegimeMismatch:
+                continue
+            found[kind, wrong, seed, length] = checked, [
+                ([phi.letters_table for phi in states], word, check) for states, word, check in failures]
+        return found
+
+    with_proof = outcomes()
+    table = reductions._sweep_table
+    monkeypatch.setattr(reductions, "_sweep_table", lambda *args: _open(table(*args)))
+    assert outcomes() == with_proof
+    assert sum(bool(failures) for _, failures in with_proof.values()) > 20
+
+
+def test_the_shipped_reductions_leave_no_word_open():
+    """At lengths 5 and 6 every word of the four reductions is proved; a
+    wrong product leaves words open (fermi joined as the ungraded tensor,
+    287 of 1,364 at length 5)."""
+    for length in (5, 6):
+        for kind in ReductionKind:
+            table = _sweep_table(kind, zero_joint(kind, length), length)
+            assert all(group.proved for group in table.groups), (kind, length)
+    wrong = JointFunctional([total_state(sig, 5) for sig in sweep_signatures(ReductionKind.FERMI)],
+                            ProductKind.TENSOR)
+    table = _sweep_table(ReductionKind.FERMI, wrong, 5)
+    assert sum(len(group.words) for group in table.groups if not group.proved) == 287
+
+
 def test_sweeps_and_suites_reject_long_words_before_any_work(monkeypatch):
     import ncindep.axioms as axioms
     import ncindep.reductions as reductions
