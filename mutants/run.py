@@ -44,30 +44,41 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    # the sweep proves a word once per table
+    # the sweep proves a word once per table and values each open word
     Mutant(
         "proof-ignores-sign-bit", "src/ncindep/reductions.py",
-        "negative, not negative and sorted(segments) == sorted(runs))",
-        "negative, sorted(segments) == sorted(runs))",
+        "if negative ^ tensor_negative or sorted(segments) != sorted(runs):",
+        "if sorted(segments) != sorted(runs):",
         ("tests/test_reductions.py::test_proved_words_agree_on_both_public_routes",
          "tests/test_reductions.py::test_sweeps_without_the_proof_give_the_same_results"),
     ),
     Mutant(
         "proof-compares-sets", "src/ncindep/reductions.py",
-        "not negative and sorted(segments) == sorted(runs))",
-        "not negative and set(segments) == set(runs))",
+        "sorted(segments) != sorted(runs)",
+        "set(segments) != set(runs)",
         (),
         "a sweep joins two factors, and under a padding product each factor's segments, as each "
         "factor's runs under a reduction, are either all its blocks or their one concatenation; "
         "two such lists with one set are equal",
+    ),
+    Mutant(
+        "sweep-skips-open-words", "src/ncindep/reductions.py",
+        "for word in table.open:",
+        "for word in ():",
+        ("tests/test_reductions.py::test_sweep_verdicts_under_wrong_products_are_pinned",),
+    ),
+    Mutant(
+        "sweep-counts-open-words-only", "src/ncindep/reductions.py",
+        "checked += table.count",
+        "checked += len(table.open)",
+        ("tests/test_reductions.py::test_sweep_verdicts_under_wrong_products_are_pinned",),
     ),
     # the laws run on integer-graded inputs
     Mutant(
         "graded-power-one-too-high", "src/ncindep/moments.py",
         "powers = [D**length for length in range(phi.max_degree + 1)]",
         "powers = [D**(length + 1) for length in range(phi.max_degree + 1)]",
-        ("tests/test_moments.py::test_lazy_grading_makes_the_entries_it_reads_as_ints",
-         "tests/test_reductions.py::test_graded_states_hold_the_rescaled_moments_as_ints"),
+        ("tests/test_moments.py::test_lazy_grading_makes_the_entries_it_reads_as_ints",),
     ),
     Mutant(
         "pullback-int-path-drops-denominator", "src/ncindep/moments.py",

@@ -349,15 +349,10 @@ def scale(phi: MomentFunctional, coeff) -> MomentFunctional:
                                        lambda rank: phi._at(rank) * coeff)
 
 
-def _graded(phi: MomentFunctional, D=None) -> MomentFunctional:
+def _graded(phi: MomentFunctional, D: int) -> MomentFunctional:
     """phi_D(w) = D^|w| phi(w), phi on the generators rescaled by D, with
-    every moment an ``int``, and even when phi is.  With D given, each entry
-    is made on its first read and raises ``ValueError`` if not an integer;
-    without it, D is the lcm of phi's denominators, all made at once."""
-    if D is None:
-        graded = _graded(phi, math.lcm(*(value.denominator for value in phi._complete())))
-        graded._complete()
-        return graded
+    every moment an ``int``, and even when phi is.  Each entry is made on
+    its first read and raises ``ValueError`` if not an integer."""
     offsets = phi._layout[1]
     powers = [D**length for length in range(phi.max_degree + 1)]
 

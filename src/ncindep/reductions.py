@@ -36,36 +36,26 @@ states.
 :func:`reduction_sweep` makes that check for every short word at once, from
 one table per reduction kind, product kind and length.  The table extends
 each word by one letter, so that a word's image is its prefix's image times
-one letter's.  It stores ranks, not blocks: each product segment as the rank
-of its letters in its child's moment list, and each tensor slot as the ranks
-of the letter runs it is valued on.  Words with as many segments, as many
-runs and one sign bit (the product's sign times the image's) form a group,
-held as one column of ranks per segment and per run.  A word of sign bit 0
-whose segments and runs are the same ranks, with multiplicity, is proved as
-the table is built: both routes are one signed product of moments on every
-state, so a sweep values only the other, open, groups.  For those each state
-phi is first replaced by phi_D, phi after the homomorphism that multiplies
-every generator by D, the lcm of phi's denominators, so that its moments
-are integers.  Both routes are natural under algebra homomorphisms, so this
-multiplies both values of a word by the same nonzero integer.  An open
-group is then compared as two lists of integers, built column by column,
-and only the words on which they differ are valued again, one by one.
+one letter's, and proves what it can as it is built: a word whose sign bit
+(the product's Koszul sign times its image's sign) is 0, and whose product
+segments are its image's tensor runs, as (factor, letters) pairs with
+multiplicity, has one signed product of moments on both routes, whatever
+the states.  The table keeps only the words left open, and a sweep values
+each of them on its drawn states through :func:`verify_reduction`; under
+the four shipped reductions no word is left open.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
-from array import array
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, partial, reduce
 from typing import NamedTuple, Sequence
 
-from .algebra import Monomial, Word, _canonical_letters, _word_of
+from .algebra import Monomial, Word, _word_of
 from .axioms import _signatures, _trial_generators, gen_random_state
-from .moments import MomentFunctional, _graded, _layout
+from .moments import MomentFunctional
 from .products import JointFunctional, ProductKind, _check_regime
 from .rational import ONE, Rational
 
@@ -260,111 +250,69 @@ def sweep_signatures(kind: ReductionKind):
     return _signatures(2, kind.product_kind)
 
 
-class _SweepGroup(NamedTuple):
-    """The words of a sweep table with one shape: as many product segments,
-    as many tensor runs, one sign bit, 1 when a word's Koszul sign and its
-    image's sign differ, and whether they are proved (sign bit 0, and the
-    same places on both routes).  ``words`` holds their indices in the
-    table, ascending.  ``segments[i]`` holds each word's i-th segment, and
-    ``runs[i]`` its i-th run, as a place in the factors' moment lists laid
-    end to end: factor f's entry at rank r sits at f's offset plus r."""
-
-    words: array
-    negative: int
-    proved: bool
-    segments: tuple
-    runs: tuple
-
-
 class _SweepTable(NamedTuple):
-    """The words of :func:`enumerate_words` over a kind's sweep signatures,
-    in order, as bare block tuples ((factor, letters), ...) with equal blocks
-    one object, and their structure on both routes, as groups of one shape
-    in order of shape."""
+    """The number of words of 1..max_word_len letters, and the bare words
+    ((factor, letters), ...) the proof leaves open, in word order."""
 
-    words: tuple
-    groups: tuple
+    count: int
+    open: tuple
 
 
-# One table per reduction kind, product kind and length, and one word list
-# per alphabet and length, shared by the tables over that alphabet; each is
-# built on first use.
+# One table per reduction kind, product kind and length, built on first use.
 _SWEEP_TABLES: dict = {}
-_SWEEP_WORDS: dict = {}
 
 
-def _sweep_words(alphabet: tuple, max_word_len: int) -> tuple:
-    """The bare words of 1..max_word_len letters over ``alphabet``, pairs
-    (factor, letters) of single letters, in :func:`enumerate_words` order,
-    with equal blocks one object.  A word extends its prefix by one letter."""
-    key = (alphabet, max_word_len)
-    if key in _SWEEP_WORDS:
-        return _SWEEP_WORDS[key]
-    interned, words, layer = {}, [], [()]
+def _sweep_words(signatures, max_word_len: int) -> list:
+    """The bare words of 1..max_word_len letters over the signatures'
+    generators, in :func:`enumerate_words` order: a word extends its prefix
+    by one letter."""
+    alphabet = [(f, (name,)) for f, sig in enumerate(signatures) for name in sig.generator_names]
+    words, layer = [], [()]
     for _ in range(max_word_len):
         # itertools.product order: the last letter varies fastest
         longer = []
         for word in layer:
             for factor, letter in alphabet:
                 if word and word[-1][0] == factor:
-                    head, block = word[:-1], (factor, word[-1][1] + letter)
+                    longer.append(word[:-1] + ((factor, word[-1][1] + letter),))
                 else:
-                    head, block = word, (factor, letter)
-                longer.append(head + (interned.setdefault(block, block),))
+                    longer.append(word + ((factor, letter),))
         words += longer
         layer = longer
-    words = _SWEEP_WORDS[key] = tuple(words)
     return words
 
 
 def _sweep_table(kind: ReductionKind, joint: JointFunctional, max_word_len: int) -> _SweepTable:
     """The sweep's words of 1..max_word_len letters, cut into segments by
     ``joint``'s product and embedded by ``kind``, built once per reduction
-    kind, product kind and length; the structure does not depend on the
-    states, and the words are those of every kind over the same letters.
-    A word's image is its prefix's image times its last letter's.  Segments
-    and runs are placed by their letters' rank in the tables of degree
-    max_word_len."""
+    kind, product kind and length: the words do not depend on the states.
+    A word's image is its prefix's image times its last letter's.  A word
+    is proved when its sign bit is 0 and its sorted segments, as (factor,
+    letters) pairs, are its image's sorted runs; the table keeps the
+    others, open."""
     key = (kind, joint.kind, max_word_len)
     if key in _SWEEP_TABLES:
         return _SWEEP_TABLES[key]
     signatures = sweep_signatures(kind)
     n = len(signatures)
-    letters = [(f, name, degree) for f, sig in enumerate(signatures) for name, degree in sig.generators]
-    words = _sweep_words(tuple((f, (name,)) for f, name, _ in letters), max_word_len)
-    letter_images = [_letter(kind, n, f, name, degree) for f, name, degree in letters]
-    places, offset = [], 0  # per factor, letter tuple -> place in the lists laid end to end
-    for sig in signatures:
-        places.append({run: offset + rank for rank, run in enumerate(_canonical_letters(sig, max_word_len))})
-        offset += _layout(sig, max_word_len)[1][-1]
+    words = _sweep_words(signatures, max_word_len)
+    letter_images = [_letter(kind, n, f, name, degree)
+                     for f, sig in enumerate(signatures) for name, degree in sig.generators]
     images, layer = [], [_unit(kind, n)]
     for _ in range(max_word_len):
         layer = [_times(kind, image, letter_image) for image in layer for letter_image in letter_images]
         images += layer
     cut = joint._root.segments
-    # a slot's run places, for every word whose image has the slot
-    slot_places = cache(lambda f, slot: [places[f][run] for run in _slot_runs(kind, slot)])
-    shapes: dict = {}  # (segment count, run count, sign bit, proved) -> rows (word index, segments..., runs...)
-    for index, (word, (tensor_negative, slots)) in enumerate(zip(words, images)):
+    open_words = []
+    for word, (tensor_negative, slots) in zip(words, images):
         negative, pairs = cut(word)
         # a leaf child's segment of a normal-form word is one block
-        segments = [places[k][segment[0][1]] for k, segment in pairs]
-        runs = [place for f, slot in enumerate(slots) for place in slot_places(f, slot)]
-        negative ^= tensor_negative
-        shape = (len(segments), len(runs), negative, not negative and sorted(segments) == sorted(runs))
-        shapes.setdefault(shape, []).append((index, *segments, *runs))
-    groups = []
-    for (count, _, negative, proved), rows in sorted(shapes.items()):
-        indices, *columns = map(partial(array, "I"), zip(*rows))
-        groups.append(_SweepGroup(indices, negative, proved, tuple(columns[:count]), tuple(columns[count:])))
-    table = _SWEEP_TABLES[key] = _SweepTable(words, tuple(groups))
+        segments = [(k, segment[0][1]) for k, segment in pairs]
+        runs = [(f, run) for f, slot in enumerate(slots) for run in _slot_runs(kind, slot)]
+        if negative ^ tensor_negative or sorted(segments) != sorted(runs):
+            open_words.append(word)
+    table = _SWEEP_TABLES[key] = _SweepTable(len(words), tuple(open_words))
     return table
-
-
-def _column_products(values: list, columns: tuple):
-    """Per word of a group, the product of the values its columns place."""
-    factors = [map(values.__getitem__, column) for column in columns]
-    return reduce(partial(map, operator.mul), factors)
 
 
 def reduction_sweep(kind: ReductionKind, seed: int, trials: int, max_word_len: int = 5):
@@ -372,23 +320,13 @@ def reduction_sweep(kind: ReductionKind, seed: int, trials: int, max_word_len: i
     valued by the product's rule and by the tensor route and compared
     exactly.  ``max_word_len`` runs from 1 to MAX_WORD_LEN.
 
-    The words and their structure on both routes come from one table per
-    kind and length, in groups of words with as many segments, as many
-    tensor runs and one sign bit; a proved group is counted, not valued.
-    Per trial the states are drawn and joined under the product, which
-    checks their regime.  When the table has an open group, each drawn
-    state phi is replaced by its D-graded form phi_D(w) = D^|w| phi(w), D
-    the lcm of its denominators, so that every moment is an integer, and
-    the graded lists are laid end to end.  An open group is valued column
-    by column: the product route is the list of its words' segment
-    products, the tensor route the list of their run products, negated when
-    the sign bit is set, and the two lists are compared whole.  Both routes
-    carry the same factor, the product over the factors f of D_f to the
-    number of the word's letters from f, so integer equality is exact
-    rational equality.  The words on which a group's lists differ are
-    valued again, in word order, by :func:`verify_reduction` on the drawn
-    states.  Returns (checked, failures) where failures lists (states,
-    word, check) triples.  Deterministic for a given seed.
+    The words come from one table per kind and length, which proves each
+    word it can once and keeps the rest open; a proved word is counted, not
+    valued.  Per trial the states are drawn and joined under the product,
+    which checks their regime, and each open word is valued, in word order,
+    by :func:`verify_reduction` on the drawn states.  Returns (checked,
+    failures) where failures lists (states, word, check) triples of the
+    words whose routes differ.  Deterministic for a given seed.
     """
     generators = _trial_generators(seed, trials, max_word_len)
     signatures = sweep_signatures(kind)
@@ -396,19 +334,11 @@ def reduction_sweep(kind: ReductionKind, seed: int, trials: int, max_word_len: i
     failures = []
     for rng in generators:
         states = [gen_random_state(sig, max_word_len, rng) for sig in signatures]
-        joint = JointFunctional(states, kind.product_kind)
-        table = _sweep_table(kind, joint, max_word_len)
-        groups = [group for group in table.groups if not group.proved]
-        values = [value for phi in states for value in _graded(phi)._dense] if groups else ()
-        differing = []
-        for group in groups:
-            lhs = list(_column_products(values, group.segments))
-            rhs = _column_products(values, group.runs)
-            rhs = list(map(operator.neg, rhs) if group.negative else rhs)
-            if lhs != rhs:
-                differing += itertools.compress(group.words, map(operator.ne, lhs, rhs))
-        for index in sorted(differing):
-            word = _word_of(signatures, table.words[index])
-            failures.append((states, word, verify_reduction(kind, states, word)))
-        checked += len(table.words)
+        table = _sweep_table(kind, JointFunctional(states, kind.product_kind), max_word_len)
+        for word in table.open:
+            word = _word_of(signatures, word)
+            check = verify_reduction(kind, states, word)
+            if not check.equal:
+                failures.append((states, word, check))
+        checked += table.count
     return checked, failures

@@ -1,6 +1,7 @@
 """Moment tables: evaluation, pullback, unitization, scaling, documents."""
 
 import json
+import math
 import random
 import re
 import time
@@ -369,10 +370,15 @@ def _partly_read_pullbacks():
             yield partial, full
 
 
+def graded_by_lcm(phi):
+    """phi_D with D the lcm of phi's denominators, so that every moment is an int."""
+    return _graded(phi, math.lcm(*(value.denominator for value in phi.letters_table.values())))
+
+
 @pytest.mark.parametrize("reader", [
     state_to_json,
     lambda phi: phi.is_even,
-    lambda phi: state_to_json(_graded(phi)),
+    lambda phi: state_to_json(graded_by_lcm(phi)),
     lambda phi: state_to_json(unitize(phi)) if not phi.unital else None,
     lambda phi: state_to_json(scale(phi, "-3/5")) if not phi.unital else None,
     lambda phi: state_to_json(pullback(phi, Homomorphism.identity(phi.algebra))),
@@ -594,9 +600,9 @@ def test_parity_walk_agrees_with_the_monomial_route():
     for signature in (G1, G3, AlgebraSignature("G", False, (("a", 1), ("b", 0)))):
         for max_degree in (0, 1, 2, 5):
             phi = gen_random_state(signature, max_degree, max_degree)
-            states += [phi, _graded(phi)]
+            states += [phi, graded_by_lcm(phi)]
     lopsided = total_state(G3, 3, {"a b": "1/2", "a b a": "-1/3"})  # one odd moment, not zero
-    states += [lopsided, _graded(lopsided), total_state(G3, 3, {"c": 2, "a a c": 5})]
+    states += [lopsided, graded_by_lcm(lopsided), total_state(G3, 3, {"c": 2, "a a c": 5})]
     for phi in states:
         assert phi.is_even == _by_monomials(phi), (phi, phi.max_degree)
     assert not lopsided.is_even

@@ -3,7 +3,6 @@ ordinary tensor independence: embeddings, enlarged states, verification."""
 
 import hashlib
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -38,9 +37,9 @@ from ncindep import (
     tensor_value,
     verify_reduction,
 )
-from ncindep.reductions import _graded, _sweep_table, sweep_signatures
-from ncindep.rational import ONE, ZERO, as_rational, product
-from conftest import G1, G2, N1, N2, mono, total_state
+from ncindep.reductions import _sweep_table, _sweep_words, sweep_signatures
+from ncindep.rational import ONE, as_rational, product
+from conftest import G1, G2, N1, N2, total_state
 
 P = None  # marker for the idempotent letter inside an M-reduction slot
 
@@ -323,55 +322,22 @@ def zero_joint(kind, length):
     return JointFunctional(states, kind.product_kind)
 
 
+def bare(word):
+    """A word's bare blocks ((factor, letters), ...), as a sweep table holds them."""
+    return tuple((f, m.letters) for f, m in word.blocks)
+
+
 @pytest.mark.parametrize("kind", list(ReductionKind), ids=lambda kind: kind.value)
 def test_sweep_words_are_the_enumerated_words(kind):
-    """The cached bare words are enumerate_words, element for element and
-    in order, with each distinct block one shared object."""
+    """The sweep's bare words are enumerate_words, element for element and
+    in order, and its table counts them."""
+    signatures = sweep_signatures(kind)
     for length in range(1, 6):
+        words = _sweep_words(signatures, length)
+        assert words == [bare(w) for w in enumerate_words(signatures, length)]
         table = _sweep_table(kind, zero_joint(kind, length), length)
-        words = table.words
-        expected = [
-            tuple((f, m.letters) for f, m in w.blocks)
-            for w in enumerate_words(sweep_signatures(kind), length)
-        ]
-        assert list(words) == expected
+        assert table.count == len(words)
         assert _sweep_table(kind, zero_joint(kind, length), length) is table
-        blocks = [block for word in words for block in word]
-        assert len({id(block) for block in blocks}) == len(set(blocks))
-
-
-def test_sweep_tables_share_one_word_list_per_length():
-    """Every kind sweeps the words over a, b, x, y: its table holds the one
-    word list of the length, under each product."""
-    for length in range(1, 6):
-        tables = [_sweep_table(kind, zero_joint(kind, length), length) for kind in ReductionKind]
-        for kind in M_KINDS:
-            wrong = JointFunctional([total_state(sig, length) for sig in sweep_signatures(kind)],
-                                    ProductKind.TENSOR)
-            tables.append(_sweep_table(kind, wrong, length))
-        assert all(table.words is tables[0].words for table in tables), length
-
-
-def table_places(kind, length):
-    """(factor, letters) at each place of the sweep's moment lists laid end
-    to end: each factor's monomials up to ``length``, in canonical order."""
-    return [(f, m.letters) for f, sig in enumerate(sweep_signatures(kind))
-            for m in all_monomials(sig, length)]
-
-
-def grouped_words(table):
-    """(group, word index, segment places, run places) for every word of a
-    sweep table, in word order; each word sits in exactly one group."""
-    found = []
-    for group in table.groups:
-        columns = group.segments + group.runs
-        assert all(len(column) == len(group.words) for column in columns)
-        assert list(group.words) == sorted(group.words)
-        for at, index in enumerate(group.words):
-            found.append((index, group, [c[at] for c in group.segments], [c[at] for c in group.runs]))
-    found.sort(key=lambda entry: entry[0])
-    assert [index for index, *_ in found] == list(range(len(table.words)))
-    return [(group, index, segments, runs) for index, group, segments, runs in found]
 
 
 def slot_runs(kind, slot):
@@ -392,53 +358,47 @@ def slot_runs(kind, slot):
 
 @pytest.mark.parametrize("kind", list(ReductionKind), ids=lambda kind: kind.value)
 def test_sweep_images_are_the_embedded_words(kind):
-    """Each word's run columns place the letter runs of its embedding, slot
-    by slot, and its sign bit with the product's Koszul sign gives the
-    image's sign: the sign times the runs' values is the word's tensor
-    value."""
+    """The tensor half of the sweep's proof, and the proof itself: each
+    word's tensor value is its image's sign times the moments of its slots'
+    letter runs, and under every padding product the table leaves a word
+    open exactly when that sign and those runs, as (factor, letters) pairs,
+    are not the product's Koszul sign and segments."""
     signatures = sweep_signatures(kind)
     rng = random.Random(17)
     for length in range(1, 6):
-        joint = zero_joint(kind, length)
-        table = _sweep_table(kind, joint, length)
-        places = table_places(kind, length)
-        words = list(enumerate_words(signatures, length))
         states = [gen_random_state(sig, length, rng) for sig in signatures]
         reduced = [ReducedState(kind, phi) for phi in states]
-        for group, index, _, runs in grouped_words(table):
-            word = words[index]
+        images = []
+        for word in enumerate_words(signatures, length):
             embedded = embed_word(kind, 2, word)
-            expected = [(f, run) for f, slot in enumerate(embedded.slots) for run in slot_runs(kind, slot)]
-            assert [places[p] for p in runs] == expected, word
-            negative = group.negative ^ joint._root.segments(table.words[index])[0]
-            assert embedded.sign == (-ONE if negative else ONE), word
-            value = product(states[f].value_of_letters(letters) for f, letters in map(places.__getitem__, runs))
-            assert (-value if negative else value) == tensor_value(reduced, embedded), word
-        assert _sweep_table(kind, zero_joint(kind, length), length) is table
+            runs = [(f, run) for f, slot in enumerate(embedded.slots) for run in slot_runs(kind, slot)]
+            value = embedded.sign * product(states[f].value_of_letters(run) for f, run in runs)
+            assert value == tensor_value(reduced, embedded), word
+            images.append((bare(word), embedded.sign == -ONE, sorted(runs)))
+        for product_kind, joint in joins(kind, states):
+            open_words = set(_sweep_table(kind, joint, length).open)
+            for word, negative, runs in images:
+                koszul, pairs = joint._root.segments(word)
+                segments = sorted((k, segment[0][1]) for k, segment in pairs)
+                proved = negative == bool(koszul) and segments == runs
+                assert (word not in open_words) == proved, (product_kind, word)
 
 
 @pytest.mark.parametrize("kind", list(ReductionKind), ids=lambda kind: kind.value)
 def test_product_images_are_the_evaluated_words(kind):
-    """Each word's segment columns place child k's segments as factor k's
-    letters, and its sign bit with the image's sign gives the Koszul sign:
-    the sign times the segments' values is the joint functional's value."""
+    """The product half of the sweep's proof: under every padding product,
+    each word's value is its Koszul sign times the factors' moments on its
+    segments, each segment of a leaf child one block."""
     signatures = sweep_signatures(kind)
     rng = random.Random(23)
     for length in range(1, 6):
         states = [gen_random_state(sig, length, rng) for sig in signatures]
-        joint = JointFunctional(states, kind.product_kind)
-        table = _sweep_table(kind, joint, length)
-        places = table_places(kind, length)
-        words = list(enumerate_words(signatures, length))
-        for group, index, segments, runs in grouped_words(table):
-            word = words[index]
-            assert len(segments) <= word.num_letters
-            negative = group.negative ^ (embed_word(kind, 2, word).sign == -ONE)
-            value = product(states[f].value_of_letters(letters) for f, letters in map(places.__getitem__, segments))
-            assert (-value if negative else value) == joint.evaluate(word), word
-        other = JointFunctional([gen_random_state(sig, length, rng) for sig in signatures],
-                                kind.product_kind)
-        assert _sweep_table(kind, other, length) is table
+        for product_kind, joint in joins(kind, states):
+            for word in enumerate_words(signatures, length):
+                negative, pairs = joint._root.segments(bare(word))
+                assert all(len(segment) == 1 for _, segment in pairs), (product_kind, word)
+                value = product(states[k].value_of_letters(segment[0][1]) for k, segment in pairs)
+                assert (-value if negative else value) == joint.evaluate(word), (product_kind, word)
 
 
 # pairwise coprime denominators and a zero
@@ -454,43 +414,6 @@ def hand_state(signature, degree, shift=0):
         if monomial.letters and not sum(letter in odd for letter in monomial.letters) & 1:
             entries[monomial.letters] = PALETTE[(index + shift) % len(PALETTE)]
     return total_state(signature, degree, entries)
-
-
-def test_graded_states_hold_the_rescaled_moments_as_ints():
-    """phi_D(w) = D^|w| phi(w) with D the lcm of phi's denominators, every
-    entry an int, the unit of a unital state kept at 1."""
-    for signature in (N1, G1, sweep_signatures(ReductionKind.FERMI)[1]):
-        for shift in range(4):
-            phi = hand_state(signature, 5, shift)
-            graded = _graded(phi)
-            assert graded.algebra == phi.algebra and graded.max_degree == 5
-            assert list(graded.letters_table) == list(phi.letters_table)
-            assert all(type(value) is int for value in graded.letters_table.values())
-            for letters, value in phi.letters_table.items():
-                assert graded.letters_table[letters] == value * 1001 ** len(letters)
-            if signature.unital:
-                assert graded.letters_table[()] == 1
-
-
-@pytest.mark.parametrize("kind", list(ReductionKind), ids=lambda kind: kind.value)
-def test_graded_states_value_every_sweep_slot_as_an_int(kind):
-    """Every place a column reads holds an int in the graded lists laid end
-    to end, and so does every word's product on both routes, a fermi slot
-    of g alone (no run) included, so that sweeps never multiply through a
-    rational."""
-    signatures = sweep_signatures(kind)
-    rng = random.Random(29)
-    for length in range(1, 6):
-        table = _sweep_table(kind, zero_joint(kind, length), length)
-        graded = [_graded(gen_random_state(signature, length, rng)) for signature in signatures]
-        values = [graded[f].value_of_letters(letters) for f, letters in table_places(kind, length)]
-        for group, index, segments, runs in grouped_words(table):
-            for places in (segments, runs):
-                assert all(type(values[p]) is int for p in places), kind
-                assert type(math.prod(values[p] for p in places)) is int, kind
-            slots = embed_word(kind, 2, Word(tuple(
-                (f, Monomial(signatures[f], letters)) for f, letters in table.words[index]))).slots
-            assert all(type(ReducedState(kind, phi).value(slot)) is int for phi, slot in zip(graded, slots))
 
 
 def test_sweeps_over_hand_made_states(monkeypatch):
@@ -528,8 +451,8 @@ def test_sweeps_over_hand_made_states(monkeypatch):
 
 
 def test_sweeps_take_no_integer_part_of_a_rational(monkeypatch):
-    """The graded values are exact integers by construction, never a
-    rational cut down by int(), trunc or floor."""
+    """A sweep compares exact values, never a rational cut down by int(),
+    trunc or floor."""
     def refused(self, *args):
         raise AssertionError("integer part of %r taken" % (self,))
 
@@ -617,9 +540,10 @@ def joins(kind, states):
 
 @pytest.mark.parametrize("kind", list(ReductionKind), ids=lambda kind: kind.value)
 def test_proved_words_agree_on_both_public_routes(kind):
-    """Every word of a proved group, under every padding product, has one
-    value on the joint functional and on the tensor route of its image, on
-    hand-made states (denominators 7, 11, 13 and a zero) and on two draws."""
+    """Every word a sweep table leaves out of its open words, under every
+    padding product, has one value on the joint functional and on the
+    tensor route of its image, on hand-made states (denominators 7, 11, 13
+    and a zero) and on two draws."""
     signatures = sweep_signatures(kind)
     rng = random.Random(31)
     proved = 0
@@ -630,23 +554,17 @@ def test_proved_words_agree_on_both_public_routes(kind):
         for states in pairs:
             reduced = [ReducedState(kind, phi) for phi in states]
             for product_kind, joint in joins(kind, states):
-                for group in _sweep_table(kind, joint, length).groups:
-                    if group.proved:
-                        for index in group.words:
-                            word = words[index]
-                            assert joint.evaluate(word) == tensor_value(reduced, embed_word(kind, 2, word)), (
-                                product_kind, word)
-                        proved += len(group.words)
+                open_words = set(_sweep_table(kind, joint, length).open)
+                for word in words:
+                    if bare(word) not in open_words:
+                        assert joint.evaluate(word) == tensor_value(reduced, embed_word(kind, 2, word)), (
+                            product_kind, word)
+                        proved += 1
     assert proved > 3 * sum(4**k for k in range(1, 6))
 
 
-def _open(table):
-    """The table with every group open."""
-    return table._replace(groups=tuple(group._replace(proved=False) for group in table.groups))
-
-
 def test_sweeps_without_the_proof_give_the_same_results(monkeypatch):
-    """With every group open, every sweep, under every padding product,
+    """With every word open, every sweep, under every padding product,
     checks as many words and finds the same failures."""
     import ncindep.reductions as reductions
 
@@ -665,7 +583,11 @@ def test_sweeps_without_the_proof_give_the_same_results(monkeypatch):
 
     with_proof = outcomes()
     table = reductions._sweep_table
-    monkeypatch.setattr(reductions, "_sweep_table", lambda *args: _open(table(*args)))
+
+    def every_word_open(kind, joint, length):
+        return table(kind, joint, length)._replace(open=tuple(_sweep_words(sweep_signatures(kind), length)))
+
+    monkeypatch.setattr(reductions, "_sweep_table", every_word_open)
     assert outcomes() == with_proof
     assert sum(bool(failures) for _, failures in with_proof.values()) > 20
 
@@ -676,12 +598,38 @@ def test_the_shipped_reductions_leave_no_word_open():
     287 of 1,364 at length 5)."""
     for length in (5, 6):
         for kind in ReductionKind:
-            table = _sweep_table(kind, zero_joint(kind, length), length)
-            assert all(group.proved for group in table.groups), (kind, length)
+            assert _sweep_table(kind, zero_joint(kind, length), length).open == (), (kind, length)
     wrong = JointFunctional([total_state(sig, 5) for sig in sweep_signatures(ReductionKind.FERMI)],
                             ProductKind.TENSOR)
     table = _sweep_table(ReductionKind.FERMI, wrong, 5)
-    assert sum(len(group.words) for group in table.groups if not group.proved) == 287
+    assert (table.count, len(table.open)) == (1364, 287)
+
+
+def test_sweeps_value_each_open_word_once_per_trial(monkeypatch):
+    """A sweep calls verify_reduction once per open word and trial, in word
+    order, whether or not the word's routes differ: never under the four
+    reductions, 287 times per trial for fermi joined as the ungraded
+    tensor."""
+    import ncindep.reductions as reductions
+
+    calls = []
+
+    def counted(kind, factors, word):
+        calls.append(bare(word))
+        return verify_reduction(kind, factors, word)
+
+    monkeypatch.setattr(reductions, "verify_reduction", counted)
+    for kind in ReductionKind:
+        assert reduction_sweep(kind, seed=1, trials=2, max_word_len=5) == (2 * 1364, [])
+    assert calls == []
+    monkeypatch.setattr(reductions, "JointFunctional",
+                        lambda factors, _: JointFunctional(factors, ProductKind.TENSOR))
+    checked, failures = reduction_sweep(ReductionKind.FERMI, seed=1, trials=2, max_word_len=5)
+    wrong = JointFunctional([total_state(sig, 5) for sig in sweep_signatures(ReductionKind.FERMI)],
+                            ProductKind.TENSOR)
+    open_words = list(_sweep_table(ReductionKind.FERMI, wrong, 5).open)
+    assert checked == 2 * 1364 and len(open_words) == 287
+    assert calls == 2 * open_words
 
 
 def test_sweeps_and_suites_reject_long_words_before_any_work(monkeypatch):
