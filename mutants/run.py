@@ -100,6 +100,20 @@ MUTANTS = (
         ("tests/test_products.py::test_empty_word_is_the_unit_in_the_unital_regime",
          "tests/test_products.py::test_evaluate_returns_a_fraction_for_every_word"),
     ),
+    # bare words have one home
+    Mutant(
+        "words-first-letter-fastest", "src/ncindep/algebra.py",
+        "layer = [_join(word, letter) for word in layer for letter in letters]",
+        "layer = [_join(word, letter) for letter in letters for word in layer]",
+        ("tests/test_reductions.py::test_bare_words_are_the_normalized_letter_sequences",),
+    ),
+    # the public constructors convert nothing
+    Mutant(
+        "signature-coerces-degree", "src/ncindep/algebra.py",
+        "gens = tuple((n, d) for n, d in self.generators)",
+        "gens = tuple((n, int(d)) for n, d in self.generators)",
+        ("tests/test_algebra.py::test_public_constructors_convert_nothing",),
+    ),
     # one path per check
     Mutant(
         "bare-skips-algebra-check", "src/ncindep/algebra.py",

@@ -31,9 +31,11 @@ from .rational import ONE, Rational, as_rational
 class AlgebraSignature:
     """A named free algebra: an ordered tuple of generators with Z2 degrees.
 
-    ``generators`` is a tuple of ``(name, degree)`` pairs with degree 0 or 1.
-    Signatures compare by value, so two algebras with the same name but a
-    different unital flag or generator list are distinct.
+    ``generators`` is a tuple of ``(name, degree)`` pairs with degree the
+    ``int`` 0 or 1; no field is converted, and names that are not ``str``s
+    or a ``unital`` that is not a ``bool`` raise ``TypeError``.  Signatures
+    compare by value, so two algebras with the same name but a different
+    unital flag or generator list are distinct.
     """
 
     name: str
@@ -41,16 +43,20 @@ class AlgebraSignature:
     generators: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        gens = tuple((str(n), int(d)) for n, d in self.generators)
+        gens = tuple((n, d) for n, d in self.generators)
         object.__setattr__(self, "generators", gens)
+        if not isinstance(self.name, str) or not isinstance(self.unital, bool):
+            raise TypeError("an algebra's name must be a str and its unital flag a bool")
+        for n, d in gens:
+            if not isinstance(n, str):
+                raise TypeError("generator name %r is not a str" % (n,))
+            if type(d) is not int or d not in (0, 1):
+                raise ValueError("generator %r has degree %r, expected the int 0 or 1" % (n, d))
+            if not n or not n[0].isalpha() and n[0] != "_":
+                raise ValueError("generator name %r is not an identifier" % n)
         names = [n for n, _ in gens]
         if len(set(names)) != len(names):
             raise ValueError("duplicate generator names in algebra %r" % self.name)
-        for n, d in gens:
-            if d not in (0, 1):
-                raise ValueError("generator %r has degree %r, expected 0 or 1" % (n, d))
-            if not n or not n[0].isalpha() and n[0] != "_":
-                raise ValueError("generator name %r is not an identifier" % n)
         object.__setattr__(self, "_degree_map", dict(gens))
         object.__setattr__(self, "_graded", any(d == 1 for _, d in gens))
         object.__setattr__(self, "_hash", hash((self.name, self.unital, gens)))
@@ -112,16 +118,11 @@ class Monomial:
         object.__setattr__(self, "letters", letters)
         degree_map = self.algebra._degree_map
         degree = 0
-        if self.algebra._graded:
-            for letter in letters:
-                try:
-                    degree += degree_map[letter]
-                except KeyError:
-                    self.algebra.degree_of(letter)  # raises with a clear message
-        else:
-            for letter in letters:
-                if letter not in degree_map:
-                    self.algebra.degree_of(letter)
+        for letter in letters:
+            try:
+                degree += degree_map[letter]
+            except KeyError:
+                self.algebra.degree_of(letter)  # raises with a clear message
         if not letters and not self.algebra.unital:
             raise RegimeMismatch(
                 "empty monomial is illegal over the non-unital algebra %r"
@@ -238,6 +239,11 @@ def normalize_word(blocks: Iterable[tuple[int, Monomial]]) -> Word:
     return Word(tuple(out))
 
 
+def word_sort_key(word: Word):
+    """Canonical ordering: letter count first, then block content."""
+    return word.num_letters, tuple((factor, monomial.letters) for factor, monomial in word.blocks)
+
+
 def concat_words(first: Word, second: Word) -> Word:
     """The product of two free-product elements, re-normalized."""
     return normalize_word(first.blocks + second.blocks)
@@ -339,7 +345,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self.scaled(other)
         return Polynomial._collected(
-            (normalize_word(w1.blocks + w2.blocks), c1 * c2)
+            (concat_words(w1, w2), c1 * c2)
             for w1, c1 in self._terms.items() for w2, c2 in other._terms.items()
         )
 
@@ -349,8 +355,7 @@ class Polynomial:
     def __repr__(self):
         if not self._terms:
             return "Polynomial(0)"
-        parts = ["%s * %r" % (c, w) for w, c in sorted(
-            self._terms.items(), key=lambda item: (item[0].num_letters, item[0].blocks))]
+        parts = ["%s * %r" % (self._terms[w], w) for w in sorted(self._terms, key=word_sort_key)]
         return "Polynomial(%s)" % " + ".join(parts)
 
 
@@ -417,6 +422,14 @@ class Homomorphism:
         return apply_homomorphism((self,), single_block_word(0, monomial))
 
 
+def _append(blocks: list, block) -> None:
+    """Append a block, merging it into a last block of the same factor."""
+    if blocks and blocks[-1][0] == block[0]:
+        blocks[-1] = (block[0], blocks[-1][1] + block[1])
+    else:
+        blocks.append(block)
+
+
 def _join(first: tuple, second: tuple) -> tuple:
     """Two bare normal-form words multiplied: their block tuples joined, with
     a last and a first block of one factor merged."""
@@ -463,6 +476,23 @@ def _image_terms(homomorphisms: Sequence[Homomorphism], blocks, memo: dict) -> d
 def _word_of(algebras: Sequence[AlgebraSignature], blocks) -> Word:
     """The word of a bare normal-form word over the given factor algebras."""
     return Word(tuple((factor, Monomial(algebras[factor], letters)) for factor, letters in blocks))
+
+
+def _alphabet(signatures) -> list:
+    """The (factor, generator name) pairs of the factors, in order."""
+    return [(index, name) for index, signature in enumerate(signatures) for name in signature.generator_names]
+
+
+def _words(signatures: Sequence[AlgebraSignature], max_letters: int) -> Iterator[tuple]:
+    """Every bare normal-form word ((factor, letters), ...) of 1..max_letters
+    single-generator letters, in ``itertools.product`` order over
+    :func:`_alphabet`.  That is the layer order: each length's words are
+    the last length's, each joined with every letter in turn."""
+    letters = [((factor, (name,)),) for factor, name in _alphabet(signatures)]
+    layer = [()]
+    for _ in range(max_letters):
+        layer = [_join(word, letter) for word in layer for letter in letters]
+        yield from layer
 
 
 def _bare(word: Word, algebras: Sequence[AlgebraSignature]) -> tuple:

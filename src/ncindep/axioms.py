@@ -46,7 +46,6 @@ odd, with random substitutions that keep each generator's degree.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import random
@@ -61,16 +60,18 @@ from .algebra import (
     Monomial,
     Polynomial,
     Word,
+    _alphabet,
+    _append,
     _canonical_letters,
     _image_terms,
     _word_of,
-    normalize_word,
+    _words,
     single_block_word,
 )
 from .errors import RegimeMismatch
 from .moments import MomentFunctional, _graded, _layout, _parities, pullback, state_to_json
 from .parsing import format_expression, format_word
-from .products import JointFunctional, ProductKind, QDeformed, _append, admits_unital, kind_label
+from .products import JointFunctional, ProductKind, QDeformed, admits_unital, kind_label
 from .rational import ONE, Rational, ZERO, format_rational
 
 
@@ -228,11 +229,6 @@ def gen_random_state(signature: AlgebraSignature, max_degree: int, seed) -> Mome
     return phi
 
 
-def _alphabet(signatures):
-    """The (factor, generator name) pairs of the factors, in order."""
-    return [(index, name) for index, signature in enumerate(signatures) for name in signature.generator_names]
-
-
 def _random_blocks(alphabet, max_letters: int, rng: random.Random) -> tuple:
     """A random bare normal-form word ((factor, letters), ...) of
     1..max_letters letters drawn from ``alphabet``, the letters of one
@@ -290,14 +286,7 @@ def _random_monomial(target, degree, max_letters, rng) -> Monomial:
 def enumerate_words(signatures: Sequence[AlgebraSignature], max_letters: int):
     """Every normal-form word whose letters are single generators, with
     1..max_letters letters, in a deterministic order."""
-    alphabet = [
-        (index, Monomial(signature, (name,)))
-        for index, signature in enumerate(signatures)
-        for name in signature.generator_names
-    ]
-    for length in range(1, max_letters + 1):
-        for combo in itertools.product(alphabet, repeat=length):
-            yield normalize_word(combo)
+    return (_word_of(signatures, blocks) for blocks in _words(signatures, max_letters))
 
 
 # ---------------------------------------------------------------------------

@@ -395,15 +395,9 @@ def signature_from_json(doc) -> AlgebraSignature:
         )
     except (KeyError, TypeError) as exc:
         raise StateDocumentError("malformed algebra block: %s" % exc) from exc
-    if not isinstance(unital, bool):
-        raise StateDocumentError("algebra field 'unital' must be a boolean")
-    if not all(isinstance(text, str) for text in (name, *(gen for gen, _ in generators))):
-        raise StateDocumentError("algebra and generator names must be strings")
-    if any(type(degree) is not int or degree not in (0, 1) for _, degree in generators):
-        raise StateDocumentError("generator degrees must be the integer 0 or 1")
     try:
         return AlgebraSignature(name, unital, generators)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise StateDocumentError(str(exc)) from exc
 
 
@@ -432,12 +426,9 @@ def state_from_json(doc) -> MomentFunctional:
     moments = doc["moments"]
     if not isinstance(moments, dict):
         raise StateDocumentError("moments must be an object")
-    for key, value in moments.items():
-        if not isinstance(value, (str, int)) or isinstance(value, bool):
-            raise StateDocumentError("moment %r must be a string or integer" % key)
     try:
         return MomentFunctional.from_entries(signature, max_degree, moments)
-    except (ValueError, RegimeMismatch) as exc:
+    except (TypeError, ValueError, RegimeMismatch) as exc:
         raise StateDocumentError(str(exc)) from exc
 
 

@@ -17,7 +17,7 @@ number at most MAX_DIGITS digits.
 
 from __future__ import annotations
 
-from .algebra import Monomial, Polynomial, Word, normalize_word
+from .algebra import Monomial, Polynomial, Word, normalize_word, word_sort_key
 from .errors import ExpressionError
 from .rational import ONE, Rational, as_rational, format_rational
 
@@ -193,14 +193,6 @@ def parse_expression(text: str, factors) -> Polynomial:
     signatures' names must differ, since an expression names a factor by
     its algebra; a repeated name raises ``ValueError``."""
     return _Parser(text, factors).parse()
-
-
-def word_sort_key(word: Word):
-    """Canonical ordering: letter count first, then block content."""
-    return (
-        word.num_letters,
-        tuple((factor, monomial.letters) for factor, monomial in word.blocks),
-    )
 
 
 def format_word(word: Word) -> str:

@@ -52,7 +52,7 @@ from enum import Enum
 from functools import partial, reduce
 from typing import Sequence
 
-from .algebra import Polynomial, Word, _bare
+from .algebra import Polynomial, Word, _append, _bare
 from .errors import RegimeMismatch
 from .moments import MomentFunctional, scale
 from .rational import ONE, Rational, ZERO, as_rational, format_rational, parse_rational, product
@@ -131,14 +131,6 @@ def parse_kind_label(label: str):
 # Evaluator tree.  A node owns a set of factor indices and values words over
 # them, given as bare normal-form tuples ((factor, letters), ...), through
 # eval_blocks(blocks).
-
-
-def _append(blocks: list, block) -> None:
-    """Append a block, merging it into a last block of the same factor."""
-    if blocks and blocks[-1][0] == block[0]:
-        blocks[-1] = (block[0], blocks[-1][1] + block[1])
-    else:
-        blocks.append(block)
 
 
 class _Leaf:

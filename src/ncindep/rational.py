@@ -22,10 +22,12 @@ def as_rational(value):
 
     Accepts ints, strings such as ``"3"`` or ``"-3/4"``, and Fractions.
     Floats are rejected: silently converting a float would smuggle binary
-    rounding error into an engine that promises exactness.
+    rounding error into an engine that promises exactness.  Booleans are
+    rejected too: a flag read as the number 0 or 1 is a coercion, not a
+    value.
     """
-    if isinstance(value, float):
-        raise TypeError("refusing to coerce float %r to an exact rational" % (value,))
+    if isinstance(value, (float, bool)):
+        raise TypeError("refusing to coerce %s %r to an exact rational" % (type(value).__name__, value))
     if isinstance(value, str):
         return parse_rational(value)
     return Rational(value)

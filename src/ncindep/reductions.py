@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
-from .algebra import Monomial, Word, _word_of
+from .algebra import Monomial, Word, _word_of, _words
 from .axioms import _signatures, _trial_generators, gen_random_state
 from .moments import MomentFunctional
 from .products import JointFunctional, ProductKind, _check_regime
@@ -262,40 +262,20 @@ class _SweepTable(NamedTuple):
 _SWEEP_TABLES: dict = {}
 
 
-def _sweep_words(signatures, max_word_len: int) -> list:
-    """The bare words of 1..max_word_len letters over the signatures'
-    generators, in :func:`enumerate_words` order: a word extends its prefix
-    by one letter."""
-    alphabet = [(f, (name,)) for f, sig in enumerate(signatures) for name in sig.generator_names]
-    words, layer = [], [()]
-    for _ in range(max_word_len):
-        # itertools.product order: the last letter varies fastest
-        longer = []
-        for word in layer:
-            for factor, letter in alphabet:
-                if word and word[-1][0] == factor:
-                    longer.append(word[:-1] + ((factor, word[-1][1] + letter),))
-                else:
-                    longer.append(word + ((factor, letter),))
-        words += longer
-        layer = longer
-    return words
-
-
 def _sweep_table(kind: ReductionKind, joint: JointFunctional, max_word_len: int) -> _SweepTable:
     """The sweep's words of 1..max_word_len letters, cut into segments by
     ``joint``'s product and embedded by ``kind``, built once per reduction
     kind, product kind and length: the words do not depend on the states.
-    A word's image is its prefix's image times its last letter's.  A word
-    is proved when its sign bit is 0 and its sorted segments, as (factor,
-    letters) pairs, are its image's sorted runs; the table keeps the
-    others, open."""
+    A word's image is its prefix's image times its last letter's, built
+    layer by layer as :func:`algebra._words` builds the words, so that the
+    images zip with the words in order.  A word is proved when its sign bit
+    is 0 and its sorted segments, as (factor, letters) pairs, are its
+    image's sorted runs; the table keeps the others, open."""
     key = (kind, joint.kind, max_word_len)
     if key in _SWEEP_TABLES:
         return _SWEEP_TABLES[key]
     signatures = sweep_signatures(kind)
     n = len(signatures)
-    words = _sweep_words(signatures, max_word_len)
     letter_images = [_letter(kind, n, f, name, degree)
                      for f, sig in enumerate(signatures) for name, degree in sig.generators]
     images, layer = [], [_unit(kind, n)]
@@ -304,14 +284,14 @@ def _sweep_table(kind: ReductionKind, joint: JointFunctional, max_word_len: int)
         images += layer
     cut = joint._root.segments
     open_words = []
-    for word, (tensor_negative, slots) in zip(words, images):
+    for word, (tensor_negative, slots) in zip(_words(signatures, max_word_len), images):
         negative, pairs = cut(word)
         # a leaf child's segment of a normal-form word is one block
         segments = [(k, segment[0][1]) for k, segment in pairs]
         runs = [(f, run) for f, slot in enumerate(slots) for run in _slot_runs(kind, slot)]
         if negative ^ tensor_negative or sorted(segments) != sorted(runs):
             open_words.append(word)
-    table = _SWEEP_TABLES[key] = _SweepTable(len(words), tuple(open_words))
+    table = _SWEEP_TABLES[key] = _SweepTable(len(images), tuple(open_words))
     return table
 
 

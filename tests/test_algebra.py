@@ -10,20 +10,26 @@ from ncindep import (
     AlgebraSignature,
     EMPTY_WORD,
     Homomorphism,
+    MomentFunctional,
     Monomial,
     Polynomial,
+    ProductKind,
+    QDeformed,
     RegimeMismatch,
     Word,
     all_monomials,
     apply_homomorphism,
     concat_words,
     enumerate_words,
+    format_expression,
     gen_random_homomorphism,
     normalize_word,
+    parse_expression,
     single_block_word,
     word_degree,
 )
 from ncindep.algebra import _image_terms
+from ncindep.rational import as_rational
 from conftest import A1, A2, G1, G2, N1, N2, mono
 
 
@@ -339,3 +345,36 @@ def test_polynomial_multiplication_concatenates_words():
     p = Polynomial.from_word(normalize_word(blocks((0, "a"),)))
     q = Polynomial.from_word(normalize_word(blocks((0, "b"), (1, "x"))))
     assert p * q == Polynomial.from_word(normalize_word(blocks((0, "a b"), (1, "x"))))
+
+
+def test_polynomial_repr_lists_terms_in_the_format_order():
+    """Two one-letter words over one factor tie on their letter count, so
+    their order rests on their blocks, compared as format_expression
+    compares them."""
+    poly = parse_expression("A1.b + 2 * A1.a", [A1])
+    assert format_expression(poly) == "2 * A1.a + A1.b"
+    assert repr(poly) == "Polynomial(2 * Word(0:a) + 1 * Word(0:b))"
+
+
+# ---------------------------------------------------------------------------
+# strict constructors
+
+
+@pytest.mark.parametrize("build", [
+    lambda: AlgebraSignature("A", True, (("x", 1.7),)),
+    lambda: AlgebraSignature("A", True, (("x", "1"),)),
+    lambda: AlgebraSignature("A", True, (("x", True),)),
+    lambda: AlgebraSignature("A", True, ((b"x", 0),)),
+    lambda: AlgebraSignature(b"A", True, (("x", 0),)),
+    lambda: AlgebraSignature("A", 1, (("x", 0),)),
+    lambda: as_rational(True),
+    lambda: MomentFunctional.from_entries(AlgebraSignature("A", False, (("x", 0),)), 1, {"x": True}),
+    lambda: QDeformed(ProductKind.FREE, True),
+], ids=["degree-float", "degree-str", "degree-bool", "generator-bytes", "algebra-bytes",
+        "unital-int", "rational-bool", "moment-bool", "q-bool"])
+def test_public_constructors_convert_nothing(build):
+    """A degree, name, flag or value of the wrong type is refused, not
+    converted: 1.7, "1" and True are no degree 1, b"x" no name, and True no
+    rational."""
+    with pytest.raises((TypeError, ValueError)):
+        build()

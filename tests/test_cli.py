@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from ncindep import AlgebraSignature, FiniteProbSpace, RandomVariable, gen_random_state
 from ncindep.classical import space_to_json, variable_to_json
+from ncindep import cli
 from ncindep.cli import CLT_WORK_BUDGET, _build_parser, main
 from ncindep.moments import dump_state, load_state
 from ncindep.products import MAX_FREE_RUNS
@@ -189,7 +190,7 @@ def test_clt_accepts_a_moment_list_with_a_leading_minus(capsys, moments):
     assert out.splitlines() == ["4", "normalized: 2"]
 
 
-def test_clt_refuses_work_past_the_budget(capsys):
+def test_clt_refuses_work_past_the_budget(capsys, monkeypatch):
     # 10^30 summands: the refusal must come before the summand list, which
     # Python could not even size
     code, out, err = run(
@@ -199,8 +200,20 @@ def test_clt_refuses_work_past_the_budget(capsys):
     assert code == 2 and out == ""
     doc = error_doc(err)
     assert doc["code"] == "usage"
-    assert str(8 * 10**30) in doc["message"] and str(CLT_WORK_BUDGET) in doc["message"]
-    # n = 1000 at order 20 is 8 * 10^6 steps, within the budget
+    assert str(108 * 10**30) in doc["message"] and str(CLT_WORK_BUDGET) in doc["message"]
+    # each summand costs steps of its own, so 10^8 summands at order 1 are
+    # refused before any summand is built
+    def summed(*args):
+        raise AssertionError("a summand was built")
+
+    monkeypatch.setattr(cli, "sum_moment", summed)
+    code, out, err = run(
+        capsys, "clt", "--product", "monotone", "--moments", "0", "--n", str(10**8), "--order", "1",
+    )
+    assert code == 2 and out == ""
+    assert error_doc(err)["code"] == "usage"
+    monkeypatch.undo()
+    # n = 1000 at order 20 is 8.1 * 10^6 steps, within the budget
     moments = ",".join(["0", "1"] * 10)
     code, out, err = run(
         capsys, "clt", "--product", "tensor", "--moments", moments, "--n", "1000",

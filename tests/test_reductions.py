@@ -37,9 +37,10 @@ from ncindep import (
     tensor_value,
     verify_reduction,
 )
-from ncindep.reductions import _sweep_table, _sweep_words, sweep_signatures
+from ncindep.algebra import _words
+from ncindep.reductions import _sweep_table, sweep_signatures
 from ncindep.rational import ONE, as_rational, product
-from conftest import G1, G2, N1, N2, total_state
+from conftest import A1, A2, G1, G2, N1, N2, total_state
 
 P = None  # marker for the idempotent letter inside an M-reduction slot
 
@@ -327,16 +328,45 @@ def bare(word):
     return tuple((f, m.letters) for f, m in word.blocks)
 
 
+def letter_sequences(signatures, max_letters):
+    """Every sequence of 1..max_letters single-generator letters, in
+    itertools.product order, each normalized: the reference word list."""
+    alphabet = [(f, Monomial(sig, (name,))) for f, sig in enumerate(signatures) for name in sig.generator_names]
+    return [normalize_word(combo)
+            for length in range(1, max_letters + 1) for combo in itertools.product(alphabet, repeat=length)]
+
+
+# Two unital factors of two generators, one non-unital factor, and three
+# factors with odd generators and one to three generators each.
+WORD_SIGNATURES = (
+    (A1, A2),
+    (N1,),
+    (AlgebraSignature("B1", True, (("p", 1),)),
+     AlgebraSignature("B2", True, (("q", 0), ("r", 1))),
+     AlgebraSignature("B3", True, (("s", 1), ("t", 0), ("u", 1)))),
+)
+
+
+@pytest.mark.parametrize("signatures", WORD_SIGNATURES, ids=["two", "one", "three"])
+def test_bare_words_are_the_normalized_letter_sequences(signatures):
+    """The bare words and enumerate_words are the normalized letter
+    sequences, element for element and in order."""
+    for length in range(1, 6):
+        want = letter_sequences(signatures, length)
+        assert list(_words(signatures, length)) == [bare(w) for w in want]
+        assert list(enumerate_words(signatures, length)) == want
+
+
 @pytest.mark.parametrize("kind", list(ReductionKind), ids=lambda kind: kind.value)
 def test_sweep_words_are_the_enumerated_words(kind):
-    """The sweep's bare words are enumerate_words, element for element and
-    in order, and its table counts them."""
+    """The sweep's bare words are the normalized letter sequences, in
+    order, and its table counts them."""
     signatures = sweep_signatures(kind)
     for length in range(1, 6):
-        words = _sweep_words(signatures, length)
-        assert words == [bare(w) for w in enumerate_words(signatures, length)]
+        want = letter_sequences(signatures, length)
+        assert list(_words(signatures, length)) == [bare(w) for w in want]
         table = _sweep_table(kind, zero_joint(kind, length), length)
-        assert table.count == len(words)
+        assert table.count == len(want)
         assert _sweep_table(kind, zero_joint(kind, length), length) is table
 
 
@@ -585,7 +615,7 @@ def test_sweeps_without_the_proof_give_the_same_results(monkeypatch):
     table = reductions._sweep_table
 
     def every_word_open(kind, joint, length):
-        return table(kind, joint, length)._replace(open=tuple(_sweep_words(sweep_signatures(kind), length)))
+        return table(kind, joint, length)._replace(open=tuple(_words(sweep_signatures(kind), length)))
 
     monkeypatch.setattr(reductions, "_sweep_table", every_word_open)
     assert outcomes() == with_proof
