@@ -114,6 +114,12 @@ MUTANTS = (
         "gens = tuple((n, int(d)) for n, d in self.generators)",
         ("tests/test_algebra.py::test_public_constructors_convert_nothing",),
     ),
+    Mutant(
+        "word-coerces-factor", "src/ncindep/algebra.py",
+        "blocks = tuple((f, m) for f, m in self.blocks)",
+        "blocks = tuple((int(f), m) for f, m in self.blocks)",
+        ("tests/test_algebra.py::test_public_constructors_convert_nothing",),
+    ),
     # one path per check
     Mutant(
         "bare-skips-algebra-check", "src/ncindep/algebra.py",
@@ -126,6 +132,12 @@ MUTANTS = (
         "if factor >= len(algebras):",
         "if factor > len(algebras):",
         ("tests/test_products.py::test_word_factor_validation",),
+    ),
+    Mutant(
+        "eval-functional-skips-check", "src/ncindep/moments.py",
+        "blocks = _bare(word, (phi.algebra,))",
+        "blocks = tuple((factor, monomial.letters) for factor, monomial in word.blocks)",
+        ("tests/test_moments.py::test_eval_functional_values_only_words_on_its_factor",),
     ),
     Mutant(
         "lookup-miss-reads-zero", "src/ncindep/moments.py",

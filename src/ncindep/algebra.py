@@ -106,14 +106,17 @@ class AlgebraSignature:
 class Monomial:
     """A product of generators of one free algebra.
 
-    The empty monomial denotes the unit and is only allowed over a unital
-    algebra.  Monomials multiply by concatenation; there are no relations.
+    ``letters`` is a sequence of generator names; a ``str`` is refused, not
+    split.  The empty monomial denotes the unit and is only allowed over a
+    unital algebra.  Monomials multiply by concatenation, with no relations.
     """
 
     algebra: AlgebraSignature
     letters: tuple[str, ...]
 
     def __post_init__(self):
+        if isinstance(self.letters, str):
+            raise TypeError("letters %r are a str, not a sequence of generator names" % (self.letters,))
         letters = tuple(self.letters)
         object.__setattr__(self, "letters", letters)
         degree_map = self.algebra._degree_map
@@ -160,8 +163,8 @@ class Monomial:
 class Word:
     """An element of a free product, in alternating-block normal form.
 
-    ``blocks`` is a tuple of ``(factor, monomial)`` pairs where ``factor``
-    indexes a factor list supplied by whoever evaluates the word.  The
+    ``blocks`` is a tuple of ``(factor, monomial)`` pairs where ``factor``,
+    an ``int``, indexes the factor list of whoever evaluates the word.  The
     normal form is validated at construction: no block holds an empty
     monomial and neighbouring blocks come from different factors.  The
     empty tuple is the identified unit of the unital regime.  Use
@@ -171,10 +174,12 @@ class Word:
     blocks: tuple[tuple[int, Monomial], ...]
 
     def __post_init__(self):
-        blocks = tuple((int(f), m) for f, m in self.blocks)
+        blocks = tuple((f, m) for f, m in self.blocks)
         object.__setattr__(self, "blocks", blocks)
         previous = None
         for factor, monomial in blocks:
+            if type(factor) is not int:
+                raise TypeError("factor index %r is not an int" % (factor,))
             if factor < 0:
                 raise ValueError("negative factor index %d" % factor)
             if monomial.is_unit:
@@ -220,7 +225,8 @@ def normalize_word(blocks: Iterable[tuple[int, Monomial]]) -> Word:
     out: list[tuple[int, Monomial]] = []
     runs: dict[int, list] = {}  # position in out -> the letters merged onto its block
     for factor, monomial in blocks:
-        factor = int(factor)
+        if type(factor) is not int:  # a bool or float equal to the last factor would merge
+            raise TypeError("factor index %r is not an int" % (factor,))
         if monomial.is_unit:
             continue
         if out and out[-1][0] == factor:
@@ -393,16 +399,10 @@ class Homomorphism:
             for word in images[name].terms:
                 if word.is_empty and not self.target.unital:
                     raise RegimeMismatch("image of %r has a unit term, but no unit exists" % name)
-                if word.num_blocks > 1:
-                    raise ValueError(
-                        "image of %r is not a single-factor polynomial" % name
-                    )
-                for factor, monomial in word.blocks:
-                    if factor != 0 or monomial.algebra != self.target:
-                        raise ValueError(
-                            "image of %r must consist of factor-0 blocks over the target"
-                            % name
-                        )
+                try:
+                    _bare(word, (self.target,))
+                except ValueError as exc:
+                    raise ValueError("image of %r: %s" % (name, exc)) from None
                 if word_degree(word) != degree:
                     raise ValueError(
                         "image of %r is not homogeneous of degree %d" % (name, degree)

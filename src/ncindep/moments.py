@@ -39,6 +39,7 @@ from .algebra import (
     Homomorphism,
     Monomial,
     Polynomial,
+    _bare,
     _canonical_letters,
 )
 from .errors import DegreeExceeded, RegimeMismatch, StateDocumentError
@@ -226,22 +227,14 @@ class MomentFunctional:
 def eval_functional(phi: MomentFunctional, polynomial: Polynomial) -> Rational:
     """Evaluate a functional on a single-algebra polynomial.
 
-    The polynomial's words must each have at most one block, over the
-    functional's algebra; the empty word is the unit (unital regime only).
+    The polynomial's words must lie over the functional's algebra as factor
+    0, so each has at most one block (``ValueError`` otherwise); the empty
+    word is the unit, which a non-unital functional lacks (``RegimeMismatch``).
     """
     total = ZERO
     for word, coeff in polynomial.items():
-        if word.is_empty:
-            if not phi.unital:
-                raise RegimeMismatch(
-                    "polynomial has a unit term but %r is non-unital" % (phi,)
-                )
-            total += coeff
-            continue
-        if word.num_blocks != 1:
-            raise ValueError("polynomial is not over a single algebra: %r" % (word,))
-        _, monomial = word.blocks[0]
-        total += coeff * phi(monomial)
+        blocks = _bare(word, (phi.algebra,))
+        total += coeff * phi.value_of_letters(blocks[0][1] if blocks else ())
     return total
 
 

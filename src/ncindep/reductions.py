@@ -41,7 +41,7 @@ one letter's, and proves what it can as it is built: a word whose sign bit
 segments are its image's tensor runs, as (factor, letters) pairs with
 multiplicity, has one signed product of moments on both routes, whatever
 the states.  The table keeps only the words left open, and a sweep values
-each of them on its drawn states through :func:`verify_reduction`; under
+each of them on its drawn states by :func:`verify_reduction`'s check; under
 the four shipped reductions no word is left open.
 """
 
@@ -236,10 +236,14 @@ class ReductionCheck(NamedTuple):
 def verify_reduction(kind: ReductionKind, factors: Sequence[MomentFunctional], word: Word) -> ReductionCheck:
     """Compare the product value of a word with the tensor value of its
     embedded image; the two must agree exactly for every word."""
-    factors = tuple(factors)
-    lhs = JointFunctional(factors, kind.product_kind).evaluate(word)  # validates the word
-    states = [ReducedState(kind, phi) for phi in factors]
-    rhs = tensor_value(states, embed_word(kind, len(factors), word))
+    joint = JointFunctional(factors, kind.product_kind)  # checks the regime
+    return _check(kind, joint, [ReducedState(kind, phi) for phi in joint.factors], word)
+
+
+def _check(kind: ReductionKind, joint: JointFunctional, reduced, word: Word) -> ReductionCheck:
+    """:func:`verify_reduction` on states already joined and reduced."""
+    lhs = joint.evaluate(word)  # validates the word
+    rhs = tensor_value(reduced, embed_word(kind, len(reduced), word))
     return ReductionCheck(lhs, rhs, lhs == rhs)
 
 
@@ -302,11 +306,11 @@ def reduction_sweep(kind: ReductionKind, seed: int, trials: int, max_word_len: i
 
     The words come from one table per kind and length, which proves each
     word it can once and keeps the rest open; a proved word is counted, not
-    valued.  Per trial the states are drawn and joined under the product,
-    which checks their regime, and each open word is valued, in word order,
-    by :func:`verify_reduction` on the drawn states.  Returns (checked,
-    failures) where failures lists (states, word, check) triples of the
-    words whose routes differ.  Deterministic for a given seed.
+    valued.  Per trial the states are drawn, joined under the product (which
+    checks their regime) and, if a word is open, reduced; each open word is
+    valued on them, in word order, by :func:`verify_reduction`'s check.
+    Returns (checked, failures), failures the (states, word, check) triples
+    of the words whose routes differ.  Deterministic for a given seed.
     """
     generators = _trial_generators(seed, trials, max_word_len)
     signatures = sweep_signatures(kind)
@@ -314,10 +318,12 @@ def reduction_sweep(kind: ReductionKind, seed: int, trials: int, max_word_len: i
     failures = []
     for rng in generators:
         states = [gen_random_state(sig, max_word_len, rng) for sig in signatures]
-        table = _sweep_table(kind, JointFunctional(states, kind.product_kind), max_word_len)
+        joint = JointFunctional(states, kind.product_kind)
+        table = _sweep_table(kind, joint, max_word_len)
+        reduced = [ReducedState(kind, phi) for phi in states] if table.open else ()
         for word in table.open:
             word = _word_of(signatures, word)
-            check = verify_reduction(kind, states, word)
+            check = _check(kind, joint, reduced, word)
             if not check.equal:
                 failures.append((states, word, check))
         checked += table.count

@@ -189,6 +189,18 @@ def test_non_unital_images_have_no_unit_term():
     Homomorphism(A1, A1, {"a": unital, "b": Polynomial.from_monomial(mono(A1, "b"))})
 
 
+@pytest.mark.parametrize("image", [
+    Polynomial.from_monomial(mono(A1, "a"), 1),
+    Polynomial.from_monomial(mono(A2, "x")),
+    Polynomial.from_word(Word(((0, mono(A1, "a")), (1, mono(A1, "b"))))),
+], ids=["factor-1", "other-algebra", "two-blocks"])
+def test_images_lie_on_factor_0_over_the_target(image):
+    """An image word is checked as a word over the target alone, and the
+    error names the generator whose image it is."""
+    with pytest.raises(ValueError, match="^image of 'a': "):
+        Homomorphism(A1, A1, {"a": image, "b": Polynomial.from_monomial(mono(A1, "b"))})
+
+
 @st.composite
 def capped_block_pairs(draw, factor_one_letters=8):
     """Two raw block lists with at most ``factor_one_letters`` letters in
@@ -370,11 +382,20 @@ def test_polynomial_repr_lists_terms_in_the_format_order():
     lambda: as_rational(True),
     lambda: MomentFunctional.from_entries(AlgebraSignature("A", False, (("x", 0),)), 1, {"x": True}),
     lambda: QDeformed(ProductKind.FREE, True),
+    lambda: Word(((True, mono(A1, "a")),)),
+    lambda: Word(((1.0, mono(A1, "a")),)),
+    lambda: Word((("0", mono(A1, "a")),)),
+    lambda: normalize_word([("1", mono(A1, "a")), (1, mono(A1, "a"))]),
+    lambda: normalize_word([(1, mono(A1, "a")), (True, mono(A1, "b"))]),
+    lambda: Monomial(A1, "ab"),
 ], ids=["degree-float", "degree-str", "degree-bool", "generator-bytes", "algebra-bytes",
-        "unital-int", "rational-bool", "moment-bool", "q-bool"])
+        "unital-int", "rational-bool", "moment-bool", "q-bool", "word-factor-bool",
+        "word-factor-float", "word-factor-str", "normalize-factor-str", "normalize-factor-bool",
+        "monomial-str"])
 def test_public_constructors_convert_nothing(build):
-    """A degree, name, flag or value of the wrong type is refused, not
-    converted: 1.7, "1" and True are no degree 1, b"x" no name, and True no
-    rational."""
+    """A degree, name, flag, value, factor index or letter sequence of the
+    wrong type is refused, not converted: 1.7, "1" and True are no degree
+    1, b"x" no name, True no rational, True, 1.0 and "0" no factor index,
+    and "ab" no sequence of letters."""
     with pytest.raises((TypeError, ValueError)):
         build()

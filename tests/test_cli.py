@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ncindep
 from ncindep import AlgebraSignature, FiniteProbSpace, RandomVariable, gen_random_state
 from ncindep.classical import space_to_json, variable_to_json
 from ncindep import cli
@@ -950,10 +951,13 @@ def test_module_entry_point_runs_as_a_process(tmp_path):
     s2 = tmp_path / "s2.json"
     dump_state(total_state(P1, 2, {"a": "1/2"}), s1)
     dump_state(total_state(P2, 2, {"b": "1/3"}), s2)
+    # the child imports the ncindep this process imported, installed or not
+    source = os.path.dirname(os.path.dirname(os.path.abspath(ncindep.__file__)))
+    path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
     result = subprocess.run(
         [sys.executable, "-m", "ncindep", "eval", "--product", "boolean",
          "--state", str(s1), str(s2), "--expr", "A1.a A2.b A1.a"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == "1/12"

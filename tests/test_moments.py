@@ -21,6 +21,7 @@ from ncindep import (
     Polynomial,
     RegimeMismatch,
     StateDocumentError,
+    Word,
     all_monomials,
     eval_functional,
     gen_random_homomorphism,
@@ -65,6 +66,19 @@ def test_eval_functional_is_linear():
     phi = total_state(X, 1, {"x": "1/2", "y": "1/3"})
     p = poly(mono(X, "x"), 2) + poly(mono(X, "y"), 3)
     assert eval_functional(phi, p) == as_rational(2)
+
+
+@pytest.mark.parametrize("blocks", [
+    ((5, mono(X, "x")),),
+    ((0, mono(A1, "a")),),
+    ((0, mono(X, "x")), (1, mono(X, "y"))),
+], ids=["factor-5", "other-algebra", "two-blocks"])
+def test_eval_functional_values_only_words_on_its_factor(blocks):
+    """A word off factor 0, over another algebra, or of two blocks is
+    refused, not valued by its letters."""
+    phi = total_state(X, 1, {"x": "1/2", "y": "1/3"})
+    with pytest.raises(ValueError, match="factor"):
+        eval_functional(phi, Polynomial.from_word(Word(blocks)))
 
 
 def test_unknown_long_monomials_raise_not_zero():

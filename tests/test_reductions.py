@@ -636,19 +636,18 @@ def test_the_shipped_reductions_leave_no_word_open():
 
 
 def test_sweeps_value_each_open_word_once_per_trial(monkeypatch):
-    """A sweep calls verify_reduction once per open word and trial, in word
-    order, whether or not the word's routes differ: never under the four
-    reductions, 287 times per trial for fermi joined as the ungraded
-    tensor."""
+    """A sweep embeds each open word once per trial, in word order, whether
+    or not the word's routes differ: never under the four reductions, 287
+    times per trial for fermi joined as the ungraded tensor."""
     import ncindep.reductions as reductions
 
     calls = []
 
-    def counted(kind, factors, word):
+    def counted(kind, n, word):
         calls.append(bare(word))
-        return verify_reduction(kind, factors, word)
+        return embed_word(kind, n, word)
 
-    monkeypatch.setattr(reductions, "verify_reduction", counted)
+    monkeypatch.setattr(reductions, "embed_word", counted)
     for kind in ReductionKind:
         assert reduction_sweep(kind, seed=1, trials=2, max_word_len=5) == (2 * 1364, [])
     assert calls == []
