@@ -63,8 +63,14 @@ MUTANTS = (
     ),
     Mutant(
         "sweep-skips-open-words", "src/ncindep/reductions.py",
-        "for word in table.open:",
-        "for word in ():",
+        "for word, image in table.open:",
+        "for word, image in ():",
+        ("tests/test_reductions.py::test_sweep_verdicts_under_wrong_products_are_pinned",),
+    ),
+    Mutant(
+        "open-image-drops-sign", "src/ncindep/reductions.py",
+        "ReducedWord(kind, -ONE if tensor_negative else ONE, slots)",
+        "ReducedWord(kind, ONE, slots)",
         ("tests/test_reductions.py::test_sweep_verdicts_under_wrong_products_are_pinned",),
     ),
     Mutant(
@@ -72,6 +78,14 @@ MUTANTS = (
         "checked += table.count",
         "checked += len(table.open)",
         ("tests/test_reductions.py::test_sweep_verdicts_under_wrong_products_are_pinned",),
+    ),
+    # one slot multiplication holds the fermi sign rule
+    Mutant(
+        "fermi-sign-reads-the-other-slot", "src/ncindep/reductions.py",
+        "negative ^= left.gpow & right.degree",
+        "negative ^= left.degree & right.gpow",
+        ("tests/test_reductions.py::test_split_pair_agrees_with_the_word_embedding",
+         "tests/test_reductions.py::test_the_shipped_reductions_leave_no_word_open"),
     ),
     # the laws run on integer-graded inputs
     Mutant(
@@ -106,6 +120,12 @@ MUTANTS = (
         "layer = [_join(word, letter) for word in layer for letter in letters]",
         "layer = [_join(word, letter) for letter in letters for word in layer]",
         ("tests/test_reductions.py::test_bare_words_are_the_normalized_letter_sequences",),
+    ),
+    Mutant(
+        "collect-keeps-zero-sums", "src/ncindep/algebra.py",
+        "        if total:\n            acc[word] = total",
+        "        if True:\n            acc[word] = total",
+        ("tests/test_algebra.py::test_homomorphisms_expand_as_products_of_block_images",),
     ),
     # the public constructors convert nothing
     Mutant(

@@ -330,7 +330,10 @@ MAX_WORD_LEN = 8
 
 
 def check_word_len(max_word_len: int) -> None:
-    """Reject a word-length bound outside 1..MAX_WORD_LEN before any work."""
+    """Reject a word-length bound that is not an ``int`` in 1..MAX_WORD_LEN
+    before any work."""
+    if type(max_word_len) is not int:
+        raise TypeError("max_word_len must be an int")
     if max_word_len < 1:
         raise ValueError("max_word_len must be positive")
     if max_word_len > MAX_WORD_LEN:
@@ -340,6 +343,8 @@ def check_word_len(max_word_len: int) -> None:
 def _trial_generators(seed: int, trials: int, max_word_len: int):
     """The generator of each trial, derived from (seed, trial index) alone,
     after checking ``trials`` and ``max_word_len`` before any work."""
+    if type(trials) is not int:
+        raise TypeError("trials must be an int")
     if trials < 1:
         raise ValueError("trials must be positive")
     check_word_len(max_word_len)

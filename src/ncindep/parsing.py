@@ -44,9 +44,9 @@ def _tokenize(text):
         if ch.isspace():
             pos += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             start = pos
-            while pos < size and text[pos].isdigit():
+            while pos < size and text[pos].isdecimal():
                 pos += 1
             tokens.append((_NUMBER, text[start:pos], start))
             continue

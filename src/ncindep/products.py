@@ -612,6 +612,8 @@ def sum_moment(kind, states: Sequence[MomentFunctional], order: int, generators=
     moment times D^order.
     """
     states = tuple(states)
+    if type(order) is not int:
+        raise TypeError("order must be an int")
     if order < 1:
         raise ValueError("order must be at least 1")
     if not states:

@@ -40,9 +40,9 @@ one letter's, and proves what it can as it is built: a word whose sign bit
 (the product's Koszul sign times its image's sign) is 0, and whose product
 segments are its image's tensor runs, as (factor, letters) pairs with
 multiplicity, has one signed product of moments on both routes, whatever
-the states.  The table keeps only the words left open, and a sweep values
-each of them on its drawn states by :func:`verify_reduction`'s check; under
-the four shipped reductions no word is left open.
+the states.  The table keeps only the words left open, with their images,
+and a sweep values each on its drawn states by :func:`verify_reduction`'s
+check; under the four shipped reductions no word is left open.
 """
 
 from __future__ import annotations
@@ -133,6 +133,12 @@ def _letter(kind: ReductionKind, n: int, factor: int, letter: str, degree: int):
     return 0, (before,) * factor + ((letter,),) + (after,) * (n - factor - 1)
 
 
+def _check_kind(kind) -> None:
+    """Refuse a reduction kind that is not a :class:`ReductionKind`, before any work."""
+    if not isinstance(kind, ReductionKind):
+        raise TypeError("kind must be a ReductionKind")
+
+
 def _unit(kind: ReductionKind, n: int):
     """The image of the empty word: an empty slot per factor."""
     return 0, (FermiSlot((), 0, 0) if kind is ReductionKind.FERMI else (),) * n
@@ -142,8 +148,7 @@ def embed_word(kind: ReductionKind, n: int, word: Word) -> ReducedWord:
     """Image of a normal-form word over n factors under the reduction's
     letter-wise embedding: the product of its letters' images, multiplied
     out slot by slot."""
-    if not isinstance(kind, ReductionKind):
-        raise TypeError("kind must be a ReductionKind")
+    _check_kind(kind)
     degrees = [None] * n
     image = _unit(kind, n)
     for factor, monomial in word.blocks:
@@ -192,6 +197,7 @@ class ReducedState:
     p both valued 1."""
 
     def __init__(self, kind: ReductionKind, phi: MomentFunctional):
+        _check_kind(kind)
         _check_regime(kind.product_kind, (phi,))
         self.kind = kind
         self.phi = phi
@@ -236,14 +242,16 @@ class ReductionCheck(NamedTuple):
 def verify_reduction(kind: ReductionKind, factors: Sequence[MomentFunctional], word: Word) -> ReductionCheck:
     """Compare the product value of a word with the tensor value of its
     embedded image; the two must agree exactly for every word."""
+    _check_kind(kind)
     joint = JointFunctional(factors, kind.product_kind)  # checks the regime
-    return _check(kind, joint, [ReducedState(kind, phi) for phi in joint.factors], word)
+    reduced = [ReducedState(kind, phi) for phi in joint.factors]
+    return _check(joint, reduced, joint._check(word), embed_word(kind, len(reduced), word))
 
 
-def _check(kind: ReductionKind, joint: JointFunctional, reduced, word: Word) -> ReductionCheck:
-    """:func:`verify_reduction` on states already joined and reduced."""
-    lhs = joint.evaluate(word)  # validates the word
-    rhs = tensor_value(reduced, embed_word(kind, len(reduced), word))
+def _check(joint: JointFunctional, reduced, word: tuple, image: ReducedWord) -> ReductionCheck:
+    """:func:`verify_reduction` on a trusted bare word and its image, the states joined and reduced."""
+    lhs = Rational(joint.value_of_blocks(word))
+    rhs = tensor_value(reduced, image)
     return ReductionCheck(lhs, rhs, lhs == rhs)
 
 
@@ -255,8 +263,8 @@ def sweep_signatures(kind: ReductionKind):
 
 
 class _SweepTable(NamedTuple):
-    """The number of words of 1..max_word_len letters, and the bare words
-    ((factor, letters), ...) the proof leaves open, in word order."""
+    """The number of words of 1..max_word_len letters, and the (bare word,
+    :class:`ReducedWord` image) pairs the proof leaves open, in word order."""
 
     count: int
     open: tuple
@@ -274,7 +282,7 @@ def _sweep_table(kind: ReductionKind, joint: JointFunctional, max_word_len: int)
     layer by layer as :func:`algebra._words` builds the words, so that the
     images zip with the words in order.  A word is proved when its sign bit
     is 0 and its sorted segments, as (factor, letters) pairs, are its
-    image's sorted runs; the table keeps the others, open."""
+    image's sorted runs; the table keeps the others, open, with their images."""
     key = (kind, joint.kind, max_word_len)
     if key in _SWEEP_TABLES:
         return _SWEEP_TABLES[key]
@@ -294,7 +302,7 @@ def _sweep_table(kind: ReductionKind, joint: JointFunctional, max_word_len: int)
         segments = [(k, segment[0][1]) for k, segment in pairs]
         runs = [(f, run) for f, slot in enumerate(slots) for run in _slot_runs(kind, slot)]
         if negative ^ tensor_negative or sorted(segments) != sorted(runs):
-            open_words.append(word)
+            open_words.append((word, ReducedWord(kind, -ONE if tensor_negative else ONE, slots)))
     table = _SWEEP_TABLES[key] = _SweepTable(len(images), tuple(open_words))
     return table
 
@@ -308,10 +316,11 @@ def reduction_sweep(kind: ReductionKind, seed: int, trials: int, max_word_len: i
     word it can once and keeps the rest open; a proved word is counted, not
     valued.  Per trial the states are drawn, joined under the product (which
     checks their regime) and, if a word is open, reduced; each open word is
-    valued on them, in word order, by :func:`verify_reduction`'s check.
-    Returns (checked, failures), failures the (states, word, check) triples
-    of the words whose routes differ.  Deterministic for a given seed.
+    valued on them with its image, in word order, by :func:`verify_reduction`'s
+    check.  Returns (checked, failures), failures the (states, word, check)
+    triples of the words whose routes differ.  Deterministic for a given seed.
     """
+    _check_kind(kind)
     generators = _trial_generators(seed, trials, max_word_len)
     signatures = sweep_signatures(kind)
     checked = 0
@@ -321,10 +330,9 @@ def reduction_sweep(kind: ReductionKind, seed: int, trials: int, max_word_len: i
         joint = JointFunctional(states, kind.product_kind)
         table = _sweep_table(kind, joint, max_word_len)
         reduced = [ReducedState(kind, phi) for phi in states] if table.open else ()
-        for word in table.open:
-            word = _word_of(signatures, word)
-            check = _check(kind, joint, reduced, word)
+        for word, image in table.open:
+            check = _check(joint, reduced, word, image)
             if not check.equal:
-                failures.append((states, word, check))
+                failures.append((states, _word_of(signatures, word), check))
         checked += table.count
     return checked, failures

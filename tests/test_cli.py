@@ -567,6 +567,17 @@ def test_huge_exponents_are_expression_errors(capsys, pair_files, exponent):
     assert doc["context"]["offset"] == 5
 
 
+@pytest.mark.parametrize("expression, offset", [("A1.a^\u00b2", 5), ("\u00b2*A1.a", 0)],
+                         ids=["exponent", "coefficient"])
+def test_digits_that_are_not_decimal_are_expression_errors(capsys, pair_files, expression, offset):
+    s1, s2 = pair_files
+    code, _, err = run(capsys, "eval", "--product", "boolean", "--state", s1, s2, "--expr", expression)
+    assert code == 2
+    doc = error_doc(err)
+    assert doc["code"] == "expression"
+    assert doc["context"]["offset"] == offset
+
+
 @pytest.mark.parametrize("coefficient, offset", [("9" * 5000, 0), ("1/" + "7" * 5000, 2)])
 def test_huge_coefficients_are_expression_errors(capsys, pair_files, coefficient, offset):
     s1, s2 = pair_files

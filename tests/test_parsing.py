@@ -119,6 +119,14 @@ def test_numbers_past_the_digit_bound_are_rejected_at_their_offset():
     assert parse("0" * 5000 + "3 * A1.x^" + "0" * 5000 + "2") == parse("3 * A1.x A1.x")
 
 
+@pytest.mark.parametrize("text, offset", [("A1.x^\u00b2", 5), ("\u00b2*A1.x", 0), ("A1.x^1\u00b2", 6)],
+                         ids=["exponent", "coefficient", "after-a-digit"])
+def test_digits_that_are_not_decimal_are_rejected_at_their_offset(text, offset):
+    """A superscript two is a digit to ``str.isdigit`` but not a number to
+    ``int``; it is an unexpected character, not a bare ``ValueError``."""
+    expect_error(text, offset)
+
+
 def test_each_term_is_normalized_once(monkeypatch):
     """An expression of MAX_LETTERS alternating letters in four terms builds
     four words, one normalize_word call each, whatever the terms' length."""

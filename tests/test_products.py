@@ -626,6 +626,12 @@ def test_fourth_moment_monotone_matches_its_mirror():
     assert monotone == anti == as_rational(5)
 
 
+@pytest.mark.parametrize("order", [True, 2.0], ids=["bool", "float"])
+def test_sum_moment_refuses_an_order_that_is_not_an_int(order):
+    with pytest.raises(TypeError, match="order must be an int"):
+        sum_moment(ProductKind.TENSOR, bernoulli_states(1), order)
+
+
 def test_sum_moment_requires_designations_when_ambiguous():
     with pytest.raises(ValueError):
         sum_moment(ProductKind.BOOLEAN, (total_state(N1, 2), total_state(N2, 2)), 2)

@@ -37,7 +37,7 @@ from ncindep import (
     tensor_value,
     verify_reduction,
 )
-from ncindep.algebra import _words
+from ncindep.algebra import _word_of, _words
 from ncindep.reductions import _sweep_table, sweep_signatures
 from ncindep.rational import ONE, as_rational, product
 from conftest import A1, A2, G1, G2, N1, N2, total_state
@@ -392,7 +392,8 @@ def test_sweep_images_are_the_embedded_words(kind):
     word's tensor value is its image's sign times the moments of its slots'
     letter runs, and under every padding product the table leaves a word
     open exactly when that sign and those runs, as (factor, letters) pairs,
-    are not the product's Koszul sign and segments."""
+    are not the product's Koszul sign and segments; each open word is kept
+    with its embedded image."""
     signatures = sweep_signatures(kind)
     rng = random.Random(17)
     for length in range(1, 6):
@@ -406,7 +407,10 @@ def test_sweep_images_are_the_embedded_words(kind):
             assert value == tensor_value(reduced, embedded), word
             images.append((bare(word), embedded.sign == -ONE, sorted(runs)))
         for product_kind, joint in joins(kind, states):
-            open_words = set(_sweep_table(kind, joint, length).open)
+            table = _sweep_table(kind, joint, length)
+            for word, image in table.open:
+                assert image == embed_word(kind, 2, _word_of(signatures, word)), (product_kind, word)
+            open_words = {word for word, _ in table.open}
             for word, negative, runs in images:
                 koszul, pairs = joint._root.segments(word)
                 segments = sorted((k, segment[0][1]) for k, segment in pairs)
@@ -584,7 +588,7 @@ def test_proved_words_agree_on_both_public_routes(kind):
         for states in pairs:
             reduced = [ReducedState(kind, phi) for phi in states]
             for product_kind, joint in joins(kind, states):
-                open_words = set(_sweep_table(kind, joint, length).open)
+                open_words = {word for word, _ in _sweep_table(kind, joint, length).open}
                 for word in words:
                     if bare(word) not in open_words:
                         assert joint.evaluate(word) == tensor_value(reduced, embed_word(kind, 2, word)), (
@@ -615,7 +619,9 @@ def test_sweeps_without_the_proof_give_the_same_results(monkeypatch):
     table = reductions._sweep_table
 
     def every_word_open(kind, joint, length):
-        return table(kind, joint, length)._replace(open=tuple(_words(sweep_signatures(kind), length)))
+        signatures = sweep_signatures(kind)
+        return table(kind, joint, length)._replace(open=tuple(
+            (word, embed_word(kind, 2, _word_of(signatures, word))) for word in _words(signatures, length)))
 
     monkeypatch.setattr(reductions, "_sweep_table", every_word_open)
     assert outcomes() == with_proof
@@ -636,18 +642,19 @@ def test_the_shipped_reductions_leave_no_word_open():
 
 
 def test_sweeps_value_each_open_word_once_per_trial(monkeypatch):
-    """A sweep embeds each open word once per trial, in word order, whether
+    """A sweep values each open word once per trial, in word order, whether
     or not the word's routes differ: never under the four reductions, 287
     times per trial for fermi joined as the ungraded tensor."""
     import ncindep.reductions as reductions
 
     calls = []
+    check = reductions._check
 
-    def counted(kind, n, word):
-        calls.append(bare(word))
-        return embed_word(kind, n, word)
+    def counted(joint, reduced, word, image):
+        calls.append(word)
+        return check(joint, reduced, word, image)
 
-    monkeypatch.setattr(reductions, "embed_word", counted)
+    monkeypatch.setattr(reductions, "_check", counted)
     for kind in ReductionKind:
         assert reduction_sweep(kind, seed=1, trials=2, max_word_len=5) == (2 * 1364, [])
     assert calls == []
@@ -656,9 +663,36 @@ def test_sweeps_value_each_open_word_once_per_trial(monkeypatch):
     checked, failures = reduction_sweep(ReductionKind.FERMI, seed=1, trials=2, max_word_len=5)
     wrong = JointFunctional([total_state(sig, 5) for sig in sweep_signatures(ReductionKind.FERMI)],
                             ProductKind.TENSOR)
-    open_words = list(_sweep_table(ReductionKind.FERMI, wrong, 5).open)
+    open_words = [word for word, _ in _sweep_table(ReductionKind.FERMI, wrong, 5).open]
     assert checked == 2 * 1364 and len(open_words) == 287
     assert calls == 2 * open_words
+
+
+def test_sweeps_make_a_word_only_for_a_failure(monkeypatch):
+    """Fermi joined as the ungraded tensor leaves 287 words open per trial;
+    a sweep values them from the table's images, with no embedding, no
+    public evaluation and no word check, and makes a :class:`Word` for each
+    of the 41 failures of two trials alone."""
+    import ncindep.products as products
+    import ncindep.reductions as reductions
+
+    calls = {"_word_of": 0, "embed_word": 0, "evaluate": 0, "_bare": 0}
+
+    def counted(name, function):
+        def call(*args):
+            calls[name] += 1
+            return function(*args)
+        return call
+
+    for module, name in ((reductions, "_word_of"), (reductions, "embed_word"), (products, "_bare")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    monkeypatch.setattr(JointFunctional, "evaluate", counted("evaluate", JointFunctional.evaluate))
+    monkeypatch.setattr(reductions, "JointFunctional",
+                        lambda factors, _: JointFunctional(factors, ProductKind.TENSOR))
+    checked, failures = reduction_sweep(ReductionKind.FERMI, seed=1, trials=2, max_word_len=5)
+    assert checked == 2 * 1364 and len(failures) == 41
+    assert all(isinstance(word, Word) for _, word, _ in failures)
+    assert calls == {"_word_of": 41, "embed_word": 0, "evaluate": 0, "_bare": 0}
 
 
 def test_sweeps_and_suites_reject_long_words_before_any_work(monkeypatch):
@@ -675,3 +709,47 @@ def test_sweeps_and_suites_reject_long_words_before_any_work(monkeypatch):
         reduction_sweep(ReductionKind.MONOTONE, seed=1, trials=1, max_word_len=9)
     with pytest.raises(ValueError, match="at most 8"):
         run_axiom_suite(Axiom.FUNCTORIALITY, ProductKind.TENSOR, seed=1, trials=1, max_word_len=9)
+
+
+@pytest.mark.parametrize("entry, name", [
+    (lambda: reduction_sweep(ReductionKind.FERMI, seed=1, trials=True, max_word_len=2), "trials"),
+    (lambda: reduction_sweep(ReductionKind.FERMI, seed=1, trials=1, max_word_len=True), "max_word_len"),
+    (lambda: run_axiom_suite(Axiom.INCLUSION, ProductKind.TENSOR, seed=1, trials=True, max_word_len=2), "trials"),
+    (lambda: run_axiom_suite(Axiom.INCLUSION, ProductKind.TENSOR, seed=1, trials=1, max_word_len=True),
+     "max_word_len"),
+], ids=["sweep-trials", "sweep-length", "suite-trials", "suite-length"])
+def test_sweeps_and_suites_refuse_bool_counts_before_any_work(monkeypatch, entry, name):
+    """A trial count or word length of True is refused with TypeError, not
+    read as 1, before any state is drawn or any trial runs."""
+    import ncindep.axioms as axioms
+    import ncindep.reductions as reductions
+
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(reductions, "gen_random_state", no_work)
+    monkeypatch.setattr(reductions, "_sweep_table", no_work)
+    monkeypatch.setitem(axioms._TRIAL_RUNNERS, Axiom.INCLUSION, no_work)
+    with pytest.raises(TypeError, match="^%s must be an int$" % name):
+        entry()
+
+
+@pytest.mark.parametrize("entry", ["sweep", "verify", "reduced-state"])
+def test_reductions_refuse_a_kind_that_is_not_a_reduction_kind(monkeypatch, entry):
+    """Each public entry taking a reduction kind refuses the string
+    "fermi" as embed_word does, before it joins or checks any state."""
+    import ncindep.reductions as reductions
+
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    for name in ("gen_random_state", "JointFunctional", "_check_regime", "_trial_generators"):
+        monkeypatch.setattr(reductions, name, no_work)
+    phi, psi = (total_state(sig, 2) for sig in (G1, G2))
+    calls = {
+        "sweep": lambda: reduction_sweep("fermi", 1, 1),
+        "verify": lambda: verify_reduction("fermi", [phi, psi], graded_word((0, "a"), (1, "x"))),
+        "reduced-state": lambda: ReducedState("fermi", phi),
+    }
+    with pytest.raises(TypeError, match="^kind must be a ReductionKind$"):
+        calls[entry]()
