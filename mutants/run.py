@@ -177,6 +177,20 @@ MUTANTS = (
         "terms = ((self._check(word), coeff) for word, coeff in polynomial.items())",
         ("tests/test_products.py::test_word_factor_validation",),
     ),
+    # sums compose and convolve only what reaches the result
+    Mutant(
+        "compose-truncates-one-too-many", "src/ncindep/products.py",
+        "for k in range(1, len(f) - j)]",
+        "for k in range(1, len(f) - j - 1)]",
+        ("tests/test_products.py::test_compose_equals_the_full_composition",
+         "tests/test_products.py::test_sum_moment_transforms_match_word_enumeration[monotone-False]"),
+    ),
+    Mutant(
+        "fermi-sum-drops-cross-group", "src/ncindep/products.py",
+        "return _convolve(*folded) if len(folded) == 2 else folded[0]",
+        "return folded[0]",
+        ("tests/test_products.py::test_sum_moment_transforms_match_word_enumeration[fermi-False]",),
+    ),
 )
 
 

@@ -342,7 +342,9 @@ def check_word_len(max_word_len: int) -> None:
 
 def _trial_generators(seed: int, trials: int, max_word_len: int):
     """The generator of each trial, derived from (seed, trial index) alone,
-    after checking ``trials`` and ``max_word_len`` before any work."""
+    after checking ``seed``, ``trials`` and ``max_word_len`` before any work."""
+    if type(seed) is not int:
+        raise TypeError("seed must be an int")
     if type(trials) is not int:
         raise TypeError("trials must be an int")
     if trials < 1:

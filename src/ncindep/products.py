@@ -520,10 +520,12 @@ def _reciprocal(a):
 
 def _compose(f, g):
     """f(g(w)) for a series g without constant term, by Horner's rule."""
-    out = [f[-1]] + [0] * (len(f) - 1)
-    for coeff in reversed(f[:-1]):
-        # out * g + coeff, where g[0] == 0 drops the i == k term
-        out = [coeff] + [sum(out[i] * g[k - i] for i in range(k)) for k in range(1, len(f))]
+    out = [f[-1]]
+    for j in range(len(f) - 2, -1, -1):
+        # out * g + f[j], where g[0] == 0 drops the i == k term; what is left
+        # gets multiplied by g^j, which starts at w^j, so only the
+        # coefficients below w^(len(f) - j) reach the result
+        out = [f[j]] + [sum(out[i] * g[k - i] for i in range(k)) for k in range(1, len(f) - j)]
     return out
 
 
@@ -563,11 +565,14 @@ def _sum_series(kind: ProductKind, series, odd):
     if kind in (ProductKind.TENSOR, ProductKind.FERMI):
         # Summands commute and convolve binomially, except that odd ones
         # anticommute with each other; even ones commute with everything.
-        unit = [1] + [0] * (len(series[0]) - 1)
-        groups = [unit, unit]
+        # Each group starts at its first summand, and the two convolve only
+        # when both are there.
+        groups = [None, None]
         for m, flag in zip(series, odd):
-            groups[flag] = _convolve(groups[flag], m, _anti_comb if flag else math.comb)
-        return _convolve(*groups)
+            group = groups[flag]
+            groups[flag] = m if group is None else _convolve(group, m, _anti_comb if flag else math.comb)
+        folded = [group for group in groups if group is not None]
+        return _convolve(*folded) if len(folded) == 2 else folded[0]
     if kind is ProductKind.FREE:
         return _free_cumulants(_add_transformed(_free_cumulants, series), inverse=True)
     if kind is ProductKind.BOOLEAN:

@@ -259,6 +259,7 @@ def sweep_signatures(kind: ReductionKind):
     """The two-factor signatures used by seeded verification sweeps: the
     axiom suite's for the reduced product, graded unital algebras (one odd,
     one even generator each) for fermi, ungraded non-unital ones otherwise."""
+    _check_kind(kind)
     return _signatures(2, kind.product_kind)
 
 

@@ -14,13 +14,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ncindep
-from ncindep import AlgebraSignature, FiniteProbSpace, RandomVariable, gen_random_state
+from ncindep import (
+    AlgebraSignature,
+    FiniteProbSpace,
+    MomentFunctional,
+    ProductKind,
+    RandomVariable,
+    gen_random_state,
+    parse_kind_label,
+    sum_moment,
+)
 from ncindep.classical import space_to_json, variable_to_json
 from ncindep import cli
 from ncindep.cli import CLT_WORK_BUDGET, _build_parser, main
 from ncindep.moments import dump_state, load_state
 from ncindep.products import MAX_FREE_RUNS
-from ncindep.rational import as_rational
+from ncindep.rational import as_rational, format_rational
 from conftest import total_state
 
 P1 = AlgebraSignature("A1", False, (("a", 0),))
@@ -160,6 +169,29 @@ def test_clt_fermi_rejects_odd_moments(capsys):
     )
     assert code == 3 and out == ""
     assert error_doc(err)["code"] == "regime"
+
+
+@pytest.mark.parametrize("product", [kind.value for kind in ProductKind] + ["q:tensor:2", "q:free:1/3"])
+def test_clt_prints_the_sum_moment_of_a_checked_state(capsys, product):
+    """clt prints what sum_moment gives on the state from_entries builds from
+    the same moments, for n in {1, 2, 3, 7} and orders 1 to 8."""
+    kind = parse_kind_label(product)
+    fermi = kind is ProductKind.FERMI
+    drawn = ("1/2", "-1/3", "2", "3/4", "-5", "1/7", "0", "9/5")
+    moments = ["0" if fermi and k % 2 else m for k, m in enumerate(drawn, 1)]
+    sig = AlgebraSignature("X", False, (("x", int(fermi)),))
+    phi = MomentFunctional.from_entries(sig, 8, {("x",) * k: as_rational(m) for k, m in enumerate(moments, 1)})
+    for n in (1, 2, 3, 7):
+        for order in range(1, 9):
+            total = sum_moment(kind, [phi] * n, order)
+            expected = [format_rational(total)]
+            if order % 2 == 0:
+                expected.append("normalized: %s" % format_rational(total / n ** (order // 2)))
+            code, out, err = run(
+                capsys, "clt", "--product", product, "--moments=" + ",".join(moments),
+                "--n", str(n), "--order", str(order),
+            )
+            assert (code, err, out.splitlines()) == (0, "", expected), (n, order)
 
 
 def test_clt_q_deformed_sum_of_many_copies_does_not_recurse_deeply(capsys):

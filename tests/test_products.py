@@ -792,6 +792,58 @@ def test_identical_summands_are_transformed_once(monkeypatch, kind, transform):
             assert value == _sum_by_words(kind, states, letters, 4)
 
 
+def _multiplied(a, b):
+    """The full product of two coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_compose_equals_the_full_composition():
+    """The truncated Horner composition equals sum_i f_i g^i, multiplied out
+    in full and cut to the length of f."""
+    from ncindep.products import _compose
+
+    rng = random.Random(33)
+    for length in range(1, 22):
+        for _ in range(3):
+            f = [rng.randint(-9, 9) for _ in range(length)]
+            g = [0] + [rng.randint(-9, 9) for _ in range(length - 1)]
+            full, power = [0] * length, [1]
+            for coeff in f:
+                for k, c in enumerate(power[:length]):
+                    full[k] += coeff * c
+                power = _multiplied(power, g)
+            assert _compose(f, g) == full, (f, g)
+
+
+@pytest.mark.parametrize("kind,degree", [(ProductKind.TENSOR, 0), (ProductKind.FERMI, 1)])
+def test_binomial_sums_convolve_only_summands(monkeypatch, kind, degree):
+    """A tensor sum of three copies, or a fermi sum of three odd ones, takes
+    two convolutions: none with the unit series, and no cross-group one when
+    a parity group is empty."""
+    import ncindep.products as products
+
+    calls = []
+    original = products._convolve
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(products, "_convolve", counted)
+    sig = AlgebraSignature("S", False, (("x", degree),))
+    moments = ("0", "1/2", "0", "-3/4") if degree else ("1/3", "1/2", "-2", "-3/4")
+    phi = total_state(sig, 4, {("x",) * k: m for k, m in enumerate(moments, 1)})
+    for order in range(1, 5):
+        calls.clear()
+        value = sum_moment(kind, [phi] * 3, order)
+        assert len(calls) == 2
+        assert value == _sum_by_words(kind, [phi] * 3, [Monomial(sig, ("x",))] * 3, order)
+
+
 # ---------------------------------------------------------------------------
 # q-deformed values, pinned bit for bit
 

@@ -717,10 +717,13 @@ def test_sweeps_and_suites_reject_long_words_before_any_work(monkeypatch):
     (lambda: run_axiom_suite(Axiom.INCLUSION, ProductKind.TENSOR, seed=1, trials=True, max_word_len=2), "trials"),
     (lambda: run_axiom_suite(Axiom.INCLUSION, ProductKind.TENSOR, seed=1, trials=1, max_word_len=True),
      "max_word_len"),
-], ids=["sweep-trials", "sweep-length", "suite-trials", "suite-length"])
+    (lambda: reduction_sweep(ReductionKind.FERMI, seed=True, trials=1, max_word_len=2), "seed"),
+    (lambda: run_axiom_suite(Axiom.INCLUSION, ProductKind.TENSOR, seed=1.0, trials=1, max_word_len=2), "seed"),
+], ids=["sweep-trials", "sweep-length", "suite-trials", "suite-length", "sweep-seed", "suite-seed"])
 def test_sweeps_and_suites_refuse_bool_counts_before_any_work(monkeypatch, entry, name):
-    """A trial count or word length of True is refused with TypeError, not
-    read as 1, before any state is drawn or any trial runs."""
+    """A seed, trial count or word length of True (or a float seed) is
+    refused with TypeError, not read as 1, before any state is drawn or any
+    trial runs."""
     import ncindep.axioms as axioms
     import ncindep.reductions as reductions
 
@@ -734,7 +737,7 @@ def test_sweeps_and_suites_refuse_bool_counts_before_any_work(monkeypatch, entry
         entry()
 
 
-@pytest.mark.parametrize("entry", ["sweep", "verify", "reduced-state"])
+@pytest.mark.parametrize("entry", ["sweep", "verify", "reduced-state", "signatures"])
 def test_reductions_refuse_a_kind_that_is_not_a_reduction_kind(monkeypatch, entry):
     """Each public entry taking a reduction kind refuses the string
     "fermi" as embed_word does, before it joins or checks any state."""
@@ -750,6 +753,7 @@ def test_reductions_refuse_a_kind_that_is_not_a_reduction_kind(monkeypatch, entr
         "sweep": lambda: reduction_sweep("fermi", 1, 1),
         "verify": lambda: verify_reduction("fermi", [phi, psi], graded_word((0, "a"), (1, "x"))),
         "reduced-state": lambda: ReducedState("fermi", phi),
+        "signatures": lambda: sweep_signatures("fermi"),
     }
     with pytest.raises(TypeError, match="^kind must be a ReductionKind$"):
         calls[entry]()
