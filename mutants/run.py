@@ -177,7 +177,7 @@ MUTANTS = (
         "terms = ((self._check(word), coeff) for word, coeff in polynomial.items())",
         ("tests/test_products.py::test_word_factor_validation",),
     ),
-    # sums compose and convolve only what reaches the result
+    # sums add cumulants, and compose only what reaches the result
     Mutant(
         "compose-truncates-one-too-many", "src/ncindep/products.py",
         "for k in range(1, len(f) - j)]",
@@ -186,10 +186,26 @@ MUTANTS = (
          "tests/test_products.py::test_sum_moment_transforms_match_word_enumeration[monotone-False]"),
     ),
     Mutant(
-        "fermi-sum-drops-cross-group", "src/ncindep/products.py",
-        "return _convolve(*folded) if len(folded) == 2 else folded[0]",
-        "return folded[0]",
-        ("tests/test_products.py::test_sum_moment_transforms_match_word_enumeration[fermi-False]",),
+        "fermi-sum-drops-odd-group", "src/ncindep/products.py",
+        "even.append((group, 1, False))",
+        "pass",
+        ("tests/test_products.py::test_sum_moment_transforms_match_word_enumeration[fermi-False]",
+         "tests/test_products.py::test_runs_of_copies_match_word_enumeration[fermi]"),
+    ),
+    Mutant(
+        "tensor-cumulants-unweighted", "src/ncindep/products.py",
+        "weight=math.comb if kind",
+        "weight=(lambda n, j: 1) if kind",
+        ("tests/test_products.py::test_sum_moment_transforms_match_word_enumeration[tensor-False]",
+         "tests/test_products.py::test_runs_of_copies_match_word_enumeration[tensor]"),
+    ),
+    Mutant(
+        "power-skips-odd-bit", "src/ncindep/products.py",
+        "if count & 1:",
+        "if count & 1 and result is None:",
+        ("tests/test_products.py::test_runs_of_copies_match_word_enumeration[monotone]",
+         "tests/test_products.py::test_runs_of_copies_match_word_enumeration[antimonotone]",
+         "tests/test_products.py::test_power_is_the_repeated_combination"),
     ),
 )
 

@@ -58,7 +58,6 @@ class AlgebraSignature:
         if len(set(names)) != len(names):
             raise ValueError("duplicate generator names in algebra %r" % self.name)
         object.__setattr__(self, "_degree_map", dict(gens))
-        object.__setattr__(self, "_graded", any(d == 1 for _, d in gens))
         object.__setattr__(self, "_hash", hash((self.name, self.unital, gens)))
 
     def __hash__(self):
@@ -87,11 +86,6 @@ class AlgebraSignature:
     @property
     def generator_names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.generators)
-
-    @property
-    def graded(self) -> bool:
-        """True when at least one generator is odd."""
-        return self._graded
 
     def degree_of(self, generator: str) -> int:
         try:

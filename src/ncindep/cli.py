@@ -41,12 +41,13 @@ from .rational import (
 from .reductions import ReductionKind, reduction_sweep
 
 
-# ``clt`` sums n summands in about n * (order^3 + 100) integer steps: an
-# order-20 monotone sum takes about 0.04 us a step on moments 0, 1, 0, 1, ...
-# and 0.13 us on m_k = k/(k+1), whose integers are larger; an order-1 one
-# takes about 6 us and 220 bytes a summand (Python 3.11).  ``check`` values
-# about 4^max_len words per trial.  Larger jobs are refused before any
-# summand or state is built.
+# ``clt`` is charged n * (order^3 + 100) integer steps, the cost of
+# transforming every summand apart.  ``sum_moment`` reads a run of equal
+# summands once and composes n copies in O(log n) steps, so the formula
+# over-counts: the largest admitted jobs, n = 990,099 at order 1 and
+# n = 12,345 at order 20, take under 0.2 s and 36 MB (Python 3.11).
+# ``check`` values about 4^max_len words per trial.  Larger jobs are
+# refused before any summand or state is built.
 CLT_WORK_BUDGET = 10**8
 _CLT_SUMMAND_STEPS = 100
 

@@ -44,7 +44,6 @@ moments of sums across factors.
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -498,26 +497,6 @@ def free_centering_oracle(phi1: MomentFunctional, phi2: MomentFunctional, word: 
 # of integers m_k D^k indexed by power.
 
 
-def _add(rows):
-    """Coefficient-wise sum of series."""
-    return [sum(column) for column in zip(*rows)]
-
-
-def _add_transformed(transform, series):
-    """Coefficient-wise sum of transform(row) over the rows of ``series``:
-    each distinct row is transformed once and weighted by its count."""
-    counts = collections.Counter(map(tuple, series))
-    return _add([count * c for c in transform(row)] for row, count in counts.items())
-
-
-def _reciprocal(a):
-    """1/a for a series with constant term 1."""
-    out = [1]
-    for k in range(1, len(a)):
-        out.append(-sum(a[i] * out[k - i] for i in range(1, k + 1)))
-    return out
-
-
 def _compose(f, g):
     """f(g(w)) for a series g without constant term, by Horner's rule."""
     out = [f[-1]]
@@ -527,6 +506,32 @@ def _compose(f, g):
         # coefficients below w^(len(f) - j) reach the result
         out = [f[j]] + [sum(out[i] * g[k - i] for i in range(k)) for k in range(1, len(f) - j)]
     return out
+
+
+def _power(combine, x, count):
+    """x combined with itself ``count`` >= 1 times, by squaring; the powers
+    of one x commute under any associative ``combine``."""
+    result = None
+    while True:
+        if count & 1:
+            result = x if result is None else combine(result, x)
+        count >>= 1
+        if not count:
+            return result
+        x = combine(x, x)
+
+
+def _cumulants(given, weight, inverse=False):
+    """Cumulants of a moment series, or with ``inverse`` the moment series of
+    a cumulant series, by m_n = sum_{j=1..n} weight(n-1, j-1) k_j m_(n-j):
+    binomial weights give the classical cumulants, weight 1 the boolean."""
+    order = len(given) - 1
+    found = [1] + [0] * order
+    moments, cumulants = (found, given) if inverse else (given, found)
+    for n in range(1, order + 1):
+        rest = sum(weight(n - 1, j - 1) * cumulants[j] * moments[n - j] for j in range(1, n))
+        found[n] = given[n] + rest if inverse else given[n] - rest
+    return found
 
 
 def _free_cumulants(given, inverse=False):
@@ -547,74 +552,69 @@ def _free_cumulants(given, inverse=False):
     return found
 
 
-def _convolve(a, b, weight=math.comb):
-    """[w^k] of sum_i weight(k, i) a_i b_(k-i) w^k: the moments of x + y from
-    those of x and y when yx = qxy, with q-binomial weights."""
-    return [sum(weight(k, i) * a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
-
-
-def _anti_comb(k, i):
-    """The q = -1 binomial coefficient, for anticommuting summands."""
-    return 0 if i & 1 and not k & 1 else math.comb(k // 2, i // 2)
-
-
-def _sum_series(kind: ProductKind, series, odd):
-    """Moment series of the sum of summands, independent in the given order
-    under ``kind``, from the summands' moment series; ``odd`` flags the
-    summands of odd degree in a graded sum."""
-    if kind in (ProductKind.TENSOR, ProductKind.FERMI):
-        # Summands commute and convolve binomially, except that odd ones
-        # anticommute with each other; even ones commute with everything.
-        # Each group starts at its first summand, and the two convolve only
-        # when both are there.
-        groups = [None, None]
-        for m, flag in zip(series, odd):
-            group = groups[flag]
-            groups[flag] = m if group is None else _convolve(group, m, _anti_comb if flag else math.comb)
-        folded = [group for group in groups if group is not None]
-        return _convolve(*folded) if len(folded) == 2 else folded[0]
+def _sum_series(kind: ProductKind, runs):
+    """Moment series of the sum of summands independent in the given order
+    under ``kind``, from runs (series, count, odd) of equal consecutive
+    summands, ``odd`` flagging those of odd degree in a graded sum."""
+    if len(runs) == 1 and runs[0][1] == 1:
+        return runs[0][0]
+    if kind in (ProductKind.MONOTONE, ProductKind.ANTI_MONOTONE):
+        # Reciprocal Cauchy transforms compose (Muraki); in K(w) = w M(w)
+        # the monotone sum is K_1(K_2(...K_N)), the earlier factor
+        # outermost, and the anti-monotone sum composes in the reverse order.
+        total = None
+        for m, count, _ in reversed(runs) if kind is ProductKind.MONOTONE else runs:
+            k = _power(_compose, [0] + m, count)
+            total = k if total is None else _compose(k, total)
+        return total[1:]
+    if kind is ProductKind.FERMI:
+        # Odd summands anticommute, so the square of their sum is the sum of
+        # their squares, which are even: the group's moment 2k is the k-th
+        # of the tensor sum of the squares, and its odd moments vanish.  The
+        # group commutes with the even summands, one more tensor summand.
+        odd = [(m[::2], count, False) for m, count, flag in runs if flag]
+        even = [run for run in runs if not run[2]]
+        if odd:
+            group = [0] * len(runs[0][0])
+            group[::2] = _sum_series(ProductKind.TENSOR, odd)
+            even.append((group, 1, False))
+        return _sum_series(ProductKind.TENSOR, even)
+    # every other kind adds cumulants, each distinct summand's once, times its count
     if kind is ProductKind.FREE:
-        return _free_cumulants(_add_transformed(_free_cumulants, series), inverse=True)
-    if kind is ProductKind.BOOLEAN:
-        # eta = 1 - 1/M adds, so the non-constant coefficients of 1/M add
-        return _reciprocal(_add_transformed(_reciprocal, series))
-    if kind is ProductKind.DEGENERATE:
-        # mixed words vanish, leaving each summand's own moments
-        return _add(series)
-    # Reciprocal Cauchy transforms compose (Muraki); in K(w) = w M(w) the
-    # monotone sum is K_1(K_2(...K_N)), the earlier factor outermost, and
-    # the anti-monotone sum composes in the reverse order.
-    ks = [[0] + m for m in series]
-    if kind is ProductKind.MONOTONE:
-        ks.reverse()
-    total = ks[0]
-    for k in ks[1:]:
-        total = _compose(k, total)
-    return total[1:]
+        transform = _free_cumulants
+    elif kind is ProductKind.DEGENERATE:
+        transform = lambda given, inverse=False: given  # mixed words vanish
+    else:
+        transform = partial(_cumulants, weight=math.comb if kind is ProductKind.TENSOR else lambda n, j: 1)
+    counts: dict = {}
+    for m, count, _ in runs:
+        key = tuple(m)
+        counts[key] = counts.get(key, 0) + count
+    rows = [[count * c for c in transform(m)] for m, count in counts.items()]
+    return transform([1] + [sum(column) for column in zip(*rows)][1:], inverse=True)
 
 
 def sum_moment(kind, states: Sequence[MomentFunctional], order: int, generators=None) -> Rational:
     """The order-th moment of x_1 + ... + x_N under the joint functional.
 
     Each state designates one generator x_i; when an algebra has a single
-    generator the designation is automatic.  Every plain
-    :class:`ProductKind` convolves the summands' moments m_1..m_order
-    exactly, in O(order^3) integer operations per summand: tensor sums
-    convolve binomially, free cumulants add, boolean eta-transforms
-    1 - 1/M(w) add, monotone sums compose K(w) = w M(w) with the earlier
-    factor outermost and anti-monotone sums with the later one, and
-    degenerate sums add the summands' own moments.  Fermi sums convolve
-    the even summands binomially and the odd ones with q = -1 binomial
-    coefficients, then the two groups binomially.  A :class:`QDeformed`
-    kind sums under its base kind, as the joint functional evaluates.
+    generator the designation is automatic.  A run of equal consecutive
+    summands is read once.  Every plain :class:`ProductKind` sums exactly,
+    in O(order^3) integer operations per distinct summand or run: tensor,
+    free and boolean sums add the summands' classical, free and boolean
+    cumulants, and degenerate sums their moments.  Monotone sums compose
+    K(w) = w M(w) with the earlier factor outermost, anti-monotone sums
+    with the later one, a run of n copies in O(log n) compositions.  Fermi
+    sums take the odd summands, which anticommute, as the tensor sum of
+    their squares, one more tensor summand beside the even ones.  A
+    :class:`QDeformed` kind sums under its base kind, as the joint
+    functional evaluates.
 
     The transforms run on integers over a common denominator D of all the
-    moments: m_k enters as m_k D^k.  This is exact because every
-    transform is graded by degree.  Its w^k coefficient sums products of
-    coefficients whose degrees add up to k, with integer weights, and it
-    divides by nothing but the constant term 1.  So it commutes with
-    w -> w/D, and the order-th coefficient of the result is the sum's
-    moment times D^order.
+    moments: m_k enters as m_k D^k.  This is exact because every transform
+    is graded by degree, with integer weights, and divides by nothing but
+    the constant term 1, so it commutes with w -> w/D: the order-th
+    coefficient of the result is the sum's moment times D^order.
     """
     states = tuple(states)
     if type(order) is not int:
@@ -625,35 +625,34 @@ def sum_moment(kind, states: Sequence[MomentFunctional], order: int, generators=
         raise ValueError("at least one factor is required")
     if not isinstance(kind, (ProductKind, QDeformed)):
         raise TypeError("kind must be a ProductKind or QDeformed")
-    if generators is None:
-        names = []
-        for phi in states:
+    if generators is not None:
+        generators = tuple(generators)
+        if len(generators) != len(states):
+            raise ValueError("need one designated generator per state")
+    runs = []  # ((state, generator), count) per run of equal summands
+    pairs = zip(states, generators or itertools.repeat(None))
+    for (phi, name), group in itertools.groupby(pairs):
+        if generators is None:
             gens = phi.algebra.generator_names
             if len(gens) != 1:
                 raise ValueError(
                     "algebra %r has %d generators; pass `generators` explicitly"
                     % (phi.algebra.name, len(gens))
                 )
-            names.append(gens[0])
-    else:
-        names = list(generators)
-        if len(names) != len(states):
-            raise ValueError("need one designated generator per state")
+            name = gens[0]
+        runs.append(((phi, name), sum(1 for _ in group)))
     # each distinct (state, generator) is read once
-    summands = list(zip(states, names))
-    degrees = {(phi, name): phi.algebra.degree_of(name) for phi, name in summands}
-    _check_regime(kind, states)
+    degrees = {summand: summand[0].algebra.degree_of(summand[1]) for summand, _ in runs}
+    _check_regime(kind, [phi for phi, _ in degrees])
     q, kind, scaled = _deformed(kind, [phi for phi, _ in degrees])
-    moments = {
-        (phi, name): [summand.value_of_letters((name,) * k) for k in range(1, order + 1)]
-        for (phi, name), summand in zip(degrees, scaled)
-    }
+    moments = {summand: [phi.value_of_letters((summand[1],) * k) for k in range(1, order + 1)]
+               for summand, phi in zip(degrees, scaled)}
     denominator = math.lcm(*(m.denominator for row in moments.values() for m in row))
     powers = [denominator**k for k in range(order + 1)]
     rows = {
         summand: [1] + [m.numerator * (powers[k] // m.denominator) for k, m in enumerate(row, 1)]
         for summand, row in moments.items()
     }
-    series = [rows[summand] for summand in summands]
-    odd = [kind is ProductKind.FERMI and degrees[summand] == 1 for summand in summands]
-    return q * Rational(_sum_series(kind, series, odd)[order], powers[order])
+    series = [(rows[summand], count, kind is ProductKind.FERMI and degrees[summand] == 1)
+              for summand, count in runs]
+    return q * Rational(_sum_series(kind, series)[order], powers[order])

@@ -723,6 +723,21 @@ def test_sum_moment_transforms_match_word_enumeration(kind, unital):
                 ), (degrees, order)
 
 
+@pytest.mark.parametrize("kind", list(ProductKind), ids=lambda kind: kind.value)
+def test_runs_of_copies_match_word_enumeration(kind):
+    """Runs of one summand, read once per run, give the sum over all N^order
+    words: seven copies, and runs of two states in turn; odd states among
+    them in a fermi sum."""
+    rng = random.Random("runs " + kind.value)
+    degrees = (1, 0) if kind is ProductKind.FERMI else (0, 0)
+    phi, psi = (gen_random_state(AlgebraSignature("S", False, (("x", d),)), 4, rng) for d in degrees)
+    for states, orders in (([phi] * 7, (1, 2, 3, 4)), ([phi] * 2 + [psi] * 3 + [phi], (3, 4)),
+                           ([psi] * 3 + [phi] * 3, (4,))):
+        letters = [Monomial(state.algebra, ("x",)) for state in states]
+        for order in orders:
+            assert sum_moment(kind, states, order) == _sum_by_words(kind, states, letters, order), order
+
+
 def test_sum_moment_rejects_a_bad_kind_and_no_states():
     with pytest.raises(TypeError, match="kind must be a ProductKind or QDeformed"):
         sum_moment("free", (total_state(U1, 2),), 2)
@@ -764,10 +779,12 @@ def test_sum_moment_of_a_thousand_coins_has_the_closed_forms():
 
 
 @pytest.mark.parametrize(
-    "kind,transform", [(ProductKind.FREE, "_free_cumulants"), (ProductKind.BOOLEAN, "_reciprocal")]
+    "kind,transform",
+    [(ProductKind.FREE, "_free_cumulants"), (ProductKind.BOOLEAN, "_cumulants"),
+     (ProductKind.TENSOR, "_cumulants")],
 )
 def test_identical_summands_are_transformed_once(monkeypatch, kind, transform):
-    """Free cumulants and boolean reciprocals are taken once per distinct
+    """Free, boolean and classical cumulants are taken once per distinct
     summand and once for the sum, however many copies are summed."""
     import ncindep.products as products
 
@@ -819,29 +836,58 @@ def test_compose_equals_the_full_composition():
             assert _compose(f, g) == full, (f, g)
 
 
-@pytest.mark.parametrize("kind,degree", [(ProductKind.TENSOR, 0), (ProductKind.FERMI, 1)])
-def test_binomial_sums_convolve_only_summands(monkeypatch, kind, degree):
-    """A tensor sum of three copies, or a fermi sum of three odd ones, takes
-    two convolutions: none with the unit series, and no cross-group one when
-    a parity group is empty."""
+def test_power_is_the_repeated_combination():
+    """Squaring gives the c-fold composition, though composition does not
+    commute."""
+    from ncindep.products import _compose, _power
+
+    rng = random.Random(34)
+    f, g = ([0] + [rng.randint(-9, 9) for _ in range(6)] for _ in range(2))
+    assert _compose(f, g) != _compose(g, f)
+    for count in range(1, 34):
+        assert _power(_compose, f, count) == functools.reduce(_compose, [f] * count), count
+
+
+@pytest.mark.parametrize(
+    "kind,degree,transform",
+    [(ProductKind.TENSOR, 0, "_cumulants"), (ProductKind.FERMI, 1, "_cumulants"),
+     (ProductKind.BOOLEAN, 0, "_cumulants"), (ProductKind.FREE, 0, "_free_cumulants")],
+)
+def test_sums_transform_as_often_for_three_copies_as_for_a_thousand(monkeypatch, kind, degree, transform):
+    """A sum of copies of one summand, odd ones in a fermi sum, takes as many
+    cumulant transforms at n = 3 as at n = 1000, and its values are the
+    word sums."""
     import ncindep.products as products
 
     calls = []
-    original = products._convolve
+    original = getattr(products, transform)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(products, "_convolve", counted)
+    monkeypatch.setattr(products, transform, counted)
     sig = AlgebraSignature("S", False, (("x", degree),))
     moments = ("0", "1/2", "0", "-3/4") if degree else ("1/3", "1/2", "-2", "-3/4")
     phi = total_state(sig, 4, {("x",) * k: m for k, m in enumerate(moments, 1)})
     for order in range(1, 5):
         calls.clear()
         value = sum_moment(kind, [phi] * 3, order)
-        assert len(calls) == 2
+        three = len(calls)
+        calls.clear()
+        sum_moment(kind, [phi] * 1000, order)
+        assert len(calls) == three > 0
         assert value == _sum_by_words(kind, [phi] * 3, [Monomial(sig, ("x",))] * 3, order)
+
+
+def test_odd_fermi_coins_square_to_their_count():
+    """Odd summands anticommute, so the square of a sum of n odd coins
+    (x^2 = 1 in law) is n, and its fourth moment n^2."""
+    n = 1000
+    sig = AlgebraSignature("S", False, (("x", 1),))
+    coin = total_state(sig, 4, {"x": 0, "x x": 1, "x x x": 0, "x x x x": 1})
+    assert sum_moment(ProductKind.FERMI, [coin] * n, 2) == n
+    assert sum_moment(ProductKind.FERMI, [coin] * n, 4) == n**2
 
 
 # ---------------------------------------------------------------------------
