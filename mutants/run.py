@@ -87,6 +87,28 @@ MUTANTS = (
         ("tests/test_reductions.py::test_split_pair_agrees_with_the_word_embedding",
          "tests/test_reductions.py::test_the_shipped_reductions_leave_no_word_open"),
     ),
+    # a product of products is a product over the inner product's state
+    Mutant(
+        "product-state-letters-reversed", "src/ncindep/products.py",
+        "for digit in reversed(digits):",
+        "for digit in digits:",
+        ("tests/test_products.py::test_four_factors_nest_both_ways_as_the_flat_product[tensor]",
+         "tests/test_products.py::test_product_state_entries_are_the_joint_values[tensor]"),
+    ),
+    Mutant(
+        "regroup-skips-merge", "src/ncindep/algebra.py",
+        "_append(out, (group[factor], letters))",
+        "out.append((group[factor], letters))",
+        ("tests/test_algebra.py::test_regroup_merges_the_blocks_that_meet_in_one_group",),
+    ),
+    # every node's factors are states, split by one table per padding kind
+    Mutant(
+        "monotone-splits-like-anti-monotone", "src/ncindep/products.py",
+        "ProductKind.MONOTONE: lambda j, k: j < k,",
+        "ProductKind.MONOTONE: lambda j, k: j > k,",
+        ("tests/test_products.py::test_monotone_value_gathers_the_first_factor",
+         "tests/test_products.py::test_anti_monotone_is_the_mirror_of_monotone"),
+    ),
     # the laws run on integer-graded inputs
     Mutant(
         "graded-power-one-too-high", "src/ncindep/moments.py",

@@ -67,6 +67,7 @@ from .products import (
     free_centering_oracle,
     kind_label,
     parse_kind_label,
+    product_state,
     sum_moment,
 )
 from .rational import Rational, as_rational, format_rational, parse_rational

@@ -424,6 +424,16 @@ def _append(blocks: list, block) -> None:
         blocks.append(block)
 
 
+def _regroup(blocks, group) -> tuple:
+    """A bare normal-form word over some factors as one over groups of them:
+    block (k, letters) moves onto factor group[k], merged into a last block
+    of the same group."""
+    out: list = []
+    for factor, letters in blocks:
+        _append(out, (group[factor], letters))
+    return tuple(out)
+
+
 def _join(first: tuple, second: tuple) -> tuple:
     """Two bare normal-form words multiplied: their block tuples joined, with
     a last and a first block of one factor merged."""

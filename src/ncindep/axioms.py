@@ -24,8 +24,9 @@ trials are mutually independent, and results are assembled in trial order.
 
 The laws:
 
-* associativity - the left- and right-bracketed iterations of the binary
-  product agree on three-factor words.
+* associativity - the two nestings of the binary product agree on
+  three-factor words: the product of the first two factors' product state
+  with the third, and of the first with the last two's product state.
 * unit law - joining with the trivial state on the empty-generator unital
   algebra changes nothing (unital kinds only).
 * inclusion - on single-factor words the joint functional restricts to the
@@ -64,6 +65,7 @@ from .algebra import (
     _append,
     _canonical_letters,
     _image_terms,
+    _regroup,
     _word_of,
     _words,
     single_block_word,
@@ -71,7 +73,7 @@ from .algebra import (
 from .errors import RegimeMismatch
 from .moments import MomentFunctional, _graded, _layout, _parities, pullback, state_to_json
 from .parsing import format_expression, format_word
-from .products import JointFunctional, ProductKind, QDeformed, admits_unital, kind_label
+from .products import JointFunctional, ProductKind, QDeformed, admits_unital, kind_label, product_state
 from .rational import ONE, Rational, ZERO, format_rational
 
 
@@ -444,9 +446,11 @@ def _trial_associativity(kind, rng, max_word_len):
     words = _trial_words(signatures, max_word_len, rng, 8)
 
     def law(states, homs):
-        left = JointFunctional(states, kind, bracketing="left")
-        right = JointFunctional(states, kind, bracketing="right")
-        return lambda word: (left.value_of_blocks(word), right.value_of_blocks(word))
+        # (A1 * A2) * A3 against A1 * (A2 * A3), the inner products as states
+        left = JointFunctional((product_state(JointFunctional(states[:2], kind), max_word_len), states[2]), kind)
+        right = JointFunctional((states[0], product_state(JointFunctional(states[1:], kind), max_word_len)), kind)
+        return lambda word: (left.value_of_blocks(_regroup(word, (0, 0, 1))),
+                             right.value_of_blocks(_regroup(word, (0, 1, 1))))
 
     return states, (), law, (((signatures, word), word, {"bracketing": "left-vs-right"}) for word in words)
 

@@ -21,8 +21,8 @@ its values, so that a word can be cut once and valued under many states.
 
 Two kinds have rules of their own:
 
-* ``FREE`` - mixed free cumulants vanish.  With c the child of the word's
-  first run (of letters from one child),
+* ``FREE`` - mixed free cumulants vanish.  With c the factor of the word's
+  first run (of letters from one factor),
 
       value(w) = sum over sets S of c's runs holding the first run of
                  kappa_c(runs in S) * product of the values of S's gaps,
@@ -32,11 +32,13 @@ Two kinds have rules of their own:
 * ``DEGENERATE`` - a factor's moment for words over one factor, 0 otherwise.
 
 :class:`QDeformed` scales a symmetric base product's inputs by 1/q and its
-result by q.  Every kind is one node over any number of children, by
-default over all the factors at once; the axiom suite checks independently
-that the left and right bracketings of two-child nodes agree.  Boolean,
-monotone, anti-monotone, degenerate, and q-deformed products require the
-non-unital regime - they do not descend to algebras with identified units.
+result by q.  Every kind is one node over all the factors at once.  A
+product is itself a state, on the free algebra over its factors'
+generators (:func:`product_state`), so a product of products is a product
+over that state; the axiom suite checks that the two nestings of three
+factors agree.  Boolean, monotone, anti-monotone, degenerate, and
+q-deformed products require the non-unital regime - they do not descend
+to algebras with identified units.
 
 Also here: an independent centering oracle for the free product, and
 moments of sums across factors.
@@ -48,12 +50,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial, reduce
+from functools import partial
 from typing import Sequence
 
-from .algebra import Polynomial, Word, _append, _bare
+from .algebra import AlgebraSignature, Polynomial, Word, _alphabet, _append, _bare
 from .errors import RegimeMismatch
-from .moments import MomentFunctional, scale
+from .moments import MomentFunctional, _layout, scale
 from .rational import ONE, Rational, ZERO, as_rational, format_rational, parse_rational, product
 
 
@@ -127,76 +129,46 @@ def parse_kind_label(label: str):
 
 
 # ---------------------------------------------------------------------------
-# Evaluator tree.  A node owns a set of factor indices and values words over
-# them, given as bare normal-form tuples ((factor, letters), ...), through
-# eval_blocks(blocks).
+# Product nodes.  A node holds the factors' states, in factor order, and
+# values words over them, given as bare normal-form tuples
+# ((factor, letters), ...), through eval_blocks(blocks).
 
 
-class _Leaf:
-    __slots__ = ("phi", "owned")
+class _Padding:
+    """The gather/split rule: each factor's letters are gathered, in order,
+    into an open segment; a block of factor j first closes the open segment
+    of every other factor k in ``closes[j]``, the k with
+    ``_SPLITS[kind](j, k)``.  The graded tensor keeps each factor's odd
+    generator names in ``odd``, which turns on the Koszul sign."""
 
-    def __init__(self, phi: MomentFunctional, factor: int):
-        self.phi = phi
-        self.owned = frozenset((factor,))
+    __slots__ = ("factors", "closes", "odd")
 
-    def eval_blocks(self, blocks) -> Rational:
-        # a normal-form word over one factor has exactly one block
-        return self.phi.value_of_letters(blocks[0][1]) if blocks else 1
-
-
-class _Node:
-    """A product over children in factor order, each owning some factors."""
-
-    __slots__ = ("children", "child_of", "owned")
-
-    def __init__(self, children):
-        self.children = tuple(children)
-        self.child_of = {f: j for j, child in enumerate(self.children) for f in child.owned}
-        self.owned = frozenset(self.child_of)
-
-
-class _Padding(_Node):
-    """The gather/split rule.
-
-    Each child's blocks are gathered, in order, into an open segment; a run
-    of child j first closes the open segment of every other child k in
-    ``closes[j]``, the k with ``_SPLITS[kind](j, k)``.  The value is the
-    product of the children's values on their segments.  ``odd``, given
-    for the graded tensor, holds the odd generator names of each factor and
-    turns on the Koszul sign.
-    """
-
-    __slots__ = ("closes", "odd")
-
-    def __init__(self, kind: ProductKind, children, odd=None):
-        super().__init__(children)
+    def __init__(self, kind: ProductKind, factors):
+        self.factors = factors
         splits = _SPLITS[kind]
-        indices = range(len(self.children))
+        indices = range(len(factors))
         self.closes = tuple(tuple(k for k in indices if k != j and splits(j, k)) for j in indices)
-        self.odd = odd
+        self.odd = ([frozenset(name for name, degree in phi.algebra.generators if degree) for phi in factors]
+                    if kind is ProductKind.FERMI else None)
 
     def segments(self, blocks):
         """The structure of a word under the rule, apart from any values:
         (negative, pairs), where ``negative`` is the Koszul sign bit and
-        ``pairs`` lists (k, segment), child k's segment as a block tuple, in
-        the order the segments close."""
-        child_of, closes, odd = self.child_of, self.closes, self.odd
+        ``pairs`` lists (k, letters), factor k's segment, in the order the
+        segments close."""
+        closes, odd = self.closes, self.odd
         pairs = []
-        opened: dict = {}  # each child's open segment
-        last = -1
-        parities = [0] * len(self.children)  # odd letters seen per child, mod 2
+        opened: dict = {}  # each factor's open segment
+        parities = [0] * len(self.factors)  # odd letters seen per factor, mod 2
         negative = 0
-        for block in blocks:
-            j = child_of[block[0]]
-            if j != last:
-                last = j
-                for k in closes[j]:
-                    if k in opened:
-                        pairs.append((k, tuple(opened.pop(k))))
-            _append(opened.setdefault(j, []), block)
-            if odd is not None and sum(letter in odd[block[0]] for letter in block[1]) & 1:
+        for j, letters in blocks:
+            for k in closes[j]:
+                if k in opened:
+                    pairs.append((k, tuple(opened.pop(k))))
+            opened.setdefault(j, []).extend(letters)
+            if odd is not None and sum(letter in odd[j] for letter in letters) & 1:
                 # gathering moves this block's odd letters past those of
-                # the later children that came before it
+                # the later factors that came before it
                 negative ^= sum(parities[j + 1:]) & 1
                 parities[j] ^= 1
         pairs.extend((k, tuple(segment)) for k, segment in opened.items())
@@ -204,19 +176,21 @@ class _Padding(_Node):
 
     def eval_blocks(self, blocks) -> Rational:
         negative, pairs = self.segments(blocks)
-        children = self.children
-        total = product(children[k].eval_blocks(segment) for k, segment in pairs)
+        factors = self.factors
+        total = product(factors[k].value_of_letters(letters) for k, letters in pairs)
         return -total if negative else total
 
 
-class _Degenerate(_Node):
-    """A child's value on words over that child alone, 0 on the others."""
+class _Degenerate:
+    """A factor's moment on words over that factor alone, 0 on the others."""
 
-    __slots__ = ()
+    __slots__ = ("factors",)
+
+    def __init__(self, factors):
+        self.factors = factors
 
     def eval_blocks(self, blocks) -> Rational:
-        owners = {self.child_of[factor] for factor, _ in blocks}
-        return self.children[owners.pop()].eval_blocks(blocks) if len(owners) == 1 else 0
+        return self.factors[blocks[0][0]].value_of_letters(blocks[0][1]) if len(blocks) == 1 else 0
 
 
 def _first_block_sum(cumulant, runs, positions, gap, proper=False) -> Rational:
@@ -235,56 +209,37 @@ def _first_block_sum(cumulant, runs, positions, gap, proper=False) -> Rational:
     return total
 
 
-class _Free(_Node):
+class _Free:
     """The free product by the first-block recursion above, over the word's
-    maximal runs of one child, each an element of that child's algebra.
-    Values and cumulants are memoized."""
+    blocks, each a maximal run of one factor.  Values and cumulants are
+    memoized."""
 
-    __slots__ = ("_values", "_cumulants")
+    __slots__ = ("factors", "_values", "_cumulants")
 
-    def __init__(self, children):
-        super().__init__(children)
+    def __init__(self, factors):
+        self.factors = factors
         self._values: dict = {(): 1}
-        self._cumulants: list = [{} for _ in self.children]
+        self._cumulants: list = [{} for _ in factors]
 
     def eval_blocks(self, blocks) -> Rational:
         value = self._values.get(blocks)
         if value is None:
-            child_of = self.child_of
-            runs = [tuple(run) for _, run in itertools.groupby(blocks, lambda block: child_of[block[0]])]
-            first = child_of[blocks[0][0]]
-            value = _first_block_sum(
-                partial(self._cumulant, first),
-                runs,
-                [i for i, run in enumerate(runs) if child_of[run[0][0]] == first],
-                lambda i, j: self.eval_blocks(sum(runs[i:j], ())),
-            )
-            self._values[blocks] = value
+            first = blocks[0][0]
+            positions = [i for i, block in enumerate(blocks) if block[0] == first]
+            value = self._values[blocks] = _first_block_sum(
+                partial(self._cumulant, first), blocks, positions, lambda i, j: self.eval_blocks(blocks[i:j]))
         return value
 
     def _cumulant(self, j, runs) -> Rational:
-        """Child j's free cumulant of its runs: the child's value on their
-        product minus the first-block sum over the proper sets."""
+        """Factor j's free cumulant of its blocks ``runs``: the factor's
+        moment of their letters minus the first-block sum over the proper
+        sets."""
         value = self._cumulants[j].get(runs)
         if value is None:
-            def moment(a, b):
-                joined: list = []
-                for block in itertools.chain(*runs[a:b]):
-                    _append(joined, block)
-                return self.children[j].eval_blocks(tuple(joined))
-
-            value = moment(0, len(runs)) - _first_block_sum(
-                partial(self._cumulant, j), runs, range(len(runs)), moment, proper=True
-            )
-            self._cumulants[j][runs] = value
+            moment = lambda a, b: self.factors[j].value_of_letters(sum((run[1] for run in runs[a:b]), ()))
+            value = self._cumulants[j][runs] = moment(0, len(runs)) - _first_block_sum(
+                partial(self._cumulant, j), runs, range(len(runs)), moment, proper=True)
         return value
-
-
-def _node(kind: ProductKind, children, odd=None):
-    """One product node over children in factor order."""
-    if kind in _SPLITS:
-        return _Padding(kind, children, odd)
-    return (_Free if kind is ProductKind.FREE else _Degenerate)(children)
 
 
 def admits_unital(kind) -> bool:
@@ -321,18 +276,17 @@ def _check_regime(kind, factors):
 class JointFunctional:
     """One functional per factor, joined under a product kind.
 
-    ``bracketing`` selects the evaluator tree when there are more than two
-    factors.  ``None`` (the default) joins every factor in one node, for
-    every kind.  ``"left"`` and ``"right"`` nest two-child nodes to that
-    side, which the associativity law compares; a free node inverts a
-    composite side's own values for its cumulants.  A q-deformed kind builds
-    the tree of its base kind over the factors scaled by 1/q and scales its
-    values by q.  Evaluation caches are internal and never change observable
-    results.  A free or q-deformed free product refuses, with ``ValueError``
-    before any work, a word of more than ``MAX_FREE_RUNS`` blocks.
+    Every kind is one node over all the factors, each factor's state read
+    through its moments.  A product of products is a product over the
+    inner product's state (:func:`product_state`), so no node nests
+    another.  A q-deformed kind joins the factors scaled by 1/q under its
+    base kind and scales its values by q.  Evaluation caches are internal
+    and never change observable results.  A free or q-deformed free
+    product refuses, with ``ValueError`` before any work, a word of more
+    than ``MAX_FREE_RUNS`` blocks.
     """
 
-    def __init__(self, factors: Sequence[MomentFunctional], kind, bracketing=None):
+    def __init__(self, factors: Sequence[MomentFunctional], kind):
         factors = tuple(factors)
         if not factors:
             raise ValueError("at least one factor is required")
@@ -342,23 +296,11 @@ class JointFunctional:
         self.factors = factors
         self.kind = kind
         self._algebras = tuple(phi.algebra for phi in factors)
-        q, base, leaves = _deformed(kind, factors)
-        odd = None
-        if base is ProductKind.FERMI:
-            odd = [
-                frozenset(name for name, degree in phi.algebra.generators if degree)
-                for phi in factors
-            ]
-        nodes = [_Leaf(phi, index) for index, phi in enumerate(leaves)]
-        if bracketing is None:
-            root = _node(base, nodes, odd)
-        elif bracketing == "left":
-            root = reduce(lambda left, right: _node(base, (left, right), odd), nodes)
-        elif bracketing == "right":
-            root = reduce(lambda right, left: _node(base, (left, right), odd), reversed(nodes))
+        q, base, scaled = _deformed(kind, factors)
+        if base in _SPLITS:
+            self._root = _Padding(base, scaled)
         else:
-            raise ValueError("bracketing must be None, 'left', or 'right'")
-        self._root = root
+            self._root = (_Free if base is ProductKind.FREE else _Degenerate)(scaled)
         self._q = q if isinstance(kind, QDeformed) else None
         self._max_runs = MAX_FREE_RUNS if base is ProductKind.FREE else None
 
@@ -395,6 +337,48 @@ class JointFunctional:
     def __repr__(self):
         names = ", ".join(phi.algebra.name for phi in self.factors)
         return "JointFunctional(%s; %s)" % (kind_label(self.kind), names)
+
+
+def product_state(joint: JointFunctional, max_degree: int) -> MomentFunctional:
+    """The joint functional as a state up to ``max_degree`` on the free
+    product of its factors' algebras: the free algebra on their generators,
+    in factor order (factors sharing a name are refused with ``ValueError``),
+    named by joining their names with ``*``.  Each entry is computed on its
+    first read: its rank walked back to its letters as in
+    :func:`~ncindep.moments.pullback`, a factor's consecutive letters merged
+    into one block, and the word valued by ``joint``.  A fermi product state
+    is even without completing its table.  A free product's degree past
+    ``MAX_FREE_RUNS`` is refused before any work."""
+    if not isinstance(joint, JointFunctional):
+        raise TypeError("joint must be a JointFunctional")
+    if type(max_degree) is not int:
+        raise TypeError("max_degree must be an int")
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
+    if joint._max_runs is not None and max_degree > joint._max_runs:
+        raise ValueError("a free product state of degree %d exceeds the free product's bound of %d runs"
+                         % (max_degree, joint._max_runs))
+    algebras = joint._algebras
+    signature = AlgebraSignature("*".join(algebra.name for algebra in algebras), algebras[0].unital,
+                                 tuple(generator for algebra in algebras for generator in algebra.generators))
+    letters = [(factor, (name,)) for factor, name in _alphabet(algebras)]
+    width, shift = len(letters), int(not signature.unital)
+
+    def fill(rank):
+        node, digits = rank + shift, []  # node r > 0 is node (r - 1) // g extended by generator (r - 1) % g
+        while node:
+            node, digit = divmod(node - 1, width)
+            digits.append(digit)
+        blocks: list = []
+        for digit in reversed(digits):
+            _append(blocks, letters[digit])
+        return joint.value_of_blocks(tuple(blocks))
+
+    size = _layout(signature, max_degree)[1][-1]
+    state = MomentFunctional._from_dense(signature, max_degree, [None] * size, fill)
+    if joint.kind is ProductKind.FERMI:
+        state._even = True
+    return state
 
 
 def eval_graded_tensor(factors: Sequence[MomentFunctional], word: Word) -> Rational:

@@ -298,9 +298,7 @@ def _sweep_table(kind: ReductionKind, joint: JointFunctional, max_word_len: int)
     cut = joint._root.segments
     open_words = []
     for word, (tensor_negative, slots) in zip(_words(signatures, max_word_len), images):
-        negative, pairs = cut(word)
-        # a leaf child's segment of a normal-form word is one block
-        segments = [(k, segment[0][1]) for k, segment in pairs]
+        negative, segments = cut(word)
         runs = [(f, run) for f, slot in enumerate(slots) for run in _slot_runs(kind, slot)]
         if negative ^ tensor_negative or sorted(segments) != sorted(runs):
             open_words.append((word, ReducedWord(kind, -ONE if tensor_negative else ONE, slots)))

@@ -1,5 +1,6 @@
 """Words, normal forms, homomorphisms, and Z2 degrees."""
 
+import itertools
 import random
 
 import pytest
@@ -28,9 +29,9 @@ from ncindep import (
     single_block_word,
     word_degree,
 )
-from ncindep.algebra import _image_terms
+from ncindep.algebra import _image_terms, _regroup, _words
 from ncindep.rational import as_rational
-from conftest import A1, A2, G1, G2, N1, N2, mono
+from conftest import A1, A2, A3, G1, G2, N1, N2, mono
 
 
 def blocks(*pairs):
@@ -121,6 +122,18 @@ def test_normalize_ignores_bracketing(items, cut_seed):
 def test_concat_matches_raw_concatenation(first, second):
     a, b = realize(first), realize(second)
     assert concat_words(normalize_word(a), normalize_word(b)) == normalize_word(a + b)
+
+
+@pytest.mark.parametrize("group", [(0, 0, 1), (0, 1, 1), (0, 1, 0)])
+def test_regroup_merges_the_blocks_that_meet_in_one_group(group):
+    """A bare word moved onto groups of its factors is the normal form of
+    its letters, each on its factor's group: neighbours that land in one
+    group share one block."""
+    for word in _words((A1, A2, A3), 4):
+        letters = [(group[factor], letter) for factor, run in word for letter in run]
+        expected = tuple((g, tuple(letter for _, letter in run))
+                         for g, run in itertools.groupby(letters, lambda pair: pair[0]))
+        assert _regroup(word, group) == expected, word
 
 
 # ---------------------------------------------------------------------------

@@ -30,11 +30,14 @@ from ncindep import (
     kind_label,
     normalize_word,
     parse_kind_label,
+    product_state,
     sum_moment,
 )
+from ncindep import products
+from ncindep.algebra import _canonical_letters, _regroup, _words
 from ncindep.parsing import format_word
 from ncindep.products import MAX_FREE_RUNS, admits_unital
-from ncindep.rational import ONE, ZERO, as_rational, format_rational
+from ncindep.rational import ONE, Rational, ZERO, as_rational, format_rational
 from conftest import A1, A2, A3, G1, G2, N1, N2, N3, mono, total_state
 
 # Single-generator factors so the worked fixtures read like the formulas.
@@ -371,23 +374,120 @@ def test_evaluation_order_does_not_change_values():
     assert values_fwd == [forward.evaluate(w) for w in words]  # warm cache
 
 
+G3 = AlgebraSignature("A3", True, (("s", 1), ("t", 0)))
+G4 = AlgebraSignature("A4", True, (("u", 1), ("v", 0)))
+A4 = AlgebraSignature("A4", True, (("u", 0), ("v", 0)))
+N4 = AlgebraSignature("A4", False, (("u", 0), ("v", 0)))
+
+
+def factor_signatures(kind, n):
+    """n factors the kind can join: graded ones for fermi, unital ones for
+    tensor and free, non-unital ones otherwise; no two share a generator."""
+    if kind is ProductKind.FERMI:
+        return (G1, G2, G3, G4)[:n]
+    return ((A1, A2, A3, A4) if admits_unital(kind) else (N1, N2, N3, N4))[:n]
+
+
+def bare(word):
+    return tuple((factor, monomial.letters) for factor, monomial in word.blocks)
+
+
+def nested(phis, kind, side, degree):
+    """The product of the states as binary products nested to ``side``,
+    ((phi_1 phi_2) phi_3) ... or ... (phi_(n-1) phi_n), each inner product
+    taken as its state of the given degree: a function of a bare word over
+    the states' factors."""
+    join = lambda first, second: product_state(JointFunctional((first, second), kind), degree)
+    if side == "left":
+        inner = functools.reduce(join, phis[:-1])
+        joint, group = JointFunctional((inner, phis[-1]), kind), (0,) * (len(phis) - 1) + (1,)
+    else:
+        inner = functools.reduce(lambda right, phi: join(phi, right), reversed(phis[1:]))
+        joint, group = JointFunctional((phis[0], inner), kind), (0,) + (1,) * (len(phis) - 1)
+    return lambda blocks: Rational(joint.value_of_blocks(_regroup(blocks, group)))
+
+
 def test_three_factor_bracketings_agree():
-    """The default tree (one node over all the factors) agrees with the
-    left and the right bracketing."""
-    G3 = AlgebraSignature("A3", True, (("s", 1), ("t", 0)))
+    """The flat product (one node over all the factors) agrees with both
+    nestings of binary products, the inner product taken as its state."""
     for kind in list(ProductKind) + [QDeformed(ProductKind.FREE, "1/3")]:
-        if kind is ProductKind.FERMI:
-            signatures = (G1, G2, G3)
-        elif kind in (ProductKind.TENSOR, ProductKind.FREE):
-            signatures = (A1, A2, A3)
-        else:
-            signatures = (N1, N2, N3)
+        signatures = factor_signatures(kind, 3)
         phis = [gen_random_state(sig, 4, 31 + i) for i, sig in enumerate(signatures)]
-        default, left, right = (
-            JointFunctional(phis, kind, bracketing=b) for b in (None, "left", "right")
-        )
+        default = JointFunctional(phis, kind)
+        left, right = (nested(phis, kind, side, 4) for side in ("left", "right"))
         for w in enumerate_words(signatures, 4):
-            assert default.evaluate(w) == left.evaluate(w) == right.evaluate(w), (kind, w)
+            assert default.evaluate(w) == left(bare(w)) == right(bare(w)), (kind, w)
+
+
+@pytest.mark.parametrize("kind", list(ProductKind), ids=kind_label)
+def test_four_factors_nest_both_ways_as_the_flat_product(kind):
+    """((phi_1 phi_2) phi_3) phi_4 and phi_1 (phi_2 (phi_3 phi_4)), each
+    inner product taken as its state, equal the flat product on every word
+    of up to 4 letters."""
+    signatures = factor_signatures(kind, 4)
+    phis = [gen_random_state(sig, 4, 41 + i) for i, sig in enumerate(signatures)]
+    flat = JointFunctional(phis, kind)
+    left, right = (nested(phis, kind, side, 4) for side in ("left", "right"))
+    for blocks in _words(signatures, 4):
+        assert flat.value_of_blocks(blocks) == left(blocks) == right(blocks), blocks
+
+
+@pytest.mark.parametrize("kind", list(ProductKind) + [QDeformed(ProductKind.BOOLEAN, "-3")], ids=kind_label)
+def test_product_state_entries_are_the_joint_values(kind):
+    """A product state lies over the union of the factors' generators, and
+    each of its entries up to its degree, read in any order, is the joint
+    value of its letters, each run of one factor's letters one block."""
+    signatures = factor_signatures(kind, 2)
+    phis = [gen_random_state(sig, 4, 51 + i) for i, sig in enumerate(signatures)]
+    joint = JointFunctional(phis, kind)
+    state = product_state(joint, 4)
+    assert state.algebra == AlgebraSignature(
+        "A1*A2", signatures[0].unital, signatures[0].generators + signatures[1].generators)
+    factor_of = {name: f for f, sig in enumerate(signatures) for name in sig.generator_names}
+    every = list(_canonical_letters(state.algebra, 4))
+    for letters in reversed(every):
+        blocks = tuple((f, tuple(run)) for f, run in itertools.groupby(letters, factor_of.__getitem__))
+        assert state.value_of_letters(letters) == joint.value_of_blocks(blocks), (kind, letters)
+    assert list(state.letters_table) == every
+
+
+def test_product_states_refuse_shared_generator_names():
+    phi = gen_random_state(N1, 2, 1)
+    with pytest.raises(ValueError, match=r"duplicate generator names in algebra 'A1\*A1'"):
+        product_state(JointFunctional((phi, phi), ProductKind.BOOLEAN), 2)
+
+
+def test_a_fermi_product_state_is_even_without_completing_its_table():
+    phis = [gen_random_state(sig, 4, 61 + i) for i, sig in enumerate((G1, G2, G3))]
+    state = product_state(JointFunctional(phis[:2], ProductKind.FERMI), 4)
+    JointFunctional((state, phis[2]), ProductKind.FERMI)  # checks that its factors are even
+    assert all(value is None for value in state._dense)
+    odd = {name for name, degree in state.algebra.generators if degree}
+    assert all(state.value_of_letters(letters) == 0
+               for letters in _canonical_letters(state.algebra, 4) if sum(letter in odd for letter in letters) % 2)
+
+
+def test_product_state_checks_its_inputs_before_any_work(monkeypatch):
+    """A degree that is not an ``int`` or is negative, and an argument that
+    is not a joint functional, are refused; so is a free product's degree
+    past ``MAX_FREE_RUNS``, since its fill values words without the run
+    bound that ``evaluate`` keeps."""
+    phis = [gen_random_state(sig, 2, i) for i, sig in enumerate((N1, N2))]
+    joint = JointFunctional(phis, ProductKind.BOOLEAN)
+    for degree in (True, 2.0, "2"):
+        with pytest.raises(TypeError, match="max_degree must be an int"):
+            product_state(joint, degree)
+    with pytest.raises(ValueError, match="max_degree must be nonnegative"):
+        product_state(joint, -1)
+    with pytest.raises(TypeError, match="joint must be a JointFunctional"):
+        product_state(phis[0], 2)
+    layouts = []
+    monkeypatch.setattr(products, "_layout", lambda *args: layouts.append(args))
+    for kind, signatures in ((ProductKind.FREE, (A1, A2)), (QDeformed(ProductKind.FREE, 2), (N1, N2))):
+        free = JointFunctional([gen_random_state(sig, 2, 1) for sig in signatures], kind)
+        with pytest.raises(ValueError, match="exceeds the free product's bound of %d runs" % MAX_FREE_RUNS):
+            product_state(free, MAX_FREE_RUNS + 1)
+    assert layouts == []
 
 
 def test_a_free_product_of_four_hundred_factors_nests_shallowly():
@@ -429,10 +529,6 @@ def test_free_words_of_too_many_runs_are_refused_before_any_work(monkeypatch, ki
 # ---------------------------------------------------------------------------
 # the subset recursion: a second reference for the free product, where the
 # centering oracle cannot reach
-
-
-A4 = AlgebraSignature("A4", True, (("u", 0), ("v", 0)))
-N4 = AlgebraSignature("A4", False, (("u", 0), ("v", 0)))
 
 
 class _RefLeaf:
@@ -535,11 +631,14 @@ def test_free_node_matches_the_subset_recursion(n, max_len):
         kind = ProductKind.FREE if q is None else QDeformed(ProductKind.FREE, q)
         words = list(enumerate_words(signatures, max_len))
         for bracketing in (None, "left", "right")[: 1 if n == 2 else 3]:
-            joint = JointFunctional(phis, kind, bracketing=bracketing)
+            if bracketing is None:
+                value = JointFunctional(phis, kind).evaluate
+            else:
+                nesting = nested(phis, kind, bracketing, max_len)
+                value = lambda w: nesting(bare(w))
             reference = _subset_reference(phis, q and as_rational(q), bracketing)
             for w in words:
-                expected = reference(tuple((f, m.letters) for f, m in w.blocks))
-                assert joint.evaluate(w) == expected, (q, bracketing, w)
+                assert value(w) == reference(bare(w)), (q, bracketing, w)
 
 
 def test_free_long_blocks_have_the_closed_form():
@@ -908,10 +1007,12 @@ def test_q_deformed_values_are_pinned_bit_for_bit():
     for base in (ProductKind.TENSOR, ProductKind.FREE, ProductKind.BOOLEAN):
         for q in ("2", "-1/3", "1"):
             kind = QDeformed(base, as_rational(q))
-            for bracketing in (None, "left", "right"):
-                joint = JointFunctional(factors, kind, bracketing=bracketing)
+            left, right = (nested(factors, kind, side, 4) for side in ("left", "right"))
+            for bracketing, value in ((None, JointFunctional(factors, kind).evaluate),
+                                      ("left", lambda word: left(bare(word))),
+                                      ("right", lambda word: right(bare(word)))):
                 lines += ["%s %s %s %s" % (kind_label(kind), bracketing, format_word(word),
-                                           format_rational(joint.evaluate(word))) for word in words]
+                                           format_rational(value(word))) for word in words]
             for states in (summands[:1], summands):
                 lines += ["%s sum %d %d %s" % (kind_label(kind), len(states), order,
                                                format_rational(sum_moment(kind, states, order)))

@@ -412,9 +412,8 @@ def test_sweep_images_are_the_embedded_words(kind):
                 assert image == embed_word(kind, 2, _word_of(signatures, word)), (product_kind, word)
             open_words = {word for word, _ in table.open}
             for word, negative, runs in images:
-                koszul, pairs = joint._root.segments(word)
-                segments = sorted((k, segment[0][1]) for k, segment in pairs)
-                proved = negative == bool(koszul) and segments == runs
+                koszul, segments = joint._root.segments(word)
+                proved = negative == bool(koszul) and sorted(segments) == runs
                 assert (word not in open_words) == proved, (product_kind, word)
 
 
@@ -422,16 +421,15 @@ def test_sweep_images_are_the_embedded_words(kind):
 def test_product_images_are_the_evaluated_words(kind):
     """The product half of the sweep's proof: under every padding product,
     each word's value is its Koszul sign times the factors' moments on its
-    segments, each segment of a leaf child one block."""
+    segments."""
     signatures = sweep_signatures(kind)
     rng = random.Random(23)
     for length in range(1, 6):
         states = [gen_random_state(sig, length, rng) for sig in signatures]
         for product_kind, joint in joins(kind, states):
             for word in enumerate_words(signatures, length):
-                negative, pairs = joint._root.segments(bare(word))
-                assert all(len(segment) == 1 for _, segment in pairs), (product_kind, word)
-                value = product(states[k].value_of_letters(segment[0][1]) for k, segment in pairs)
+                negative, segments = joint._root.segments(bare(word))
+                value = product(states[k].value_of_letters(segment) for k, segment in segments)
                 assert (-value if negative else value) == joint.evaluate(word), (product_kind, word)
 
 
