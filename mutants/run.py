@@ -101,13 +101,20 @@ MUTANTS = (
         "out.append((group[factor], letters))",
         ("tests/test_algebra.py::test_regroup_merges_the_blocks_that_meet_in_one_group",),
     ),
-    # every node's factors are states, split by one table per padding kind
+    # what a kind is lives in its one record
     Mutant(
         "monotone-splits-like-anti-monotone", "src/ncindep/products.py",
-        "ProductKind.MONOTONE: lambda j, k: j < k,",
-        "ProductKind.MONOTONE: lambda j, k: j > k,",
+        "_Rule(lambda j, k: j < k,",
+        "_Rule(lambda j, k: j > k,",
         ("tests/test_products.py::test_monotone_value_gathers_the_first_factor",
          "tests/test_products.py::test_anti_monotone_is_the_mirror_of_monotone"),
+    ),
+    Mutant(
+        "fermi-not-graded", "src/ncindep/products.py",
+        "graded=True",
+        "graded=False",
+        ("tests/test_products.py::test_odd_odd_interchange_flips_the_sign",
+         "tests/test_products.py::test_sum_moment_transforms_match_word_enumeration[fermi-False]"),
     ),
     # the laws run on integer-graded inputs
     Mutant(
@@ -209,17 +216,24 @@ MUTANTS = (
     ),
     Mutant(
         "fermi-sum-drops-odd-group", "src/ncindep/products.py",
-        "even.append((group, 1, False))",
-        "pass",
+        "if not run[2]] + [(group, 1, False)])",
+        "if not run[2]])",
         ("tests/test_products.py::test_sum_moment_transforms_match_word_enumeration[fermi-False]",
          "tests/test_products.py::test_runs_of_copies_match_word_enumeration[fermi]"),
     ),
     Mutant(
         "tensor-cumulants-unweighted", "src/ncindep/products.py",
-        "weight=math.comb if kind",
-        "weight=(lambda n, j: 1) if kind",
+        "sums=partial(_cumulants, weight=math.comb)",
+        "sums=partial(_cumulants, weight=lambda n, j: 1)",
         ("tests/test_products.py::test_sum_moment_transforms_match_word_enumeration[tensor-False]",
          "tests/test_products.py::test_runs_of_copies_match_word_enumeration[tensor]"),
+    ),
+    Mutant(
+        "boolean-sums-like-tensor", "src/ncindep/products.py",
+        "sums=partial(_cumulants, weight=lambda n, j: 1)",
+        "sums=partial(_cumulants, weight=math.comb)",
+        ("tests/test_products.py::test_sum_moment_transforms_match_word_enumeration[boolean-False]",
+         "tests/test_products.py::test_runs_of_copies_match_word_enumeration[boolean]"),
     ),
     Mutant(
         "power-skips-odd-bit", "src/ncindep/products.py",

@@ -71,9 +71,9 @@ from .algebra import (
     single_block_word,
 )
 from .errors import RegimeMismatch
-from .moments import MomentFunctional, _graded, _layout, _parities, pullback, state_to_json
+from .moments import MomentFunctional, _empty_table, _graded, _layout, _parities, pullback, state_to_json
 from .parsing import format_expression, format_word
-from .products import JointFunctional, ProductKind, QDeformed, admits_unital, kind_label, product_state
+from .products import JointFunctional, ProductKind, QDeformed, _rule, kind_label, product_state
 from .rational import ONE, Rational, ZERO, format_rational
 
 
@@ -213,8 +213,10 @@ def gen_random_state(signature: AlgebraSignature, max_degree: int, seed) -> Mome
     afterwards, are those of one ``rng.choice`` call per even monomial.  The
     draws are kept as palette indices, and each entry is made on its first
     read, so a state read at a few monomials costs its draws and those
-    reads.  The state is even by construction."""
+    reads.  The state is even by construction.  A table past
+    :data:`~ncindep.moments.MAX_TABLE_ENTRIES` is refused before any draw."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    dense = _empty_table(signature, max_degree)
     unit = int(signature.unital)
     places, count = _draw_places(signature, max_degree)
     indices = _palette_indices(rng, count)
@@ -223,7 +225,6 @@ def gen_random_state(signature: AlgebraSignature, max_degree: int, seed) -> Mome
         place = places[rank - unit]
         return ZERO if place is None else _MOMENT_PALETTE[indices[place]]
 
-    dense = [None] * (len(places) + unit)
     if unit:
         dense[0] = ONE
     phi = MomentFunctional._from_dense(signature, max_degree, dense, fill)
@@ -302,10 +303,10 @@ _FACTOR_GENS = (("a", "b"), ("x", "y"), ("s", "t"))
 @functools.lru_cache(maxsize=64)
 def _signatures(count: int, kind, names=_FACTOR_NAMES, gens=_FACTOR_GENS):
     """The suite's factor algebras: unital for the unital kinds, and with an
-    odd first generator for the graded tensor."""
-    odd = int(kind is ProductKind.FERMI)
+    odd first generator for a graded kind."""
+    rule = _rule(kind)
     return tuple(
-        AlgebraSignature.make(names[i], ((gens[i][0], odd), gens[i][1]), unital=admits_unital(kind))
+        AlgebraSignature.make(names[i], ((gens[i][0], int(rule.graded)), gens[i][1]), unital=rule.unital)
         for i in range(count)
     )
 
@@ -369,9 +370,10 @@ def run_axiom_suite(
     if not isinstance(kind, (ProductKind, QDeformed)):
         raise TypeError("kind must be a ProductKind or QDeformed")
     generators = _trial_generators(seed, trials, max_word_len)
-    if axiom is Axiom.UNIT_LAW and not admits_unital(kind):
+    rule = _rule(kind)
+    if axiom is Axiom.UNIT_LAW and not rule.unital:
         raise RegimeMismatch("the unit law applies to unital kinds (tensor, free, fermi)")
-    if axiom is Axiom.MIRROR and kind not in _MIRROR:
+    if axiom is Axiom.MIRROR and rule.mirror is None:
         raise RegimeMismatch("the mirror identity relates monotone and anti-monotone")
     runner = _TRIAL_RUNNERS[axiom]
     failures = []
@@ -546,13 +548,6 @@ def _trial_factorization(kind, rng, max_word_len):
     return states, (), law, comparisons()
 
 
-# The kind that the factor swap turns each asymmetric kind into.
-_MIRROR = {
-    ProductKind.MONOTONE: ProductKind.ANTI_MONOTONE,
-    ProductKind.ANTI_MONOTONE: ProductKind.MONOTONE,
-}
-
-
 def _trial_swapped(kind, other, rng, max_word_len):
     """Values under ``kind`` against values under ``other`` of the same
     words with the two factors, and their states, swapped."""
@@ -576,5 +571,5 @@ _TRIAL_RUNNERS = {
     Axiom.FUNCTORIALITY: _trial_functoriality,
     Axiom.FACTORIZATION: _trial_factorization,
     Axiom.SYMMETRY: lambda kind, rng, max_word_len: _trial_swapped(kind, kind, rng, max_word_len),
-    Axiom.MIRROR: lambda kind, rng, max_word_len: _trial_swapped(kind, _MIRROR[kind], rng, max_word_len),
+    Axiom.MIRROR: lambda kind, rng, max_word_len: _trial_swapped(kind, _rule(kind).mirror, rng, max_word_len),
 }

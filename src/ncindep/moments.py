@@ -59,6 +59,26 @@ def _layout(algebra: AlgebraSignature, max_degree: int):
     return {name: digit for digit, (name, _) in enumerate(algebra.generators)}, offsets
 
 
+# Lazily filled tables hold one slot per monomial; a larger one is refused
+# before any slot, draw or parity flag is made.  The largest table the
+# command line builds, a functoriality target of degree 16 over two
+# generators, has 131,071 entries.
+MAX_TABLE_ENTRIES = 2**20
+
+
+def _empty_table(algebra: AlgebraSignature, max_degree: int) -> list:
+    """One ``None`` per monomial of length at most ``max_degree``, the list a
+    lazily filled table starts from; ``ValueError`` past MAX_TABLE_ENTRIES."""
+    width, size, count = len(algebra.generators), int(algebra.unital), 1
+    for _ in range(max_degree if width else 0):
+        count *= width
+        size += count
+        if size > MAX_TABLE_ENTRIES:
+            raise ValueError("a table over %r up to degree %d exceeds %d entries"
+                             % (algebra.name, max_degree, MAX_TABLE_ENTRIES))
+    return [None] * size
+
+
 def _parities(algebra: AlgebraSignature, max_degree: int) -> list:
     """Whether each monomial of length 1 to ``max_degree`` is odd, in canonical order."""
     odd = [bool(degree) for _, degree in algebra.generators]
@@ -252,7 +272,8 @@ def pullback(phi: MomentFunctional, hom: Homomorphism, max_degree=None) -> Momen
     each image computed is kept for the monomials it prefixes until the
     table is complete.  Over integer images, an entry that reads moments of
     phi, all ``int``s, is an ``int``.  The pullback of an even phi is even,
-    since images keep each generator's degree.
+    since images keep each generator's degree.  A table past
+    ``MAX_TABLE_ENTRIES`` raises ``ValueError`` before any entry is made.
     """
     if hom.target != phi.algebra:
         raise ValueError("homomorphism does not land in the functional's algebra")
@@ -309,7 +330,7 @@ def pullback(phi: MomentFunctional, hom: Homomorphism, max_degree=None) -> Momen
         num = sum(c * v.numerator * (common // v.denominator) for c, v in moments)
         return Rational(num, common * den)
 
-    dense = [None] * _layout(hom.source, max_degree)[1][-1]
+    dense = _empty_table(hom.source, max_degree)
     if hom.source.unital:
         dense[0] = phi._dense[0]  # phi(h(1)) = phi(1), an int when phi is graded
     pulled = MomentFunctional._from_dense(hom.source, max_degree, dense, fill)

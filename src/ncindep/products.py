@@ -2,6 +2,7 @@
 
 Given one moment functional per free-product factor, a
 :class:`JointFunctional` evaluates normal-form words under a chosen product.
+What a kind is, from its node to its sums, is one record in ``_RULES``.
 Five kinds are one padding rule.  Cut the word into maximal runs of letters
 from one factor, gather each factor's runs into segments, and multiply the
 factors' moments of their segments.  A run of factor j closes the open
@@ -19,7 +20,7 @@ segment of factor k, splitting k's letters there, when
 The rule's structure, a word's sign and segments, is computed apart from
 its values, so that a word can be cut once and valued under many states.
 
-Two kinds have rules of their own:
+Two kinds have nodes of their own:
 
 * ``FREE`` - mixed free cumulants vanish.  With c the factor of the word's
   first run (of letters from one factor),
@@ -31,7 +32,7 @@ Two kinds have rules of their own:
   inverts the same sum on c's own moments.
 * ``DEGENERATE`` - a factor's moment for words over one factor, 0 otherwise.
 
-:class:`QDeformed` scales a symmetric base product's inputs by 1/q and its
+:class:`QDeformed` scales a q-base product's inputs by 1/q and its
 result by q.  Every kind is one node over all the factors at once.  A
 product is itself a state, on the free algebra over its factors'
 generators (:func:`product_state`), so a product of products is a product
@@ -48,14 +49,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
 from typing import Sequence
 
 from .algebra import AlgebraSignature, Polynomial, Word, _alphabet, _append, _bare
 from .errors import RegimeMismatch
-from .moments import MomentFunctional, _layout, scale
+from .moments import MomentFunctional, _empty_table, scale
 from .rational import ONE, Rational, ZERO, as_rational, format_rational, parse_rational, product
 
 
@@ -74,27 +75,16 @@ class ProductKind(Enum):
 # a second and one of 32 about ten; longer words are refused before any work
 MAX_FREE_RUNS = 24
 
-_Q_BASES = (ProductKind.TENSOR, ProductKind.FREE, ProductKind.BOOLEAN)
-
-# Whether a run of child j splits the open segment of child k (j != k).
-_SPLITS = {
-    ProductKind.TENSOR: lambda j, k: False,
-    ProductKind.FERMI: lambda j, k: False,
-    ProductKind.BOOLEAN: lambda j, k: True,
-    ProductKind.MONOTONE: lambda j, k: j < k,
-    ProductKind.ANTI_MONOTONE: lambda j, k: j > k,
-}
-
 
 @dataclass(frozen=True)
 class QDeformed:
-    """q-deformation of a symmetric product kind, q a nonzero rational."""
+    """q-deformation of a q-base product kind, q a nonzero rational."""
 
     base: ProductKind
     q: Rational
 
     def __post_init__(self):
-        if self.base not in _Q_BASES:
+        if not (isinstance(self.base, ProductKind) and _RULES[self.base].q_base):
             raise ValueError(
                 "q-deformation exists only for tensor, free, and boolean bases"
             )
@@ -135,21 +125,20 @@ def parse_kind_label(label: str):
 
 
 class _Padding:
-    """The gather/split rule: each factor's letters are gathered, in order,
-    into an open segment; a block of factor j first closes the open segment
-    of every other factor k in ``closes[j]``, the k with
-    ``_SPLITS[kind](j, k)``.  The graded tensor keeps each factor's odd
-    generator names in ``odd``, which turns on the Koszul sign."""
+    """The gather/split rule of a padding kind: each factor's letters are
+    gathered, in order, into an open segment; a block of factor j first
+    closes the open segment of every other factor k in ``closes[j]``, the k
+    with ``splits(j, k)``, the kind's node.  A graded kind keeps each
+    factor's odd generator names in ``odd``, which turns on the Koszul sign."""
 
     __slots__ = ("factors", "closes", "odd")
 
-    def __init__(self, kind: ProductKind, factors):
+    def __init__(self, splits, graded: bool, factors):
         self.factors = factors
-        splits = _SPLITS[kind]
         indices = range(len(factors))
         self.closes = tuple(tuple(k for k in indices if k != j and splits(j, k)) for j in indices)
         self.odd = ([frozenset(name for name, degree in phi.algebra.generators if degree) for phi in factors]
-                    if kind is ProductKind.FERMI else None)
+                    if graded else None)
 
     def segments(self, blocks):
         """The structure of a word under the rule, apart from any values:
@@ -242,35 +231,29 @@ class _Free:
         return value
 
 
-def admits_unital(kind) -> bool:
-    """Whether ``kind`` joins unital factors: the tensor, free and graded
-    tensor products do; the boolean, monotone, anti-monotone, degenerate and
-    every q-deformed product need the non-unital regime."""
-    return kind in (ProductKind.TENSOR, ProductKind.FREE, ProductKind.FERMI)
-
-
 def _deformed(kind, factors):
-    """(q, base kind, factors): a q-deformed product is q times its base
-    product of the factors scaled by 1/q, each distinct factor scaled once;
-    any other kind is itself with q = 1 and the factors unchanged."""
+    """(q, factors): a q-deformed product is q times its base product of the
+    factors scaled by 1/q, each distinct factor scaled once; any other kind
+    has q = 1 and the factors unchanged."""
     if not isinstance(kind, QDeformed):
-        return ONE, kind, factors
+        return ONE, factors
     scaled = {phi: scale(phi, ONE / kind.q) for phi in dict.fromkeys(factors)}
-    return kind.q, kind.base, tuple(map(scaled.__getitem__, factors))
+    return kind.q, tuple(map(scaled.__getitem__, factors))
 
 
-def _check_regime(kind, factors):
+def _check_regime(kind, factors) -> "_Rule":
+    """The kind's record, once the factors are in a regime the kind joins."""
+    rule = _rule(kind)
     unital_flags = {phi.unital for phi in factors}
     if len(unital_flags) > 1:
         raise RegimeMismatch("factors mix unital and non-unital algebras")
-    if unital_flags.pop() and not admits_unital(kind):
+    if unital_flags.pop() and not rule.unital:
         raise RegimeMismatch("%s products require the non-unital regime" % kind_label(kind))
-    if kind is ProductKind.FERMI:
+    if rule.graded:
         for phi in factors:
             if not phi.is_even:
-                raise RegimeMismatch(
-                    "graded tensor products need even functionals (%r is not)" % (phi,)
-                )
+                raise RegimeMismatch("graded tensor products need even functionals (%r is not)" % (phi,))
+    return rule
 
 
 class JointFunctional:
@@ -292,26 +275,22 @@ class JointFunctional:
             raise ValueError("at least one factor is required")
         if not isinstance(kind, (ProductKind, QDeformed)):
             raise TypeError("kind must be a ProductKind or QDeformed")
-        _check_regime(kind, factors)
+        rule = _check_regime(kind, factors)
         self.factors = factors
         self.kind = kind
         self._algebras = tuple(phi.algebra for phi in factors)
-        q, base, scaled = _deformed(kind, factors)
-        if base in _SPLITS:
-            self._root = _Padding(base, scaled)
-        else:
-            self._root = (_Free if base is ProductKind.FREE else _Degenerate)(scaled)
+        q, scaled = _deformed(kind, factors)
+        node = rule.node
+        self._root = node(scaled) if isinstance(node, type) else _Padding(node, rule.graded, scaled)
         self._q = q if isinstance(kind, QDeformed) else None
-        self._max_runs = MAX_FREE_RUNS if base is ProductKind.FREE else None
+        self._max_runs = MAX_FREE_RUNS if node is _Free else None
 
     def _check(self, word: Word) -> tuple:
         """The bare block tuple of a word this functional can value; any
         other word is rejected before any work."""
         blocks = _bare(word, self._algebras)
         if not blocks and not self.factors[0].unital:
-            raise RegimeMismatch(
-                "the empty word is the unit, which the non-unital regime lacks"
-            )
+            raise RegimeMismatch("the empty word is the unit, which the non-unital regime lacks")
         if self._max_runs is not None and len(blocks) > self._max_runs:
             raise ValueError("a word of %d runs exceeds the free product's bound of %d runs"
                              % (len(blocks), self._max_runs))
@@ -346,9 +325,10 @@ def product_state(joint: JointFunctional, max_degree: int) -> MomentFunctional:
     named by joining their names with ``*``.  Each entry is computed on its
     first read: its rank walked back to its letters as in
     :func:`~ncindep.moments.pullback`, a factor's consecutive letters merged
-    into one block, and the word valued by ``joint``.  A fermi product state
-    is even without completing its table.  A free product's degree past
-    ``MAX_FREE_RUNS`` is refused before any work."""
+    into one block, and the word valued by ``joint``.  A graded product
+    state is even without completing its table.  A free product's degree
+    past ``MAX_FREE_RUNS``, or a table past
+    :data:`~ncindep.moments.MAX_TABLE_ENTRIES`, is refused before any work."""
     if not isinstance(joint, JointFunctional):
         raise TypeError("joint must be a JointFunctional")
     if type(max_degree) is not int:
@@ -374,9 +354,8 @@ def product_state(joint: JointFunctional, max_degree: int) -> MomentFunctional:
             _append(blocks, letters[digit])
         return joint.value_of_blocks(tuple(blocks))
 
-    size = _layout(signature, max_degree)[1][-1]
-    state = MomentFunctional._from_dense(signature, max_degree, [None] * size, fill)
-    if joint.kind is ProductKind.FERMI:
+    state = MomentFunctional._from_dense(signature, max_degree, _empty_table(signature, max_degree), fill)
+    if _rule(joint.kind).graded:
         state._even = True
     return state
 
@@ -536,46 +515,37 @@ def _free_cumulants(given, inverse=False):
     return found
 
 
-def _sum_series(kind: ProductKind, runs):
+def _sum_series(rule: "_Rule", runs):
     """Moment series of the sum of summands independent in the given order
-    under ``kind``, from runs (series, count, odd) of equal consecutive
-    summands, ``odd`` flagging those of odd degree in a graded sum."""
+    under the kind of record ``rule``, from runs (series, count, odd) of equal
+    consecutive summands, ``odd`` flagging those of odd degree in a graded sum."""
     if len(runs) == 1 and runs[0][1] == 1:
         return runs[0][0]
-    if kind in (ProductKind.MONOTONE, ProductKind.ANTI_MONOTONE):
+    sums = rule.sums
+    if isinstance(sums, str):
         # Reciprocal Cauchy transforms compose (Muraki); in K(w) = w M(w)
-        # the monotone sum is K_1(K_2(...K_N)), the earlier factor
-        # outermost, and the anti-monotone sum composes in the reverse order.
+        # the monotone sum is K_1(K_2(...K_N)), the first summand outermost,
+        # and the anti-monotone sum composes in the reverse order.
         total = None
-        for m, count, _ in reversed(runs) if kind is ProductKind.MONOTONE else runs:
+        for m, count, _ in reversed(runs) if sums == "first" else runs:
             k = _power(_compose, [0] + m, count)
             total = k if total is None else _compose(k, total)
         return total[1:]
-    if kind is ProductKind.FERMI:
+    if rule.graded and any(odd for _, _, odd in runs):
         # Odd summands anticommute, so the square of their sum is the sum of
         # their squares, which are even: the group's moment 2k is the k-th
-        # of the tensor sum of the squares, and its odd moments vanish.  The
-        # group commutes with the even summands, one more tensor summand.
-        odd = [(m[::2], count, False) for m, count, flag in runs if flag]
-        even = [run for run in runs if not run[2]]
-        if odd:
-            group = [0] * len(runs[0][0])
-            group[::2] = _sum_series(ProductKind.TENSOR, odd)
-            even.append((group, 1, False))
-        return _sum_series(ProductKind.TENSOR, even)
-    # every other kind adds cumulants, each distinct summand's once, times its count
-    if kind is ProductKind.FREE:
-        transform = _free_cumulants
-    elif kind is ProductKind.DEGENERATE:
-        transform = lambda given, inverse=False: given  # mixed words vanish
-    else:
-        transform = partial(_cumulants, weight=math.comb if kind is ProductKind.TENSOR else lambda n, j: 1)
+        # of the ungraded sum of the squares, and its odd moments vanish.
+        # The group commutes with the even summands, one more summand.
+        group = [0] * len(runs[0][0])
+        group[::2] = _sum_series(rule, [(m[::2], count, False) for m, count, odd in runs if odd])
+        return _sum_series(rule, [run for run in runs if not run[2]] + [(group, 1, False)])
+    # every other sum adds each distinct summand's transform, taken once, times its count
     counts: dict = {}
     for m, count, _ in runs:
         key = tuple(m)
         counts[key] = counts.get(key, 0) + count
-    rows = [[count * c for c in transform(m)] for m, count in counts.items()]
-    return transform([1] + [sum(column) for column in zip(*rows)][1:], inverse=True)
+    rows = [[count * c for c in sums(m)] for m, count in counts.items()]
+    return sums([1] + [sum(column) for column in zip(*rows)][1:], inverse=True)
 
 
 def sum_moment(kind, states: Sequence[MomentFunctional], order: int, generators=None) -> Rational:
@@ -625,10 +595,16 @@ def sum_moment(kind, states: Sequence[MomentFunctional], order: int, generators=
                 )
             name = gens[0]
         runs.append(((phi, name), sum(1 for _ in group)))
+    return _sum_runs(kind, runs, order)
+
+
+def _sum_runs(kind, runs, order: int) -> Rational:
+    """:func:`sum_moment` of checked arguments, the summands given as runs
+    ((state, generator), count) of equal consecutive ones."""
     # each distinct (state, generator) is read once
     degrees = {summand: summand[0].algebra.degree_of(summand[1]) for summand, _ in runs}
-    _check_regime(kind, [phi for phi, _ in degrees])
-    q, kind, scaled = _deformed(kind, [phi for phi, _ in degrees])
+    rule = _check_regime(kind, [phi for phi, _ in degrees])
+    q, scaled = _deformed(kind, [phi for phi, _ in degrees])
     moments = {summand: [phi.value_of_letters((summand[1],) * k) for k in range(1, order + 1)]
                for summand, phi in zip(degrees, scaled)}
     denominator = math.lcm(*(m.denominator for row in moments.values() for m in row))
@@ -637,6 +613,42 @@ def sum_moment(kind, states: Sequence[MomentFunctional], order: int, generators=
         summand: [1] + [m.numerator * (powers[k] // m.denominator) for k, m in enumerate(row, 1)]
         for summand, row in moments.items()
     }
-    series = [(rows[summand], count, kind is ProductKind.FERMI and degrees[summand] == 1)
-              for summand, count in runs]
-    return q * Rational(_sum_series(kind, series)[order], powers[order])
+    series = [(rows[summand], count, rule.graded and degrees[summand] == 1) for summand, count in runs]
+    return q * Rational(_sum_series(rule, series)[order], powers[order])
+
+
+# ---------------------------------------------------------------------------
+# One record per kind.
+
+
+@dataclass(frozen=True)
+class _Rule:
+    """What a product kind is, read wherever the kind matters."""
+
+    node: object  # _Free, _Degenerate, or a padding kind's splits(j, k): whether j's block closes k's segment
+    unital: bool = False  # it joins unital factors
+    graded: bool = False  # even factors, the Koszul sign, and odd summands grouped in sums
+    q_base: bool = False  # it can be q-deformed
+    mirror: "ProductKind | None" = None  # the kind that the factor swap turns it into
+    sums: object = None  # a moment transform (inverse=True inverts) whose values add, or the
+    # summand, "first" or "last", whose K(w) = w M(w) is outermost when the summands compose
+
+
+_RULES = {
+    ProductKind.TENSOR: _Rule(lambda j, k: False, unital=True, q_base=True,
+                              sums=partial(_cumulants, weight=math.comb)),
+    ProductKind.FREE: _Rule(_Free, unital=True, q_base=True, sums=_free_cumulants),
+    ProductKind.BOOLEAN: _Rule(lambda j, k: True, q_base=True, sums=partial(_cumulants, weight=lambda n, j: 1)),
+    ProductKind.MONOTONE: _Rule(lambda j, k: j < k, mirror=ProductKind.ANTI_MONOTONE, sums="first"),
+    ProductKind.ANTI_MONOTONE: _Rule(lambda j, k: j > k, mirror=ProductKind.MONOTONE, sums="last"),
+    ProductKind.DEGENERATE: _Rule(_Degenerate, sums=lambda given, inverse=False: given),  # moments add
+}
+# the graded tensor product is the tensor product with the Koszul sign
+_RULES[ProductKind.FERMI] = replace(_RULES[ProductKind.TENSOR], graded=True, q_base=False)
+
+
+def _rule(kind) -> _Rule:
+    """A kind's record; a q-deformed kind's is its base's, non-unital, not a q-base, unmirrored."""
+    if isinstance(kind, QDeformed):
+        return replace(_RULES[kind.base], unital=False, q_base=False, mirror=None)
+    return _RULES[kind]

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -223,6 +224,20 @@ def test_clt_accepts_a_moment_list_with_a_leading_minus(capsys, moments):
     assert out.splitlines() == ["4", "normalized: 2"]
 
 
+def test_clt_sums_its_copies_as_one_run(capsys):
+    """n = 990,099 copies are one run, not a list: the sum's mean is n/2,
+    and the run allocates far less than the 7.9 MB of an n-long list."""
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "clt", "--product", "monotone", "--moments", "1/2", "--n", "990099",
+                             "--order", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (0, "990099/2\n", "")
+    assert peak < 10**6
+
+
 def test_clt_refuses_work_past_the_budget(capsys, monkeypatch):
     # 10^30 summands: the refusal must come before the summand list, which
     # Python could not even size
@@ -239,7 +254,7 @@ def test_clt_refuses_work_past_the_budget(capsys, monkeypatch):
     def summed(*args):
         raise AssertionError("a summand was built")
 
-    monkeypatch.setattr(cli, "sum_moment", summed)
+    monkeypatch.setattr(cli, "_sum_runs", summed)
     code, out, err = run(
         capsys, "clt", "--product", "monotone", "--moments", "0", "--n", str(10**8), "--order", "1",
     )

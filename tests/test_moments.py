@@ -33,7 +33,7 @@ from ncindep import (
     unitize,
 )
 from ncindep.algebra import _canonical_letters
-from ncindep.moments import _graded, dump_state, load_state, signature_to_json
+from ncindep.moments import MAX_TABLE_ENTRIES, _empty_table, _graded, dump_state, load_state, signature_to_json
 from ncindep.rational import ONE, ZERO, as_rational
 from conftest import A1, G1, N1, count_fills, count_reads, count_view_builds, mono, total_state
 
@@ -223,6 +223,44 @@ def test_a_huge_pullback_degree_raises_without_building_the_monomial():
         "monomial X[x x x x x x x x ...] has length 1000000000, beyond the stored maximum degree 1"
     )
     assert caught.value.max_degree == 1
+
+
+TABLE_REFUSAL = "exceeds %d entries" % MAX_TABLE_ENTRIES
+LINE = AlgebraSignature("L", False, (("x", 0),))
+PAIR = AlgebraSignature("P", False, (("a", 0), ("b", 0)))
+
+
+def test_lazy_tables_are_bounded_by_their_entries():
+    """A table of MAX_TABLE_ENTRIES entries is made, one more is refused,
+    and a degree whose table Python could not size is refused at once."""
+    assert len(_empty_table(LINE, MAX_TABLE_ENTRIES)) == MAX_TABLE_ENTRIES
+    with pytest.raises(ValueError, match=TABLE_REFUSAL):
+        _empty_table(LINE, MAX_TABLE_ENTRIES + 1)
+    assert len(_empty_table(AlgebraSignature("E", True, ()), 10**9)) == 1
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="a table over 'P' up to degree 1000000000 " + TABLE_REFUSAL):
+        _empty_table(PAIR, 10**9)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_random_state_past_the_table_bound_draws_nothing():
+    rng = random.Random(5)
+    before = rng.getstate()
+    with pytest.raises(ValueError, match=TABLE_REFUSAL):
+        gen_random_state(PAIR, 20, rng)  # 2^21 - 2 entries
+    assert rng.getstate() == before
+    with pytest.raises(ValueError, match=TABLE_REFUSAL):  # before a graded algebra's parity flags
+        gen_random_state(AlgebraSignature("G", False, (("a", 1), ("b", 0))), 25, 0)
+
+
+def test_a_pullback_past_the_table_bound_is_refused():
+    """Two source generators onto one: phi's 20 entries pull back to 2^21 - 2."""
+    phi = total_state(LINE, 20, {("x",) * k: 1 for k in range(1, 21)})
+    x = poly(Monomial(LINE, ("x",)))
+    hom = Homomorphism(PAIR, LINE, {"a": x, "b": x})
+    assert pullback(phi, hom, max_degree=19).max_degree == 19
+    with pytest.raises(ValueError, match=TABLE_REFUSAL):
+        pullback(phi, hom)
 
 
 def test_pullback_along_constant_images_stays_under_the_target_bound():

@@ -1,6 +1,7 @@
 """Joint functionals: the five named products, the degenerate and
 q-deformed families, the centering oracle, and graded tensor values."""
 
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -36,7 +37,8 @@ from ncindep import (
 from ncindep import products
 from ncindep.algebra import _canonical_letters, _regroup, _words
 from ncindep.parsing import format_word
-from ncindep.products import MAX_FREE_RUNS, admits_unital
+from ncindep.moments import MAX_TABLE_ENTRIES
+from ncindep.products import MAX_FREE_RUNS, _rule
 from ncindep.rational import ONE, Rational, ZERO, as_rational, format_rational
 from conftest import A1, A2, A3, G1, G2, N1, N2, N3, mono, total_state
 
@@ -199,10 +201,10 @@ def test_asymmetric_kinds_require_the_non_unital_regime():
     ids=kind_label,
 )
 def test_admits_unital_is_the_regime_rule(kind):
-    """The one regime predicate says exactly which kinds take unital, even
-    factors: the joint functional's check agrees with it."""
+    """The kind's record says exactly which kinds take unital, even factors:
+    the joint functional's check agrees with it."""
     states = (total_state(U1, 2), total_state(U2, 2))
-    if admits_unital(kind):
+    if _rule(kind).unital:
         JointFunctional(states, kind)
     else:
         with pytest.raises(RegimeMismatch, match="require the non-unital regime"):
@@ -215,8 +217,14 @@ def test_factors_may_not_mix_regimes():
 
 
 def test_q_deformation_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        QDeformed(ProductKind.MONOTONE, 2)
+    """Every base but tensor, free and boolean is refused, kinds and
+    non-kinds alike, and so is q = 0."""
+    q_bases = (ProductKind.TENSOR, ProductKind.FREE, ProductKind.BOOLEAN)
+    for base in [kind for kind in ProductKind if kind not in q_bases] + ["free", QDeformed(ProductKind.FREE, 2)]:
+        with pytest.raises(ValueError, match="^q-deformation exists only for tensor, free, and boolean bases$"):
+            QDeformed(base, 2)
+    for base in q_bases:
+        assert QDeformed(base, 2).base is base
     with pytest.raises(ValueError):
         QDeformed(ProductKind.FREE, 0)
 
@@ -385,7 +393,7 @@ def factor_signatures(kind, n):
     tensor and free, non-unital ones otherwise; no two share a generator."""
     if kind is ProductKind.FERMI:
         return (G1, G2, G3, G4)[:n]
-    return ((A1, A2, A3, A4) if admits_unital(kind) else (N1, N2, N3, N4))[:n]
+    return ((A1, A2, A3, A4) if _rule(kind).unital else (N1, N2, N3, N4))[:n]
 
 
 def bare(word):
@@ -481,13 +489,23 @@ def test_product_state_checks_its_inputs_before_any_work(monkeypatch):
         product_state(joint, -1)
     with pytest.raises(TypeError, match="joint must be a JointFunctional"):
         product_state(phis[0], 2)
-    layouts = []
-    monkeypatch.setattr(products, "_layout", lambda *args: layouts.append(args))
+    tables = []
+    monkeypatch.setattr(products, "_empty_table", lambda *args: tables.append(args))
     for kind, signatures in ((ProductKind.FREE, (A1, A2)), (QDeformed(ProductKind.FREE, 2), (N1, N2))):
         free = JointFunctional([gen_random_state(sig, 2, 1) for sig in signatures], kind)
         with pytest.raises(ValueError, match="exceeds the free product's bound of %d runs" % MAX_FREE_RUNS):
             product_state(free, MAX_FREE_RUNS + 1)
-    assert layouts == []
+    assert tables == []
+
+
+def test_a_product_state_past_the_table_bound_is_refused():
+    """Over two factors of two generators, degree 9 has 349,524 entries,
+    degree 10 has 1,398,100 and degree 12 would have 22,369,620."""
+    joint = JointFunctional([gen_random_state(sig, 2, 1) for sig in (N1, N2)], ProductKind.BOOLEAN)
+    assert product_state(joint, 9).max_degree == 9
+    for degree in (10, 12, 25):
+        with pytest.raises(ValueError, match="exceeds %d entries" % MAX_TABLE_ENTRIES):
+            product_state(joint, degree)
 
 
 def test_a_free_product_of_four_hundred_factors_nests_shallowly():
@@ -877,24 +895,32 @@ def test_sum_moment_of_a_thousand_coins_has_the_closed_forms():
         assert moment / n**2 == value, kind
 
 
+def _count_transforms(monkeypatch, kind, transform):
+    """The calls of the kind's sum transform, which its record builds from
+    the function named ``transform``, from here until the test ends."""
+    rule = products._RULES[kind]
+    original = rule.sums
+    assert getattr(original, "func", original) is getattr(products, transform)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setitem(products._RULES, kind, dataclasses.replace(rule, sums=counted))
+    return calls
+
+
 @pytest.mark.parametrize(
     "kind,transform",
     [(ProductKind.FREE, "_free_cumulants"), (ProductKind.BOOLEAN, "_cumulants"),
      (ProductKind.TENSOR, "_cumulants")],
 )
 def test_identical_summands_are_transformed_once(monkeypatch, kind, transform):
-    """Free, boolean and classical cumulants are taken once per distinct
-    summand and once for the sum, however many copies are summed."""
-    import ncindep.products as products
-
-    calls = []
-    original = getattr(products, transform)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(products, transform, counted)
+    """Free, boolean and classical cumulants, the kind's record's transform,
+    are taken once per distinct summand and once for the sum, however many
+    copies are summed."""
+    calls = _count_transforms(monkeypatch, kind, transform)
     rng = random.Random(41)
     sig = AlgebraSignature("S", False, (("x", 0),))
     phi, psi = (gen_random_state(sig, 4, rng) for _ in range(2))
@@ -956,16 +982,7 @@ def test_sums_transform_as_often_for_three_copies_as_for_a_thousand(monkeypatch,
     """A sum of copies of one summand, odd ones in a fermi sum, takes as many
     cumulant transforms at n = 3 as at n = 1000, and its values are the
     word sums."""
-    import ncindep.products as products
-
-    calls = []
-    original = getattr(products, transform)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(products, transform, counted)
+    calls = _count_transforms(monkeypatch, kind, transform)
     sig = AlgebraSignature("S", False, (("x", degree),))
     moments = ("0", "1/2", "0", "-3/4") if degree else ("1/3", "1/2", "-2", "-3/4")
     phi = total_state(sig, 4, {("x",) * k: m for k, m in enumerate(moments, 1)})
