@@ -40,10 +40,11 @@ print("word:", format_word(word))
 # The rewrite adjoins a projection p to each algebra.  Where a letter acts,
 # its own slot carries the letter; the other factor's slot carries p for
 # the boolean rewrite, and for the monotone one only on the side of the
-# later factor.  Slots print as tuples, one per factor; None marks p.
+# later factor.  Each slot's entries print as a tuple, one per factor;
+# None marks p.
 for kind in (ReductionKind.BOOLEAN, ReductionKind.MONOTONE, ReductionKind.ANTI_MONOTONE):
     reduced = embed_word(kind, 2, word)
-    print("%-14s" % kind.value, *reduced.slots)
+    print("%-14s" % kind.value, *(slot.entries for slot in reduced.slots))
 
 # Both evaluation routes, compared exactly: the direct closed form on the
 # left, the tensor value of the rewritten word on the right.  The mirror

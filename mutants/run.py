@@ -84,7 +84,17 @@ MUTANTS = (
         "fermi-sign-reads-the-other-slot", "src/ncindep/reductions.py",
         "negative ^= left.gpow & right.degree",
         "negative ^= left.degree & right.gpow",
-        ("tests/test_reductions.py::test_split_pair_agrees_with_the_word_embedding",
+        ("tests/test_reductions.py::test_fermi_embedding_marks_earlier_slots_of_odd_letters",
+         "tests/test_reductions.py::test_split_pair_agrees_with_the_word_embedding",
+         "tests/test_reductions.py::test_the_shipped_reductions_leave_no_word_open"),
+    ),
+    # the letter table is data: one pair of marks per reduction kind
+    Mutant(
+        "monotone-marks-like-boolean", "src/ncindep/reductions.py",
+        "ReductionKind.MONOTONE: (_ONE, _PMARK),",
+        "ReductionKind.MONOTONE: (_PMARK, _PMARK),",
+        ("tests/test_reductions.py::test_one_letter_embeddings_are_the_docstring_table",
+         "tests/test_reductions.py::test_the_letter_marks_agree_with_the_product_records",
          "tests/test_reductions.py::test_the_shipped_reductions_leave_no_word_open"),
     ),
     # a product of products is a product over the inner product's state
@@ -108,6 +118,13 @@ MUTANTS = (
         "_Rule(lambda j, k: j > k,",
         ("tests/test_products.py::test_monotone_value_gathers_the_first_factor",
          "tests/test_products.py::test_anti_monotone_is_the_mirror_of_monotone"),
+    ),
+    Mutant(
+        "anti-monotone-splits-like-boolean", "src/ncindep/products.py",
+        "_Rule(lambda j, k: j > k,",
+        "_Rule(lambda j, k: True,",
+        ("tests/test_products.py::test_anti_monotone_is_the_mirror_of_monotone",
+         "tests/test_reductions.py::test_the_letter_marks_agree_with_the_product_records"),
     ),
     Mutant(
         "fermi-not-graded", "src/ncindep/products.py",

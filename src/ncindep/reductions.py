@@ -1,37 +1,56 @@
 """Reductions of graded, boolean, monotone, and anti-monotone products to
 the ordinary tensor product.
 
-Each reduction enlarges the factor algebras and re-expresses the exotic
-product state as a plain tensor state on the enlarged factors:
+Each reduction enlarges every factor algebra by one auxiliary element and
+re-expresses the exotic product state as a plain tensor state on the
+enlarged factors.  One enlarged factor serves all four.  Its elements are
+words in the factor's letters, the idempotent projection p (p*p = p) and
+the degree-1 involution g (g*g = 1, g a = (-1)^deg a * a g); fermi adjoins
+g, the other three adjoin p.  A :class:`Slot` is the normal form of such an
+element: an alternating string of letters and p, the letters' total degree
+mod 2, and the power of g that follows them.  Two slots multiply as
 
-* ``FERMI``: adjoin a degree-1 involution g (g*g = 1).  A slot holds a pair
-  (monomial, g-power); slot multiplication follows the sign rule
-  (m1, u1)(m2, u2) = (-1)^(deg u1 * deg m2) (m1*m2, u1*u2), and the reduced
-  state sends (m, u) to the original functional's value on m (g is valued 1,
-  the unit monomial is valued 1).
-* ``BOOLEAN`` / ``MONOTONE`` / ``ANTI_MONOTONE``: adjoin an idempotent
-  projection p (p*p = p).  A slot holds an alternating string
-  p^alpha a_1 p a_2 p ... a_m p^omega; the reduced state values it as the
-  product of the original functional over the maximal letter runs, with p
-  valued 1.
+    (m1 g^u1)(m2 g^u2) = (-1)^(u1 * deg m2) (m1 m2) g^(u1 + u2),
+
+with p*p = p where m1 ends and m2 begins.  The reduced state values a slot
+as the product of the original functional over its maximal letter runs, p
+and g valued 1.
 
 A letter a sitting in factor k of an n-fold product embeds as an n-slot
-elementary tensor:
+elementary tensor: a in slot k, and the reduction's two marks, from
+``_MARKS``, in the slots before and after it:
 
-* fermi:          g^(deg a) in slots 1..k-1, a in slot k, 1 after
-* boolean:        p in every slot except k, a in slot k
-* monotone:       1 before slot k, a in slot k, p after
-* anti-monotone:  p before slot k, a in slot k, 1 after
+* fermi:          g^(deg a) before, 1 after
+* boolean:        p before, p after
+* monotone:       1 before, p after
+* anti-monotone:  p before, 1 after
 
-The fermi leading entries carry g^(deg a) rather than a bare g: splitting a
-two-factor graded tensor element lands a's partner slot on g raised to the
-degree that actually crosses it (see :func:`fermi_split_pair`), so even
-letters must pass over other slots without leaving a mark.  The embedding is
-a homomorphism, so a word's image is the product of its letters' images,
+The fermi mark is g^(deg a) rather than a bare g: splitting a two-factor
+graded tensor element lands a's partner slot on g raised to the degree that
+actually crosses it (see :func:`fermi_split_pair`), so even letters must
+pass over other slots without leaving a mark.  The embedding is a
+homomorphism, so a word's image is the product of its letters' images,
 multiplied slot by slot; the sign rule and p*p = p are written once, in that
 multiplication.  :func:`verify_reduction` checks, exactly, that the original
 product value equals the tensor value of the embedded word under the reduced
 states.
+
+Why the marks are right.  Under a padding product a block of factor j closes
+the open segment of each factor k with ``splits(j, k)``, the kind's node in
+``products._RULES``.  Let factor j's letter put p in slot k exactly for
+those k.  Then, for every factor, its segment is open exactly when its slot
+ends in a letter.  The empty word has no open segment and empty slots, and
+appending a letter of factor j keeps the claim: j's segment and slot both
+end in the letter; each k that j closes gets p, which p*p = p absorbs if
+slot k already ended in p; every other factor keeps its segment and slot.
+So at every word length a slot's maximal letter runs are its factor's
+segments, and both routes are the same product of moments.  Fermi closes
+no segment, so each slot gathers all its factor's letters; slot j's power
+of g counts the odd letters of later factors so far, and the sign rule,
+met by an odd letter of j, is the Koszul sign of gathering it past them.
+The marks are the reductions' own, not read from the records, so that the
+two stay independent routes; a test checks that they agree, and the sweep
+checks that the code meets them.
 
 :func:`reduction_sweep` makes that check for every short word at once, from
 one table per reduction kind, product kind and length.  The table extends
@@ -72,27 +91,35 @@ class ReductionKind(Enum):
         return ProductKind(self.value)
 
 
-class FermiSlot(NamedTuple):
-    """One tensor slot of a bosonized word: monomial letters, the monomial's
-    total degree mod 2, and the power of g it is paired with."""
+class Slot(NamedTuple):
+    """One tensor slot of an embedded word, an element of the enlarged
+    factor in normal form: its entries (generator names, with None marking
+    p), their total degree mod 2, and the power of g that follows them."""
 
-    letters: tuple
+    entries: tuple
     degree: int
     gpow: int
 
 
-# In an M-reduction slot, entries are generator names with None marking p.
 _P = None
+_ONE, _PMARK, _G = Slot((), 0, 0), Slot((_P,), 0, 0), Slot((), 0, 1)
+
+# The slots a letter leaves before and after its own; _G stands for g^(deg a).
+_MARKS = {
+    ReductionKind.FERMI: (_G, _ONE),
+    ReductionKind.BOOLEAN: (_PMARK, _PMARK),
+    ReductionKind.MONOTONE: (_ONE, _PMARK),
+    ReductionKind.ANTI_MONOTONE: (_PMARK, _ONE),
+}
 
 
 @dataclass(frozen=True)
 class ReducedWord:
     """Image of a word inside the tensor product of enlarged factors.
 
-    ``slots`` has one entry per factor: a :class:`FermiSlot` for the fermi
-    reduction, a tuple of letter names and p-markers (None) for the others.
-    ``sign`` collects the scalars produced by slot-wise multiplication; it
-    is always +1 outside the fermi case.
+    ``slots`` has one :class:`Slot` per factor.  ``sign`` collects the
+    scalars produced by slot-wise multiplication; it is always +1 outside
+    the fermi case.
     """
 
     kind: ReductionKind
@@ -100,37 +127,27 @@ class ReducedWord:
     slots: tuple
 
 
-def _times(kind: ReductionKind, first, second):
+def _times(first, second):
     """Slot-wise product of two images (negative, slots), ``negative``
     saying the carried sign is -1: the one place where g's sign rule and
     p's idempotence are written."""
     negative, products = first[0] ^ second[0], []
     for left, right in zip(first[1], second[1]):
-        if kind is ReductionKind.FERMI:
-            # (m1, u1)(m2, u2) = (-1)^(deg u1 * deg m2) (m1*m2, u1*u2)
-            negative ^= left.gpow & right.degree
-            slot = FermiSlot(left.letters + right.letters, left.degree ^ right.degree, left.gpow ^ right.gpow)
-        else:
-            slot = list(left)
-            for entry in right:
-                if entry is not _P or not slot or slot[-1] is not _P:  # p*p = p
-                    slot.append(entry)
-            slot = tuple(slot)
-        products.append(slot)
+        # (m1 g^u1)(m2 g^u2) = (-1)^(u1 * deg m2) (m1 m2) g^(u1 + u2)
+        negative ^= left.gpow & right.degree
+        entries = right.entries
+        if entries[:1] == left.entries[-1:] == (_P,):  # p*p = p
+            entries = entries[1:]
+        products.append(Slot(left.entries + entries, left.degree ^ right.degree, left.gpow ^ right.gpow))
     return negative, tuple(products)
 
 
 def _letter(kind: ReductionKind, n: int, factor: int, letter: str, degree: int):
     """The image (0, slots) of one letter of factor ``factor`` over n
-    factors: the embedding table of the module docstring."""
-    if kind is ReductionKind.FERMI:
-        return 0, tuple(
-            FermiSlot((letter,), degree, 0) if j == factor else FermiSlot((), 0, degree if j < factor else 0)
-            for j in range(n)
-        )
-    before = (_P,) if kind is not ReductionKind.MONOTONE else ()
-    after = (_P,) if kind is not ReductionKind.ANTI_MONOTONE else ()
-    return 0, (before,) * factor + ((letter,),) + (after,) * (n - factor - 1)
+    factors: the letter in its slot, the kind's marks before and after."""
+    before, after = _MARKS[kind]
+    before = Slot(before.entries, 0, before.gpow & degree)
+    return 0, (before,) * factor + (Slot((letter,), degree, 0),) + (after,) * (n - factor - 1)
 
 
 def _check_kind(kind) -> None:
@@ -139,18 +156,13 @@ def _check_kind(kind) -> None:
         raise TypeError("kind must be a ReductionKind")
 
 
-def _unit(kind: ReductionKind, n: int):
-    """The image of the empty word: an empty slot per factor."""
-    return 0, (FermiSlot((), 0, 0) if kind is ReductionKind.FERMI else (),) * n
-
-
 def embed_word(kind: ReductionKind, n: int, word: Word) -> ReducedWord:
     """Image of a normal-form word over n factors under the reduction's
     letter-wise embedding: the product of its letters' images, multiplied
     out slot by slot."""
     _check_kind(kind)
     degrees = [None] * n
-    image = _unit(kind, n)
+    image = 0, (_ONE,) * n
     for factor, monomial in word.blocks:
         if factor >= n:
             raise ValueError("word uses factor %d but n = %d" % (factor, n))
@@ -160,7 +172,7 @@ def embed_word(kind: ReductionKind, n: int, word: Word) -> ReducedWord:
         elif degrees[factor] != generators:
             raise ValueError("factor %d is used for two different algebras" % factor)
         for letter in monomial.letters:
-            image = _times(kind, image, _letter(kind, n, factor, letter, generators[letter]))
+            image = _times(image, _letter(kind, n, factor, letter, generators[letter]))
     negative, slots = image
     return ReducedWord(kind, -ONE if negative else ONE, slots)
 
@@ -171,7 +183,7 @@ def reduced_product(first: ReducedWord, second: ReducedWord) -> ReducedWord:
         raise ValueError("cannot multiply words of different reduction kinds")
     if len(first.slots) != len(second.slots):
         raise ValueError("slot counts differ")
-    negative, slots = _times(first.kind, (0, first.slots), (0, second.slots))
+    negative, slots = _times((0, first.slots), (0, second.slots))
     sign = first.sign * second.sign
     return ReducedWord(first.kind, -sign if negative else sign, slots)
 
@@ -185,8 +197,8 @@ def fermi_split_pair(left: Monomial, right: Monomial, gpow: int = 0) -> ReducedW
     :func:`embed_word` on two-letter words, which the tests check.
     """
     slots = (
-        FermiSlot(left.letters, left.degree, (right.degree + gpow) & 1),
-        FermiSlot(right.letters, right.degree, gpow & 1),
+        Slot(left.letters, left.degree, (right.degree + gpow) & 1),
+        Slot(right.letters, right.degree, gpow & 1),
     )
     return ReducedWord(ReductionKind.FERMI, ONE, slots)
 
@@ -202,22 +214,19 @@ class ReducedState:
         self.kind = kind
         self.phi = phi
 
-    def value(self, slot) -> Rational:
+    def value(self, slot: Slot) -> Rational:
         """The slot's value; a slot without letters is the ``int`` 1, so
         that states with integer moments value every slot as an ``int``."""
-        return math.prod(map(self.phi.value_of_letters, _slot_runs(self.kind, slot)))
+        return math.prod(map(self.phi.value_of_letters, _slot_runs(slot)))
 
     def __repr__(self):
         return "ReducedState(%s, %r)" % (self.kind.value, self.phi.algebra.name)
 
 
-def _slot_runs(kind: ReductionKind, slot) -> tuple:
-    """The letter runs a reduced state values a slot by: a fermi slot's
-    letters, none for g alone, or an M-reduction slot's maximal letter runs,
-    split at p."""
-    if kind is ReductionKind.FERMI:
-        return (slot.letters,) if slot.letters else ()
-    return tuple(tuple(run) for letters, run in itertools.groupby(slot, lambda entry: entry is not _P) if letters)
+def _slot_runs(slot: Slot) -> tuple:
+    """The letter runs a reduced state values a slot by: its maximal runs
+    of entries between the p's, none for a slot of p and g alone."""
+    return tuple(tuple(run) for letters, run in itertools.groupby(slot.entries, lambda entry: entry is not _P) if letters)
 
 
 def tensor_value(states: Sequence[ReducedState], reduced: ReducedWord) -> Rational:
@@ -291,15 +300,15 @@ def _sweep_table(kind: ReductionKind, joint: JointFunctional, max_word_len: int)
     n = len(signatures)
     letter_images = [_letter(kind, n, f, name, degree)
                      for f, sig in enumerate(signatures) for name, degree in sig.generators]
-    images, layer = [], [_unit(kind, n)]
+    images, layer = [], [(0, (_ONE,) * n)]
     for _ in range(max_word_len):
-        layer = [_times(kind, image, letter_image) for image in layer for letter_image in letter_images]
+        layer = [_times(image, letter_image) for image in layer for letter_image in letter_images]
         images += layer
     cut = joint._root.segments
     open_words = []
     for word, (tensor_negative, slots) in zip(_words(signatures, max_word_len), images):
         negative, segments = cut(word)
-        runs = [(f, run) for f, slot in enumerate(slots) for run in _slot_runs(kind, slot)]
+        runs = [(f, run) for f, slot in enumerate(slots) for run in _slot_runs(slot)]
         if negative ^ tensor_negative or sorted(segments) != sorted(runs):
             open_words.append((word, ReducedWord(kind, -ONE if tensor_negative else ONE, slots)))
     table = _SWEEP_TABLES[key] = _SweepTable(len(images), tuple(open_words))

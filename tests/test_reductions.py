@@ -11,7 +11,6 @@ import pytest
 from ncindep import (
     AlgebraSignature,
     Axiom,
-    FermiSlot,
     JointFunctional,
     MomentFunctional,
     Monomial,
@@ -21,6 +20,7 @@ from ncindep import (
     ReductionCheck,
     ReductionKind,
     RegimeMismatch,
+    Slot,
     Word,
     all_monomials,
     concat_words,
@@ -38,6 +38,7 @@ from ncindep import (
     verify_reduction,
 )
 from ncindep.algebra import _word_of, _words
+from ncindep.products import _rule
 from ncindep.reductions import _sweep_table, sweep_signatures
 from ncindep.rational import ONE, as_rational, product
 from conftest import A1, A2, G1, G2, N1, N2, total_state
@@ -45,6 +46,11 @@ from conftest import A1, A2, G1, G2, N1, N2, total_state
 P = None  # marker for the idempotent letter inside an M-reduction slot
 
 M_KINDS = (ReductionKind.BOOLEAN, ReductionKind.MONOTONE, ReductionKind.ANTI_MONOTONE)
+
+
+def m_slot(*entries):
+    """An M-reduction slot over ungraded letters: its entries, degree 0, no g."""
+    return Slot(entries, 0, 0)
 
 
 def letter_word(*pairs):
@@ -62,26 +68,31 @@ def graded_word(*pairs):
 
 
 def test_boolean_embedding_pads_with_p_on_both_sides():
-    assert embed_word(ReductionKind.BOOLEAN, 2, letter_word((0, "a"))).slots == (("a",), (P,))
-    assert embed_word(ReductionKind.BOOLEAN, 2, letter_word((1, "x"))).slots == ((P,), ("x",))
+    assert embed_word(ReductionKind.BOOLEAN, 2, letter_word((0, "a"))).slots == (m_slot("a"), m_slot(P))
+    assert embed_word(ReductionKind.BOOLEAN, 2, letter_word((1, "x"))).slots == (m_slot(P), m_slot("x"))
 
 
 def test_monotone_embedding_pads_only_later_slots():
-    assert embed_word(ReductionKind.MONOTONE, 2, letter_word((1, "x"))).slots == ((), ("x",))
-    assert embed_word(ReductionKind.MONOTONE, 2, letter_word((0, "a"))).slots == (("a",), (P,))
+    assert embed_word(ReductionKind.MONOTONE, 2, letter_word((1, "x"))).slots == (m_slot(), m_slot("x"))
+    assert embed_word(ReductionKind.MONOTONE, 2, letter_word((0, "a"))).slots == (m_slot("a"), m_slot(P))
 
 
 def test_anti_monotone_embedding_pads_only_earlier_slots():
-    assert embed_word(ReductionKind.ANTI_MONOTONE, 2, letter_word((0, "a"))).slots == (("a",), ())
-    assert embed_word(ReductionKind.ANTI_MONOTONE, 2, letter_word((1, "x"))).slots == ((P,), ("x",))
+    assert embed_word(ReductionKind.ANTI_MONOTONE, 2, letter_word((0, "a"))).slots == (m_slot("a"), m_slot())
+    assert embed_word(ReductionKind.ANTI_MONOTONE, 2, letter_word((1, "x"))).slots == (m_slot(P), m_slot("x"))
 
 
 def test_fermi_embedding_marks_earlier_slots_of_odd_letters():
     image = embed_word(ReductionKind.FERMI, 2, graded_word((1, "x")))  # x is odd
     assert image.sign == ONE
-    assert image.slots == (FermiSlot((), 0, 1), FermiSlot(("x",), 1, 0))
+    assert image.slots == (Slot((), 0, 1), Slot(("x",), 1, 0))
     even = embed_word(ReductionKind.FERMI, 2, graded_word((1, "y")))  # y is even
-    assert even.slots == (FermiSlot((), 0, 0), FermiSlot(("y",), 0, 0))
+    assert even.slots == (Slot((), 0, 0), Slot(("y",), 0, 0))
+    # x then a: a meets x's mark g in the first slot, and g a = -a g; the
+    # rule read the other way round (left degree, right g) would give +1
+    swapped = embed_word(ReductionKind.FERMI, 2, graded_word((1, "x"), (0, "a")))  # both odd
+    assert swapped.sign == -ONE
+    assert swapped.slots == (Slot(("a",), 1, 1), Slot(("x",), 1, 0))
 
 
 def test_one_letter_embeddings_are_the_docstring_table():
@@ -91,16 +102,17 @@ def test_one_letter_embeddings_are_the_docstring_table():
     builds longer words."""
     plain = [AlgebraSignature("A%d" % (k + 1), False, (("a", 0),)) for k in range(3)]
     graded = [AlgebraSignature("A%d" % (k + 1), True, (("a", 1), ("b", 0))) for k in range(3)]
-    a, one, g = ("a",), FermiSlot((), 0, 0), FermiSlot((), 0, 1)
-    odd, even = FermiSlot(("a",), 1, 0), FermiSlot(("b",), 0, 0)
+    a, p, e = m_slot("a"), m_slot(P), m_slot()
+    one, g = Slot((), 0, 0), Slot((), 0, 1)
+    odd, even = Slot(("a",), 1, 0), Slot(("b",), 0, 0)
     table = {
-        ReductionKind.BOOLEAN: [(a, (P,), (P,)), ((P,), a, (P,)), ((P,), (P,), a)],
-        ReductionKind.MONOTONE: [(a, (P,), (P,)), ((), a, (P,)), ((), (), a)],
-        ReductionKind.ANTI_MONOTONE: [(a, (), ()), ((P,), a, ()), ((P,), (P,), a)],
+        ReductionKind.BOOLEAN: [(a, p, p), (p, a, p), (p, p, a)],
+        ReductionKind.MONOTONE: [(a, p, p), (e, a, p), (e, e, a)],
+        ReductionKind.ANTI_MONOTONE: [(a, e, e), (p, a, e), (p, p, a)],
     }
     for kind, rows in table.items():
         for k, slots in enumerate(rows):
-            image = embed_word(kind, 3, Word(((k, Monomial(plain[k], a)),)))
+            image = embed_word(kind, 3, Word(((k, Monomial(plain[k], ("a",))),)))
             assert image == ReducedWord(kind, ONE, slots), (kind, k)
     fermi = {
         "a": [(odd, one, one), (g, odd, one), (g, g, odd)],
@@ -112,19 +124,41 @@ def test_one_letter_embeddings_are_the_docstring_table():
             assert image == ReducedWord(ReductionKind.FERMI, ONE, slots), (letter, k)
 
 
+def test_the_letter_marks_agree_with_the_product_records():
+    """At n = 3, for every ordered pair j != k: an M-reduction's letter of
+    factor j puts p in slot k exactly when the product's record has j's
+    block close k's segment; fermi's puts g^(deg a) in slot k exactly when
+    k < j, and its record is graded and closes no segment."""
+    plain = [AlgebraSignature("A%d" % (k + 1), False, (("a", 0),)) for k in range(3)]
+    graded = [AlgebraSignature("A%d" % (k + 1), True, (("a", 1), ("b", 0))) for k in range(3)]
+    pairs = [(j, k) for j in range(3) for k in range(3) if j != k]
+    for kind in M_KINDS:
+        splits = _rule(kind.product_kind).node
+        for j, k in pairs:
+            slot = embed_word(kind, 3, Word(((j, Monomial(plain[j], ("a",))),))).slots[k]
+            assert slot == (m_slot(P) if splits(j, k) else m_slot()), (kind, j, k)
+    record = _rule(ProductKind.FERMI)
+    assert record.graded and not any(record.node(j, k) for j, k in pairs)
+    for letter, degree in (("a", 1), ("b", 0)):
+        for j, k in pairs:
+            slot = embed_word(ReductionKind.FERMI, 3, Word(((j, Monomial(graded[j], (letter,))),))).slots[k]
+            assert slot == Slot((), 0, degree if k < j else 0), (letter, j, k)
+
+
 def test_boolean_word_image_multiplies_slotwise():
     image = embed_word(ReductionKind.BOOLEAN, 2, letter_word((0, "a"), (1, "x"), (0, "a")))
-    assert image.slots == (("a", P, "a"), (P, "x", P))
+    assert image.slots == (m_slot("a", P, "a"), m_slot(P, "x", P))
 
 
 def test_adjacent_p_letters_collapse():
     image = embed_word(ReductionKind.BOOLEAN, 2, letter_word((0, "a"), (0, "b")))
-    assert image.slots == (("a", "b"), (P,))  # not (P, P)
+    assert image.slots == (m_slot("a", "b"), m_slot(P))  # not m_slot(P, P)
     for kind in M_KINDS:
         for w in enumerate_words(sweep_signatures(kind), 4):
             for slot in embed_word(kind, 2, w).slots:
+                entries = slot.entries
                 assert all(
-                    not (slot[k] is P and slot[k + 1] is P) for k in range(len(slot) - 1)
+                    not (entries[k] is P and entries[k + 1] is P) for k in range(len(entries) - 1)
                 )
 
 
@@ -148,22 +182,22 @@ def test_embedding_rejects_two_algebras_on_one_factor():
 def test_enlarged_state_ignores_p_padding():
     phi = total_state(N1, 2, {"a": "1/2"})
     state = ReducedState(ReductionKind.BOOLEAN, phi)
-    assert state.value((P, "a", P)) == as_rational("1/2")
+    assert state.value(m_slot(P, "a", P)) == as_rational("1/2")
 
 
 def test_enlarged_state_splits_runs_at_p():
     phi = total_state(N1, 2, {"a": "1/2", "b": "1/3"})
     state = ReducedState(ReductionKind.MONOTONE, phi)
-    assert state.value(("a", P, "b")) == as_rational("1/6")
-    assert state.value(("a", "b")) == phi(Monomial(N1, ("a", "b")))
+    assert state.value(m_slot("a", P, "b")) == as_rational("1/6")
+    assert state.value(m_slot("a", "b")) == phi(Monomial(N1, ("a", "b")))
 
 
 def test_fermi_state_values_g_as_one():
     phi = total_state(G1, 2, {"a a": 1, "b": "1/2"})
     state = ReducedState(ReductionKind.FERMI, phi)
-    assert state.value(FermiSlot(("a", "a"), 0, 1)) == ONE
-    assert state.value(FermiSlot(("b",), 0, 0)) == as_rational("1/2")
-    assert state.value(FermiSlot((), 0, 1)) == ONE  # bare g
+    assert state.value(Slot(("a", "a"), 0, 1)) == ONE
+    assert state.value(Slot(("b",), 0, 0)) == as_rational("1/2")
+    assert state.value(Slot((), 0, 1)) == ONE  # bare g
 
 
 def test_fermi_state_requires_evenness():
@@ -201,7 +235,7 @@ def test_monotone_route_matches_on_a_three_letter_word():
     phi2 = total_state(N2, 2, {"x": "1/3"})
     w = letter_word((0, "a"), (1, "x"), (0, "a"))
     image = embed_word(ReductionKind.MONOTONE, 2, w)
-    assert image.slots == (("a", "a"), (P, "x", P))
+    assert image.slots == (m_slot("a", "a"), m_slot(P, "x", P))
     check = verify_reduction(ReductionKind.MONOTONE, (phi1, phi2), w)
     assert check.equal
     assert check.lhs == check.rhs == as_rational("1/3")
@@ -221,7 +255,7 @@ def test_fermi_route_matches_on_the_signed_word():
     w = graded_word((0, "a"), (1, "x"), (0, "a"), (1, "x"))
     image = embed_word(ReductionKind.FERMI, 2, w)
     assert image.sign == -ONE
-    assert image.slots == (FermiSlot(("a", "a"), 0, 0), FermiSlot(("x", "x"), 0, 0))
+    assert image.slots == (Slot(("a", "a"), 0, 0), Slot(("x", "x"), 0, 0))
     check = verify_reduction(ReductionKind.FERMI, (phi1, phi2), w)
     assert check.equal
     assert check.lhs == check.rhs == as_rational(-1)
@@ -232,7 +266,7 @@ def test_inclusion_of_one_factor_preserves_moments():
     phi = total_state(G1, 3, {"a a": "2/3", "b": "1/5", "a b a": 0, "b b b": "7/8"})
     state = ReducedState(ReductionKind.FERMI, phi)
     for letters in (("a", "a"), ("b",), ("b", "b", "b")):
-        assert state.value(FermiSlot(letters, 0, 0)) == phi(Monomial(G1, letters))
+        assert state.value(Slot(letters, 0, 0)) == phi(Monomial(G1, letters))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +283,7 @@ def test_split_pair_agrees_with_the_word_embedding():
 
 
 def test_split_pair_with_g_matches_multiplying_by_g():
-    g_both = ReducedWord(ReductionKind.FERMI, ONE, (FermiSlot((), 0, 1), FermiSlot((), 0, 1)))
+    g_both = ReducedWord(ReductionKind.FERMI, ONE, (Slot((), 0, 1), Slot((), 0, 1)))
     m1 = Monomial(G1, ("a",))
     m2 = Monomial(G2, ("x", "y"))
     w = normalize_word([(0, m1), (1, m2)])
@@ -370,13 +404,11 @@ def test_sweep_words_are_the_enumerated_words(kind):
         assert _sweep_table(kind, zero_joint(kind, length), length) is table
 
 
-def slot_runs(kind, slot):
-    """The letter runs of a slot: a fermi slot's letters (none for g
-    alone), or an M-reduction slot cut at each p."""
-    if kind is ReductionKind.FERMI:
-        return [slot.letters] if slot.letters else []
+def slot_runs(slot):
+    """The letter runs of a slot: its entries cut at each p (none for p or
+    g alone)."""
     runs, run = [], []
-    for entry in slot + (P,):
+    for entry in slot.entries + (P,):
         if entry is P:
             if run:
                 runs.append(tuple(run))
@@ -402,7 +434,7 @@ def test_sweep_images_are_the_embedded_words(kind):
         images = []
         for word in enumerate_words(signatures, length):
             embedded = embed_word(kind, 2, word)
-            runs = [(f, run) for f, slot in enumerate(embedded.slots) for run in slot_runs(kind, slot)]
+            runs = [(f, run) for f, slot in enumerate(embedded.slots) for run in slot_runs(slot)]
             value = embedded.sign * product(states[f].value_of_letters(run) for f, run in runs)
             assert value == tensor_value(reduced, embedded), word
             images.append((bare(word), embedded.sign == -ONE, sorted(runs)))
