@@ -69,9 +69,16 @@ MUTANTS = (
     ),
     Mutant(
         "open-image-drops-sign", "src/ncindep/reductions.py",
-        "ReducedWord(kind, -ONE if tensor_negative else ONE, slots)",
-        "ReducedWord(kind, ONE, slots)",
+        "ReducedWord(-ONE if tensor_negative else ONE, slots)",
+        "ReducedWord(ONE, slots)",
         ("tests/test_reductions.py::test_sweep_verdicts_under_wrong_products_are_pinned",),
+    ),
+    Mutant(
+        "tensor-value-drops-sign", "src/ncindep/reductions.py",
+        "return reduced.sign * math.prod(",
+        "return math.prod(",
+        ("tests/test_reductions.py::test_fermi_route_matches_on_the_signed_word",
+         "tests/test_acceptance.py::test_criterion_3_reductions_agree_with_their_products"),
     ),
     Mutant(
         "sweep-counts-open-words-only", "src/ncindep/reductions.py",
@@ -123,7 +130,8 @@ MUTANTS = (
         "anti-monotone-splits-like-boolean", "src/ncindep/products.py",
         "_Rule(lambda j, k: j > k,",
         "_Rule(lambda j, k: True,",
-        ("tests/test_products.py::test_anti_monotone_is_the_mirror_of_monotone",
+        ("tests/test_products.py::test_anti_monotone_value_gathers_the_second_factor",
+         "tests/test_products.py::test_anti_monotone_is_the_mirror_of_monotone",
          "tests/test_reductions.py::test_the_letter_marks_agree_with_the_product_records"),
     ),
     Mutant(

@@ -72,14 +72,11 @@ from .products import (
 )
 from .rational import Rational, as_rational, format_rational, parse_rational
 from .reductions import (
-    ReducedState,
     ReducedWord,
     ReductionCheck,
     ReductionKind,
     Slot,
     embed_word,
-    fermi_split_pair,
-    reduced_product,
     reduction_sweep,
     tensor_value,
     verify_reduction,

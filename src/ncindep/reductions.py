@@ -12,9 +12,10 @@ mod 2, and the power of g that follows them.  Two slots multiply as
 
     (m1 g^u1)(m2 g^u2) = (-1)^(u1 * deg m2) (m1 m2) g^(u1 + u2),
 
-with p*p = p where m1 ends and m2 begins.  The reduced state values a slot
-as the product of the original functional over its maximal letter runs, p
-and g valued 1.
+with p*p = p where m1 ends and m2 begins.  Every reduction values a slot
+the same way, as the product of its factor's own functional over the
+slot's maximal letter runs, p and g valued 1; so no state and no image
+carries a kind, and the tensor route reads the factors' states as they are.
 
 A letter a sitting in factor k of an n-fold product embeds as an n-slot
 elementary tensor: a in slot k, and the reduction's two marks, from
@@ -25,14 +26,14 @@ elementary tensor: a in slot k, and the reduction's two marks, from
 * monotone:       1 before, p after
 * anti-monotone:  p before, 1 after
 
-The fermi mark is g^(deg a) rather than a bare g: splitting a two-factor
-graded tensor element lands a's partner slot on g raised to the degree that
-actually crosses it (see :func:`fermi_split_pair`), so even letters must
-pass over other slots without leaving a mark.  The embedding is a
+The fermi mark is g^(deg a) rather than a bare g: a two-factor graded
+tensor element a (x) b splits as (a g^(deg b)) (x) b, a's slot carrying g
+raised to the degree that actually crosses it, so even letters must pass
+over other slots without leaving a mark.  The embedding is a
 homomorphism, so a word's image is the product of its letters' images,
 multiplied slot by slot; the sign rule and p*p = p are written once, in that
 multiplication.  :func:`verify_reduction` checks, exactly, that the original
-product value equals the tensor value of the embedded word under the reduced
+product value equals the tensor value of the embedded word under the factors'
 states.
 
 Why the marks are right.  Under a padding product a block of factor j closes
@@ -72,10 +73,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
-from .algebra import Monomial, Word, _word_of, _words
+from .algebra import Word, _word_of, _words
 from .axioms import _signatures, _trial_generators, gen_random_state
 from .moments import MomentFunctional
-from .products import JointFunctional, ProductKind, _check_regime
+from .products import JointFunctional, ProductKind
 from .rational import ONE, Rational
 
 
@@ -122,7 +123,6 @@ class ReducedWord:
     the fermi case.
     """
 
-    kind: ReductionKind
     sign: Rational
     slots: tuple
 
@@ -159,8 +159,12 @@ def _check_kind(kind) -> None:
 def embed_word(kind: ReductionKind, n: int, word: Word) -> ReducedWord:
     """Image of a normal-form word over n factors under the reduction's
     letter-wise embedding: the product of its letters' images, multiplied
-    out slot by slot."""
+    out slot by slot.  ``n`` must be an ``int`` of at least 1."""
     _check_kind(kind)
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError("n must be an int")
+    if n < 1:
+        raise ValueError("n must be at least 1")
     degrees = [None] * n
     image = 0, (_ONE,) * n
     for factor, monomial in word.blocks:
@@ -174,72 +178,23 @@ def embed_word(kind: ReductionKind, n: int, word: Word) -> ReducedWord:
         for letter in monomial.letters:
             image = _times(image, _letter(kind, n, factor, letter, generators[letter]))
     negative, slots = image
-    return ReducedWord(kind, -ONE if negative else ONE, slots)
-
-
-def reduced_product(first: ReducedWord, second: ReducedWord) -> ReducedWord:
-    """Slot-wise product of two embedded words."""
-    if first.kind is not second.kind:
-        raise ValueError("cannot multiply words of different reduction kinds")
-    if len(first.slots) != len(second.slots):
-        raise ValueError("slot counts differ")
-    negative, slots = _times((0, first.slots), (0, second.slots))
-    sign = first.sign * second.sign
-    return ReducedWord(first.kind, -sign if negative else sign, slots)
-
-
-def fermi_split_pair(left: Monomial, right: Monomial, gpow: int = 0) -> ReducedWord:
-    """Split a two-factor graded tensor element a (x) b (x) g^gpow into a
-    pair of enlarged slots: (a, g^(deg b + gpow)) (x) (b, g^gpow).
-
-    This is the case-table form of the two-factor reduction; its composition
-    with the inclusion a (x) b -> a (x) b (x) 1 must agree with
-    :func:`embed_word` on two-letter words, which the tests check.
-    """
-    slots = (
-        Slot(left.letters, left.degree, (right.degree + gpow) & 1),
-        Slot(right.letters, right.degree, gpow & 1),
-    )
-    return ReducedWord(ReductionKind.FERMI, ONE, slots)
-
-
-class ReducedState:
-    """Functional on one enlarged factor, induced by a moment functional:
-    the original functional on monomial parts, the auxiliary letters g and
-    p both valued 1."""
-
-    def __init__(self, kind: ReductionKind, phi: MomentFunctional):
-        _check_kind(kind)
-        _check_regime(kind.product_kind, (phi,))
-        self.kind = kind
-        self.phi = phi
-
-    def value(self, slot: Slot) -> Rational:
-        """The slot's value; a slot without letters is the ``int`` 1, so
-        that states with integer moments value every slot as an ``int``."""
-        return math.prod(map(self.phi.value_of_letters, _slot_runs(slot)))
-
-    def __repr__(self):
-        return "ReducedState(%s, %r)" % (self.kind.value, self.phi.algebra.name)
+    return ReducedWord(-ONE if negative else ONE, slots)
 
 
 def _slot_runs(slot: Slot) -> tuple:
-    """The letter runs a reduced state values a slot by: its maximal runs
-    of entries between the p's, none for a slot of p and g alone."""
+    """The letter runs a slot is valued by: its maximal runs of entries
+    between the p's, none for a slot of p and g alone."""
     return tuple(tuple(run) for letters, run in itertools.groupby(slot.entries, lambda entry: entry is not _P) if letters)
 
 
-def tensor_value(states: Sequence[ReducedState], reduced: ReducedWord) -> Rational:
-    """Ordinary tensor value of an embedded word: the carried sign times the
-    product of each reduced state on its own slot."""
-    if len(states) != len(reduced.slots):
-        raise ValueError("need exactly one reduced state per slot")
-    for state in states:
-        if state.kind is not reduced.kind:
-            raise ValueError(
-                "a %s reduced state cannot value a %s word" % (state.kind.value, reduced.kind.value)
-            )
-    return reduced.sign * math.prod(state.value(slot) for state, slot in zip(states, reduced.slots))
+def tensor_value(factors: Sequence[MomentFunctional], reduced: ReducedWord) -> Rational:
+    """Ordinary tensor value of an embedded word: the carried sign times,
+    for each slot, the product of its factor's moments on the slot's letter
+    runs, p and g valued 1."""
+    if len(factors) != len(reduced.slots):
+        raise ValueError("need exactly one factor per slot")
+    return reduced.sign * math.prod(
+        phi.value_of_letters(run) for phi, slot in zip(factors, reduced.slots) for run in _slot_runs(slot))
 
 
 class ReductionCheck(NamedTuple):
@@ -253,14 +208,13 @@ def verify_reduction(kind: ReductionKind, factors: Sequence[MomentFunctional], w
     embedded image; the two must agree exactly for every word."""
     _check_kind(kind)
     joint = JointFunctional(factors, kind.product_kind)  # checks the regime
-    reduced = [ReducedState(kind, phi) for phi in joint.factors]
-    return _check(joint, reduced, joint._check(word), embed_word(kind, len(reduced), word))
+    return _check(joint, joint._check(word), embed_word(kind, len(joint.factors), word))
 
 
-def _check(joint: JointFunctional, reduced, word: tuple, image: ReducedWord) -> ReductionCheck:
-    """:func:`verify_reduction` on a trusted bare word and its image, the states joined and reduced."""
+def _check(joint: JointFunctional, word: tuple, image: ReducedWord) -> ReductionCheck:
+    """:func:`verify_reduction` on a trusted bare word and its image, the states joined."""
     lhs = Rational(joint.value_of_blocks(word))
-    rhs = tensor_value(reduced, image)
+    rhs = tensor_value(joint.factors, image)
     return ReductionCheck(lhs, rhs, lhs == rhs)
 
 
@@ -310,7 +264,7 @@ def _sweep_table(kind: ReductionKind, joint: JointFunctional, max_word_len: int)
         negative, segments = cut(word)
         runs = [(f, run) for f, slot in enumerate(slots) for run in _slot_runs(slot)]
         if negative ^ tensor_negative or sorted(segments) != sorted(runs):
-            open_words.append((word, ReducedWord(kind, -ONE if tensor_negative else ONE, slots)))
+            open_words.append((word, ReducedWord(-ONE if tensor_negative else ONE, slots)))
     table = _SWEEP_TABLES[key] = _SweepTable(len(images), tuple(open_words))
     return table
 
@@ -322,9 +276,9 @@ def reduction_sweep(kind: ReductionKind, seed: int, trials: int, max_word_len: i
 
     The words come from one table per kind and length, which proves each
     word it can once and keeps the rest open; a proved word is counted, not
-    valued.  Per trial the states are drawn, joined under the product (which
-    checks their regime) and, if a word is open, reduced; each open word is
-    valued on them with its image, in word order, by :func:`verify_reduction`'s
+    valued.  Per trial the states are drawn and joined under the product,
+    which checks their regime; each open word is valued on the joined
+    states with its image, in word order, by :func:`verify_reduction`'s
     check.  Returns (checked, failures), failures the (states, word, check)
     triples of the words whose routes differ.  Deterministic for a given seed.
     """
@@ -337,9 +291,8 @@ def reduction_sweep(kind: ReductionKind, seed: int, trials: int, max_word_len: i
         states = [gen_random_state(sig, max_word_len, rng) for sig in signatures]
         joint = JointFunctional(states, kind.product_kind)
         table = _sweep_table(kind, joint, max_word_len)
-        reduced = [ReducedState(kind, phi) for phi in states] if table.open else ()
         for word, image in table.open:
-            check = _check(joint, reduced, word, image)
+            check = _check(joint, word, image)
             if not check.equal:
                 failures.append((states, _word_of(signatures, word), check))
         checked += table.count

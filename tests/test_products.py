@@ -79,9 +79,16 @@ def test_monotone_value_gathers_the_first_factor():
 
 def test_anti_monotone_value_gathers_the_second_factor():
     phi1 = total_state(P1, 2, {"a": "1/2"})
-    phi2 = total_state(P2, 2, {"b": "1/3"})
+    phi2 = total_state(P2, 2, {"b": "1/3", "b b": 1})
     joint = JointFunctional((phi1, phi2), ProductKind.ANTI_MONOTONE)
     assert joint.evaluate(word_aba()) == as_rational("1/12")
+    # b a b gathers the b's around a: phi(a) psi(bb) = 1/2, where boolean
+    # and monotone split them, psi(b) phi(a) psi(b) = 1/18
+    a, b = Monomial(P1, ("a",)), Monomial(P2, ("b",))
+    word_bab = normalize_word([(1, b), (0, a), (1, b)])
+    assert joint.evaluate(word_bab) == as_rational("1/2")
+    for other in (ProductKind.BOOLEAN, ProductKind.MONOTONE):
+        assert JointFunctional((phi1, phi2), other).evaluate(word_bab) == as_rational("1/18")
 
 
 def test_free_value_of_centered_alternating_word_is_zero():

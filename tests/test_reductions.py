@@ -11,11 +11,11 @@ import pytest
 from ncindep import (
     AlgebraSignature,
     Axiom,
+    EMPTY_WORD,
     JointFunctional,
     MomentFunctional,
     Monomial,
     ProductKind,
-    ReducedState,
     ReducedWord,
     ReductionCheck,
     ReductionKind,
@@ -27,11 +27,9 @@ from ncindep import (
     embed_word,
     enumerate_words,
     eval_graded_tensor,
-    fermi_split_pair,
     format_word,
     gen_random_state,
     normalize_word,
-    reduced_product,
     reduction_sweep,
     run_axiom_suite,
     tensor_value,
@@ -39,7 +37,7 @@ from ncindep import (
 )
 from ncindep.algebra import _word_of, _words
 from ncindep.products import _rule
-from ncindep.reductions import _sweep_table, sweep_signatures
+from ncindep.reductions import _sweep_table, _times, sweep_signatures
 from ncindep.rational import ONE, as_rational, product
 from conftest import A1, A2, G1, G2, N1, N2, total_state
 
@@ -51,6 +49,26 @@ M_KINDS = (ReductionKind.BOOLEAN, ReductionKind.MONOTONE, ReductionKind.ANTI_MON
 def m_slot(*entries):
     """An M-reduction slot over ungraded letters: its entries, degree 0, no g."""
     return Slot(entries, 0, 0)
+
+
+def reduced_product(first, second):
+    """Slot-wise product of two embedded words, through the one slot
+    multiplication."""
+    negative, slots = _times((first.sign < 0, first.slots), (second.sign < 0, second.slots))
+    return ReducedWord(-ONE if negative else ONE, slots)
+
+
+def fermi_split_pair(left, right, gpow=0):
+    """The two-factor case table of the fermi reduction: a graded tensor
+    element a (x) b (x) g^gpow splits into the slots
+    (a, g^(deg b + gpow)) (x) (b, g^gpow)."""
+    return ReducedWord(ONE, (Slot(left.letters, left.degree, (right.degree + gpow) & 1),
+                             Slot(right.letters, right.degree, gpow & 1)))
+
+
+def slot_value(phi, slot):
+    """The tensor value of a one-slot word with sign +1 under one state."""
+    return tensor_value([phi], ReducedWord(ONE, (slot,)))
 
 
 def letter_word(*pairs):
@@ -113,7 +131,7 @@ def test_one_letter_embeddings_are_the_docstring_table():
     for kind, rows in table.items():
         for k, slots in enumerate(rows):
             image = embed_word(kind, 3, Word(((k, Monomial(plain[k], ("a",))),)))
-            assert image == ReducedWord(kind, ONE, slots), (kind, k)
+            assert image == ReducedWord(ONE, slots), (kind, k)
     fermi = {
         "a": [(odd, one, one), (g, odd, one), (g, g, odd)],
         "b": [(even, one, one), (one, even, one), (one, one, even)],
@@ -121,7 +139,7 @@ def test_one_letter_embeddings_are_the_docstring_table():
     for letter, rows in fermi.items():
         for k, slots in enumerate(rows):
             image = embed_word(ReductionKind.FERMI, 3, Word(((k, Monomial(graded[k], (letter,))),)))
-            assert image == ReducedWord(ReductionKind.FERMI, ONE, slots), (letter, k)
+            assert image == ReducedWord(ONE, slots), (letter, k)
 
 
 def test_the_letter_marks_agree_with_the_product_records():
@@ -175,55 +193,63 @@ def test_embedding_rejects_two_algebras_on_one_factor():
         embed_word(ReductionKind.FERMI, 2, word)
 
 
+@pytest.mark.parametrize("n, error, message", [
+    (True, TypeError, "n must be an int"),
+    (1.0, TypeError, "n must be an int"),
+    (0, ValueError, "n must be at least 1"),
+    (-1, ValueError, "n must be at least 1"),
+], ids=["bool", "float", "zero", "negative"])
+def test_embedding_refuses_a_bad_factor_count_before_any_work(monkeypatch, n, error, message):
+    """A factor count of True is not read as 1, and none below 1 gives an
+    image without slots, for the empty word or a letter, before any letter
+    is embedded."""
+    import ncindep.reductions as reductions
+
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(reductions, "_letter", no_work)
+    monkeypatch.setattr(reductions, "_times", no_work)
+    for word in (EMPTY_WORD, letter_word((0, "a"))):
+        with pytest.raises(error, match="^%s$" % message):
+            embed_word(ReductionKind.BOOLEAN, n, word)
+
+
 # ---------------------------------------------------------------------------
 # enlarged states
 
 
 def test_enlarged_state_ignores_p_padding():
     phi = total_state(N1, 2, {"a": "1/2"})
-    state = ReducedState(ReductionKind.BOOLEAN, phi)
-    assert state.value(m_slot(P, "a", P)) == as_rational("1/2")
+    assert slot_value(phi, m_slot(P, "a", P)) == as_rational("1/2")
 
 
 def test_enlarged_state_splits_runs_at_p():
     phi = total_state(N1, 2, {"a": "1/2", "b": "1/3"})
-    state = ReducedState(ReductionKind.MONOTONE, phi)
-    assert state.value(m_slot("a", P, "b")) == as_rational("1/6")
-    assert state.value(m_slot("a", "b")) == phi(Monomial(N1, ("a", "b")))
+    assert slot_value(phi, m_slot("a", P, "b")) == as_rational("1/6")
+    assert slot_value(phi, m_slot("a", "b")) == phi(Monomial(N1, ("a", "b")))
 
 
 def test_fermi_state_values_g_as_one():
     phi = total_state(G1, 2, {"a a": 1, "b": "1/2"})
-    state = ReducedState(ReductionKind.FERMI, phi)
-    assert state.value(Slot(("a", "a"), 0, 1)) == ONE
-    assert state.value(Slot(("b",), 0, 0)) == as_rational("1/2")
-    assert state.value(Slot((), 0, 1)) == ONE  # bare g
+    assert slot_value(phi, Slot(("a", "a"), 0, 1)) == ONE
+    assert slot_value(phi, Slot(("b",), 0, 0)) == as_rational("1/2")
+    assert slot_value(phi, Slot((), 0, 1)) == ONE  # bare g
 
 
 def test_fermi_state_requires_evenness():
+    odd = total_state(G1, 1, {"a": 1})
     with pytest.raises(RegimeMismatch):
-        ReducedState(ReductionKind.FERMI, total_state(G1, 1, {"a": 1}))
+        verify_reduction(ReductionKind.FERMI, (odd, total_state(G2, 1)), graded_word((0, "a")))
 
 
 def test_m_reductions_require_the_non_unital_regime():
-    unital = total_state(AlgebraSignature("A1", True, (("a", 0),)), 1)
+    signatures = [AlgebraSignature("A%d" % k, True, (("a", 0),)) for k in (1, 2)]
+    unital = [total_state(sig, 1) for sig in signatures]
+    word = Word(((0, Monomial(signatures[0], ("a",))),))
     for kind in M_KINDS:
         with pytest.raises(RegimeMismatch):
-            ReducedState(kind, unital)
-
-
-def test_tensor_value_refuses_states_of_another_kind():
-    fermi_word = embed_word(ReductionKind.FERMI, 2, graded_word((0, "a"), (1, "x")))
-    boolean_word = embed_word(ReductionKind.BOOLEAN, 2, letter_word((0, "a"), (1, "x")))
-    fermi_states = [ReducedState(ReductionKind.FERMI, total_state(sig, 2)) for sig in (G1, G2)]
-    boolean_states = [ReducedState(kind, total_state(sig, 2))
-                      for kind, sig in ((ReductionKind.BOOLEAN, N1), (ReductionKind.MONOTONE, N2))]
-    with pytest.raises(ValueError, match="a fermi reduced state cannot value a boolean word"):
-        tensor_value(fermi_states, boolean_word)
-    with pytest.raises(ValueError, match="a boolean reduced state cannot value a fermi word"):
-        tensor_value(boolean_states, fermi_word)
-    with pytest.raises(ValueError, match="a monotone reduced state cannot value a boolean word"):
-        tensor_value(boolean_states, boolean_word)
+            verify_reduction(kind, unital, word)
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +290,8 @@ def test_fermi_route_matches_on_the_signed_word():
 
 def test_inclusion_of_one_factor_preserves_moments():
     phi = total_state(G1, 3, {"a a": "2/3", "b": "1/5", "a b a": 0, "b b b": "7/8"})
-    state = ReducedState(ReductionKind.FERMI, phi)
     for letters in (("a", "a"), ("b",), ("b", "b", "b")):
-        assert state.value(Slot(letters, 0, 0)) == phi(Monomial(G1, letters))
+        assert slot_value(phi, Slot(letters, 0, 0)) == phi(Monomial(G1, letters))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +308,7 @@ def test_split_pair_agrees_with_the_word_embedding():
 
 
 def test_split_pair_with_g_matches_multiplying_by_g():
-    g_both = ReducedWord(ReductionKind.FERMI, ONE, (Slot((), 0, 1), Slot((), 0, 1)))
+    g_both = ReducedWord(ONE, (Slot((), 0, 1), Slot((), 0, 1)))
     m1 = Monomial(G1, ("a",))
     m2 = Monomial(G2, ("x", "y"))
     w = normalize_word([(0, m1), (1, m2)])
@@ -430,13 +455,12 @@ def test_sweep_images_are_the_embedded_words(kind):
     rng = random.Random(17)
     for length in range(1, 6):
         states = [gen_random_state(sig, length, rng) for sig in signatures]
-        reduced = [ReducedState(kind, phi) for phi in states]
         images = []
         for word in enumerate_words(signatures, length):
             embedded = embed_word(kind, 2, word)
             runs = [(f, run) for f, slot in enumerate(embedded.slots) for run in slot_runs(slot)]
             value = embedded.sign * product(states[f].value_of_letters(run) for f, run in runs)
-            assert value == tensor_value(reduced, embedded), word
+            assert value == tensor_value(states, embedded), word
             images.append((bare(word), embedded.sign == -ONE, sorted(runs)))
         for product_kind, joint in joins(kind, states):
             table = _sweep_table(kind, joint, length)
@@ -505,10 +529,9 @@ def test_sweeps_over_hand_made_states(monkeypatch):
         checked, failures = reduction_sweep(kind, seed=1, trials=1, max_word_len=4)
         states = failures[0][0]
         joint = JointFunctional(states, wrong)
-        reduced = [ReducedState(kind, phi) for phi in states]
         expected = []
         for word in enumerate_words(sweep_signatures(kind), 4):
-            lhs, rhs = joint.evaluate(word), tensor_value(reduced, embed_word(kind, 2, word))
+            lhs, rhs = joint.evaluate(word), tensor_value(states, embed_word(kind, 2, word))
             if lhs != rhs:
                 expected.append((states, word, ReductionCheck(lhs, rhs, False)))
         assert failures == expected
@@ -549,11 +572,10 @@ def test_sweep_failures_are_replayable_triples(monkeypatch):
     assert len(trials) == 2
     for states, found in trials:
         joint = JointFunctional(states, ProductKind.BOOLEAN)
-        reduced = [ReducedState(kind, phi) for phi in states]
         expected = []
         for word in enumerate_words(sweep_signatures(kind), 3):
             lhs = joint.evaluate(word)
-            rhs = tensor_value(reduced, embed_word(kind, 2, word))
+            rhs = tensor_value(states, embed_word(kind, 2, word))
             if lhs != rhs:
                 expected.append((word, ReductionCheck(lhs, rhs, False)))
         assert found == expected
@@ -616,12 +638,11 @@ def test_proved_words_agree_on_both_public_routes(kind):
         pairs = [[hand_state(sig, length, shift) for shift, sig in enumerate(signatures)]]
         pairs += [[gen_random_state(sig, length, rng) for sig in signatures] for _ in range(2)]
         for states in pairs:
-            reduced = [ReducedState(kind, phi) for phi in states]
             for product_kind, joint in joins(kind, states):
                 open_words = {word for word, _ in _sweep_table(kind, joint, length).open}
                 for word in words:
                     if bare(word) not in open_words:
-                        assert joint.evaluate(word) == tensor_value(reduced, embed_word(kind, 2, word)), (
+                        assert joint.evaluate(word) == tensor_value(states, embed_word(kind, 2, word)), (
                             product_kind, word)
                         proved += 1
     assert proved > 3 * sum(4**k for k in range(1, 6))
@@ -680,9 +701,9 @@ def test_sweeps_value_each_open_word_once_per_trial(monkeypatch):
     calls = []
     check = reductions._check
 
-    def counted(joint, reduced, word, image):
+    def counted(joint, word, image):
         calls.append(word)
-        return check(joint, reduced, word, image)
+        return check(joint, word, image)
 
     monkeypatch.setattr(reductions, "_check", counted)
     for kind in ReductionKind:
@@ -767,7 +788,7 @@ def test_sweeps_and_suites_refuse_bool_counts_before_any_work(monkeypatch, entry
         entry()
 
 
-@pytest.mark.parametrize("entry", ["sweep", "verify", "reduced-state", "signatures"])
+@pytest.mark.parametrize("entry", ["sweep", "verify", "signatures"])
 def test_reductions_refuse_a_kind_that_is_not_a_reduction_kind(monkeypatch, entry):
     """Each public entry taking a reduction kind refuses the string
     "fermi" as embed_word does, before it joins or checks any state."""
@@ -776,13 +797,12 @@ def test_reductions_refuse_a_kind_that_is_not_a_reduction_kind(monkeypatch, entr
     def no_work(*args):
         raise AssertionError("work started")
 
-    for name in ("gen_random_state", "JointFunctional", "_check_regime", "_trial_generators"):
+    for name in ("gen_random_state", "JointFunctional", "_trial_generators"):
         monkeypatch.setattr(reductions, name, no_work)
     phi, psi = (total_state(sig, 2) for sig in (G1, G2))
     calls = {
         "sweep": lambda: reduction_sweep("fermi", 1, 1),
         "verify": lambda: verify_reduction("fermi", [phi, psi], graded_word((0, "a"), (1, "x"))),
-        "reduced-state": lambda: ReducedState("fermi", phi),
         "signatures": lambda: sweep_signatures("fermi"),
     }
     with pytest.raises(TypeError, match="^kind must be a ReductionKind$"):
