@@ -141,6 +141,44 @@ MUTANTS = (
         ("tests/test_products.py::test_odd_odd_interchange_flips_the_sign",
          "tests/test_products.py::test_sum_moment_transforms_match_word_enumeration[fermi-False]"),
     ),
+    Mutant(
+        "tensor-splits-like-boolean", "src/ncindep/products.py",
+        "ProductKind.TENSOR: _Rule(lambda j, k: False,",
+        "ProductKind.TENSOR: _Rule(lambda j, k: True,",
+        ("tests/test_products.py::test_tensor_value_multiplies_per_factor_products",),
+    ),
+    Mutant(
+        "boolean-gathers-like-tensor", "src/ncindep/products.py",
+        "ProductKind.BOOLEAN: _Rule(lambda j, k: True,",
+        "ProductKind.BOOLEAN: _Rule(lambda j, k: False,",
+        ("tests/test_products.py::test_boolean_value_is_product_of_letter_moments",),
+    ),
+    Mutant(
+        "free-run-bound-dropped", "src/ncindep/products.py",
+        "sums=_free_cumulants, max_runs=MAX_FREE_RUNS)",
+        "sums=_free_cumulants)",
+        ("tests/test_products.py::test_free_words_of_too_many_runs_are_refused_before_any_work[ProductKind.FREE-True]",
+         "tests/test_products.py::test_free_words_of_too_many_runs_are_refused_before_any_work[kind1-False]"),
+    ),
+    # the suite's expected outcomes are read from the record
+    Mutant(
+        "degenerate-factorizes", "src/ncindep/products.py",
+        "_Rule(_Degenerate, factorizes=False,",
+        "_Rule(_Degenerate, factorizes=True,",
+        ("tests/test_axioms.py::test_scaled_and_degenerate_kinds_are_expected_to_break_factorization",),
+    ),
+    Mutant(
+        "deformation-always-factorizes", "src/ncindep/products.py",
+        "factorizes=kind.q == ONE",
+        "factorizes=True",
+        ("tests/test_axioms.py::test_scaled_and_degenerate_kinds_are_expected_to_break_factorization",),
+    ),
+    Mutant(
+        "symmetry-ignores-mirror", "src/ncindep/axioms.py",
+        "return rule.mirror is None",
+        "return True",
+        ("tests/test_axioms.py::test_one_sided_kinds_are_expected_to_break_symmetry",),
+    ),
     # the laws run on integer-graded inputs
     Mutant(
         "graded-power-one-too-high", "src/ncindep/moments.py",
@@ -149,7 +187,7 @@ MUTANTS = (
         ("tests/test_moments.py::test_lazy_grading_makes_the_entries_it_reads_as_ints",),
     ),
     Mutant(
-        "pullback-int-path-drops-denominator", "src/ncindep/moments.py",
+        "pullback-drops-denominator", "src/ncindep/moments.py",
         "return num if den == 1 else Rational(num, den)",
         "return num",
         ("tests/test_moments.py::test_pullbacks_of_integer_inputs_are_ints",),

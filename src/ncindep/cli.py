@@ -210,8 +210,6 @@ def _cmd_clt(args) -> int:
         moments = [parse_rational(piece) for piece in args.moments.split(",")]
     except ValueError as exc:
         raise ValueError("bad --moments list: %s" % exc) from None
-    if not moments:
-        raise ValueError("--moments must list at least one moment")
     if args.n < 1:
         raise ValueError("--n must be at least 1")
     if args.order < 1:

@@ -270,8 +270,10 @@ def pullback(phi: MomentFunctional, hom: Homomorphism, max_degree=None) -> Momen
     whole-table readers: a monomial's image is its prefix's image times one
     generator's image, its monomials kept as (length, rank in length), and
     each image computed is kept for the monomials it prefixes until the
-    table is complete.  Over integer images, an entry that reads moments of
-    phi, all ``int``s, is an ``int``.  The pullback of an even phi is even,
+    table is complete.  An entry only adds phi's entries times integers and
+    divides by the images' denominators, so over integer images one of
+    ``int`` entries is an ``int``, and any number type that mixes with
+    ``int`` passes through.  The pullback of an even phi is even,
     since images keep each generator's degree.  A table past
     ``MAX_TABLE_ENTRIES`` raises ``ValueError`` before any entry is made.
     """
@@ -322,13 +324,10 @@ def pullback(phi: MomentFunctional, hom: Homomorphism, max_degree=None) -> Momen
                     key = length + extra, position * powers[extra] + tail
                     out[key] = out.get(key, 0) + c1 * c2
             den, image = memo[node] = den * factor_den, {key: c for key, c in out.items() if c}
-        moments = [(c, at(offsets[length] + position)) for (length, position), c in image.items()]
-        if moments and all(type(v) is int for _, v in moments):  # an integer phi: no moment denominators
-            num = sum(c * v for c, v in moments)
-            return num if den == 1 else Rational(num, den)
-        common = math.lcm(*(v.denominator for _, v in moments))
-        num = sum(c * v.numerator * (common // v.denominator) for c, v in moments)
-        return Rational(num, common * den)
+        if not image:  # a vanishing image
+            return ZERO
+        num = sum(c * at(offsets[length] + position) for (length, position), c in image.items())
+        return num if den == 1 else Rational(num, den)
 
     dense = _empty_table(hom.source, max_degree)
     if hom.source.unital:

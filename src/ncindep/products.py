@@ -108,10 +108,7 @@ def parse_kind_label(label: str):
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError("q-deformed label must look like q:<base>:<q>")
-        base = parse_kind_label(parts[1])
-        if not isinstance(base, ProductKind):
-            raise ValueError("nested q-deformations are not supported")
-        return QDeformed(base, parse_rational(parts[2]))
+        return QDeformed(parse_kind_label(parts[1]), parse_rational(parts[2]))
     for kind in ProductKind:
         if kind.value == text.lower():
             return kind
@@ -231,14 +228,14 @@ class _Free:
         return value
 
 
-def _deformed(kind, factors):
-    """(q, factors): a q-deformed product is q times its base product of the
-    factors scaled by 1/q, each distinct factor scaled once; any other kind
-    has q = 1 and the factors unchanged."""
-    if not isinstance(kind, QDeformed):
-        return ONE, factors
-    scaled = {phi: scale(phi, ONE / kind.q) for phi in dict.fromkeys(factors)}
-    return kind.q, tuple(map(scaled.__getitem__, factors))
+def _deformed(rule: "_Rule", factors):
+    """The factors that the kind of record ``rule`` joins: a q-deformed
+    product is q times its base product of the factors scaled by 1/q, each
+    distinct factor scaled once; any other kind joins them unchanged."""
+    if rule.q is None:
+        return factors
+    scaled = {phi: scale(phi, ONE / rule.q) for phi in dict.fromkeys(factors)}
+    return tuple(map(scaled.__getitem__, factors))
 
 
 def _check_regime(kind, factors) -> "_Rule":
@@ -273,17 +270,14 @@ class JointFunctional:
         factors = tuple(factors)
         if not factors:
             raise ValueError("at least one factor is required")
-        if not isinstance(kind, (ProductKind, QDeformed)):
-            raise TypeError("kind must be a ProductKind or QDeformed")
         rule = _check_regime(kind, factors)
         self.factors = factors
         self.kind = kind
         self._algebras = tuple(phi.algebra for phi in factors)
-        q, scaled = _deformed(kind, factors)
+        scaled = _deformed(rule, factors)
         node = rule.node
         self._root = node(scaled) if isinstance(node, type) else _Padding(node, rule.graded, scaled)
-        self._q = q if isinstance(kind, QDeformed) else None
-        self._max_runs = MAX_FREE_RUNS if node is _Free else None
+        self._q, self._max_runs = rule.q, rule.max_runs
 
     def _check(self, word: Word) -> tuple:
         """The bare block tuple of a word this functional can value; any
@@ -577,8 +571,7 @@ def sum_moment(kind, states: Sequence[MomentFunctional], order: int, generators=
         raise ValueError("order must be at least 1")
     if not states:
         raise ValueError("at least one factor is required")
-    if not isinstance(kind, (ProductKind, QDeformed)):
-        raise TypeError("kind must be a ProductKind or QDeformed")
+    _rule(kind)  # a non-kind is refused before the summands are read
     if generators is not None:
         generators = tuple(generators)
         if len(generators) != len(states):
@@ -604,7 +597,7 @@ def _sum_runs(kind, runs, order: int) -> Rational:
     # each distinct (state, generator) is read once
     degrees = {summand: summand[0].algebra.degree_of(summand[1]) for summand, _ in runs}
     rule = _check_regime(kind, [phi for phi, _ in degrees])
-    q, scaled = _deformed(kind, [phi for phi, _ in degrees])
+    scaled = _deformed(rule, [phi for phi, _ in degrees])
     moments = {summand: [phi.value_of_letters((summand[1],) * k) for k in range(1, order + 1)]
                for summand, phi in zip(degrees, scaled)}
     denominator = math.lcm(*(m.denominator for row in moments.values() for m in row))
@@ -614,7 +607,8 @@ def _sum_runs(kind, runs, order: int) -> Rational:
         for summand, row in moments.items()
     }
     series = [(rows[summand], count, rule.graded and degrees[summand] == 1) for summand, count in runs]
-    return q * Rational(_sum_series(rule, series)[order], powers[order])
+    total = Rational(_sum_series(rule, series)[order], powers[order])
+    return total if rule.q is None else rule.q * total
 
 
 # ---------------------------------------------------------------------------
@@ -632,23 +626,32 @@ class _Rule:
     mirror: "ProductKind | None" = None  # the kind that the factor swap turns it into
     sums: object = None  # a moment transform (inverse=True inverts) whose values add, or the
     # summand, "first" or "last", whose K(w) = w M(w) is outermost when the summands compose
+    factorizes: bool = True  # a two-block word's value is the product of its blocks' moments
+    q: "Rational | None" = None  # a deformation's q: inputs scaled by 1/q, values by q
+    max_runs: "int | None" = None  # the most blocks, runs of one factor's letters, of a word it values
 
 
 _RULES = {
     ProductKind.TENSOR: _Rule(lambda j, k: False, unital=True, q_base=True,
                               sums=partial(_cumulants, weight=math.comb)),
-    ProductKind.FREE: _Rule(_Free, unital=True, q_base=True, sums=_free_cumulants),
+    ProductKind.FREE: _Rule(_Free, unital=True, q_base=True, sums=_free_cumulants, max_runs=MAX_FREE_RUNS),
     ProductKind.BOOLEAN: _Rule(lambda j, k: True, q_base=True, sums=partial(_cumulants, weight=lambda n, j: 1)),
     ProductKind.MONOTONE: _Rule(lambda j, k: j < k, mirror=ProductKind.ANTI_MONOTONE, sums="first"),
     ProductKind.ANTI_MONOTONE: _Rule(lambda j, k: j > k, mirror=ProductKind.MONOTONE, sums="last"),
-    ProductKind.DEGENERATE: _Rule(_Degenerate, sums=lambda given, inverse=False: given),  # moments add
+    ProductKind.DEGENERATE: _Rule(_Degenerate, factorizes=False,
+                                  sums=lambda given, inverse=False: given),  # moments add
 }
 # the graded tensor product is the tensor product with the Koszul sign
 _RULES[ProductKind.FERMI] = replace(_RULES[ProductKind.TENSOR], graded=True, q_base=False)
 
 
 def _rule(kind) -> _Rule:
-    """A kind's record; a q-deformed kind's is its base's, non-unital, not a q-base, unmirrored."""
+    """A kind's record, and the one check that ``kind`` is a kind; a
+    q-deformed kind's is its base's, non-unital, not a q-base, unmirrored,
+    with its q, and factorizing only at q = 1."""
     if isinstance(kind, QDeformed):
-        return replace(_RULES[kind.base], unital=False, q_base=False, mirror=None)
+        return replace(_RULES[kind.base], unital=False, q_base=False, mirror=None,
+                       factorizes=kind.q == ONE, q=kind.q)
+    if not isinstance(kind, ProductKind):
+        raise TypeError("kind must be a ProductKind or QDeformed")
     return _RULES[kind]

@@ -320,6 +320,26 @@ def test_homomorphisms_expand_as_products_of_block_images():
     assert apply_homomorphism(HAND_MADE[0], a_y_a) == poly(A1, (3, "a a"), (6, "a"), (3, ""))
 
 
+def _image(algebra, text):
+    return Polynomial.from_monomial(mono(algebra, text))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: AlgebraSignature.make("A", ("1x",)), ValueError, "generator name '1x' is not an identifier"),
+    (lambda: Homomorphism(A1, N1, {"a": _image(N1, "a"), "b": _image(N1, "b")}),
+     RegimeMismatch, "homomorphism crosses regimes: source unital=True, target unital=False"),
+    (lambda: Homomorphism(A1, A1, {"a": _image(A1, "a")}), ValueError, "missing images for generators: ['b']"),
+    (lambda: Homomorphism(A1, A1, {"a": _image(A1, "a"), "b": _image(A1, "b"), "c": _image(A1, "a")}),
+     ValueError, "images given for unknown generators: ['c']"),
+    (lambda: Homomorphism(G1, G1, {"a": _image(G1, "b"), "b": _image(G1, "b")}),
+     ValueError, "image of 'a' is not homogeneous of degree 1"),
+], ids=["generator-name", "crosses-regimes", "missing-image", "extra-image", "inhomogeneous-image"])
+def test_refusals_name_their_cause(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert raised.type is error and str(raised.value) == message
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 

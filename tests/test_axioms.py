@@ -1,6 +1,7 @@
 """Seeded law checking: which product kinds satisfy which conditions."""
 
 import collections
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -28,6 +29,7 @@ from ncindep import (
     run_axiom_suite,
     state_to_json,
 )
+from ncindep import products
 from ncindep.axioms import _MOMENT_PALETTE
 from ncindep.rational import ONE, ZERO, as_rational
 from conftest import A1, A2, G1, N1, count_fills, count_reads, count_view_builds
@@ -65,6 +67,32 @@ def test_one_sided_kinds_are_expected_to_break_symmetry():
     assert expected_outcome(Axiom.SYMMETRY, ProductKind.DEGENERATE)
     assert not expected_outcome(Axiom.SYMMETRY, ProductKind.MONOTONE)
     assert not expected_outcome(Axiom.SYMMETRY, ProductKind.ANTI_MONOTONE)
+
+
+def test_expected_outcomes_are_read_from_the_record(monkeypatch):
+    """A kind's expected verdicts follow its record alone: a tensor record
+    that does not factorize and has a mirror expects both laws to fail."""
+    record = dataclasses.replace(products._RULES[ProductKind.TENSOR], factorizes=False, mirror=ProductKind.TENSOR)
+    monkeypatch.setitem(products._RULES, ProductKind.TENSOR, record)
+    assert not expected_outcome(Axiom.FACTORIZATION, ProductKind.TENSOR)
+    assert not expected_outcome(Axiom.SYMMETRY, ProductKind.TENSOR)
+    assert expected_outcome(Axiom.INCLUSION, ProductKind.TENSOR)
+
+
+EVEN_SOURCE = AlgebraSignature("S", False, (("u", 0),))
+ODD_TARGET = AlgebraSignature("T", False, (("p", 1), ("r", 1)))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: expected_outcome(Axiom.INCLUSION, "free"), TypeError, "kind must be a ProductKind or QDeformed"),
+    (lambda: run_axiom_suite("associativity", ProductKind.FREE, 0, 1), TypeError, "axiom must be an Axiom"),
+    (lambda: gen_random_homomorphism(EVEN_SOURCE, ODD_TARGET, 0, max_image_letters=1),
+     ValueError, "found no monomial of degree 0 over 'T'"),
+], ids=["outcome-of-a-non-kind", "suite-axiom-as-text", "no-monomial-of-the-degree"])
+def test_refusals_name_their_cause(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert raised.type is error and str(raised.value) == message
 
 
 # ---------------------------------------------------------------------------

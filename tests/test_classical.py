@@ -73,6 +73,18 @@ def test_unused_codomain_labels_keep_zero_weight():
     assert pushforward(x).weight("b") == ZERO
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: FiniteProbSpace(("h", "h"), {"h": 1}), "outcome labels must be distinct"),
+    (lambda: FiniteProbSpace(("h",), {"h": 1, "t": 0}), "weights given for unknown outcomes ['t']"),
+    (lambda: RandomVariable(COIN, {"h": 0, "t": 1}, codomain=(0, 1, 0)), "codomain labels must be distinct"),
+    (lambda: RandomVariable(COIN, {"h": 0, "t": 2}, codomain=(0, 1)), "mapping takes values outside the codomain"),
+], ids=["repeated-outcome", "unknown-outcome-weight", "repeated-codomain-label", "value-outside-codomain"])
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert raised.type is ValueError and str(raised.value) == message
+
+
 # ---------------------------------------------------------------------------
 # products
 

@@ -537,6 +537,31 @@ def test_expression_errors_carry_offsets(capsys, pair_files):
     assert doc["context"]["offset"] == 7
 
 
+def test_malformed_terms_are_expression_errors(capsys, pair_files):
+    s1, s2 = pair_files
+    code, out, err = run(capsys, "eval", "--product", "free", "--state", s1, s2, "--expr", "A1.a^")
+    assert code == 2 and out == ""
+    assert error_doc(err) == {"code": "expression", "message": "expected an exponent (at offset 5)",
+                              "context": {"offset": 5}}
+
+
+def test_an_empty_moments_list_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "clt", "--product", "free", "--moments", "", "--n", "2", "--order", "2")
+    assert code == 2 and out == ""
+    doc = error_doc(err)
+    assert doc["code"] == "usage" and doc["message"].startswith("bad --moments list")
+
+
+def test_an_unexpected_verdict_is_a_mismatch(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "expected_outcome", lambda axiom, kind: False)
+    code, out, err = run(capsys, "check", "--axiom", "inclusion", "--product", "free",
+                         "--trials", "1", "--max-len", "2")
+    assert code == 1
+    assert out.rstrip().splitlines()[-1] == "expected=fail observed=pass verdict=unexpected"
+    assert error_doc(err) == {"code": "mismatch", "message": "axiom outcome differs from the documented expectation",
+                              "context": {"axiom": "inclusion", "product": "free", "failures": 0}}
+
+
 def test_missing_state_file_is_a_document_error(capsys, pair_files):
     s1, _ = pair_files
     code, _, err = run(

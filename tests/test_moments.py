@@ -281,6 +281,20 @@ def test_pullback_along_constant_images_stays_under_the_target_bound():
         assert caught.value.max_degree == 2
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: MomentFunctional(X, -1, {}), "max_degree must be nonnegative"),
+    (lambda: MomentFunctional(X, 2, {Monomial(A1, ("a",)): 1}), "table entry A1[a] is not over 'X'"),
+    (lambda: MomentFunctional(X, 1, {Monomial(X, ()): 1, Monomial(X, ("x", "x")): 1}),
+     "table entry X[x x] exceeds max_degree 1"),
+    (lambda: pullback(total_state(X, 2), Homomorphism.identity(A1)),
+     "homomorphism does not land in the functional's algebra"),
+], ids=["negative-degree", "entry-over-another-algebra", "entry-past-the-bound", "pullback-elsewhere"])
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert raised.type is ValueError and str(raised.value) == message
+
+
 # ---------------------------------------------------------------------------
 # trusted builds, gated by the validating constructor
 
@@ -548,6 +562,63 @@ def test_pullbacks_of_integer_inputs_are_ints():
             assert exact == pullback(_rational_copy(small), hom)._complete()
             fractional += sum(type(value) is Fraction and value.denominator > 1 for value in exact)
     assert fractional > 50
+
+
+class _Poly:
+    """A sparse polynomial in named variables, with the arithmetic that the
+    library's evaluators may use on moments: ``+``, ``*``, truthiness, and
+    mixing with ``int`` and ``Fraction``."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        self.terms = {monomial: c for monomial, c in terms.items() if c}
+
+    @staticmethod
+    def _of(value):
+        return value if isinstance(value, _Poly) else _Poly({(): value})
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for monomial, c in _Poly._of(other).terms.items():
+            terms[monomial] = terms.get(monomial, 0) + c
+        return _Poly(terms)
+
+    def __mul__(self, other):
+        other, terms = _Poly._of(other), {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                monomial = tuple(sorted(m1 + m2))
+                terms[monomial] = terms.get(monomial, 0) + c1 * c2
+        return _Poly(terms)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def at(self, values):
+        return sum(c * math.prod(values[name] for name in monomial) for monomial, c in self.terms.items())
+
+
+def test_pullback_takes_any_number_type_that_mixes_with_int():
+    """A state whose entries are polynomials, one variable per rank, pulled
+    back along integer images gives, at a drawn state's values, the
+    pullback of that state."""
+    from ncindep.axioms import _integral
+
+    for signature in (A1, N1, G1):
+        source = AlgebraSignature("B", signature.unital, (("u", signature.generators[0][1]), ("v", 0)))
+        size = len(_empty_table(signature, 4))
+        symbolic = MomentFunctional._from_dense(signature, 4, [
+            1 if signature.unital and rank == 0 else _Poly({(rank,): 1}) for rank in range(size)])
+        for seed in (3, 4, 5):
+            hom = _integral(gen_random_homomorphism(source, signature, seed))
+            entries = pullback(symbolic, hom)._complete()
+            assert any(isinstance(entry, _Poly) for entry in entries)
+            drawn = gen_random_state(signature, 4, seed)._complete()
+            assert [entry.at(drawn) if isinstance(entry, _Poly) else entry for entry in entries] == \
+                pullback(MomentFunctional._from_dense(signature, 4, list(drawn)), hom)._complete()
 
 
 # ---------------------------------------------------------------------------

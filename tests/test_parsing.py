@@ -180,6 +180,20 @@ def test_empty_input_is_rejected():
         parse("0")  # rendering of the zero polynomial, not valid input
 
 
+@pytest.mark.parametrize("text, message, offset", [
+    ("A1.x 3", "expected '+' or end of input", 5),
+    ("-A1.x", "expected a number", 1),
+    ("1/ * A1.x", "expected a denominator", 3),
+    ("A1.+", "expected a generator name", 3),
+    ("A1.x^", "expected an exponent", 5),
+])
+def test_malformed_terms_are_refused_at_their_offset(text, message, offset):
+    with pytest.raises(ExpressionError) as caught:
+        parse(text)
+    assert caught.value.offset == offset
+    assert str(caught.value) == "%s (at offset %d)" % (message, offset)
+
+
 # ---------------------------------------------------------------------------
 # rendering
 

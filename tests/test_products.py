@@ -880,6 +880,42 @@ def test_sum_moment_keeps_the_regime_rules():
         sum_moment(ProductKind.FERMI, (total_state(odd, 2, {"a": 1}), total_state(U2, 2)), 2)
 
 
+D1 = AlgebraSignature("A1", True, (("a", 0),))
+D2 = AlgebraSignature("A2", True, (("x", 0),))
+
+
+def _degree_one_states():
+    return total_state(D1, 1, {"a": "1/2"}), total_state(D2, 1, {"x": "1/3"})
+
+
+def _alternating_word():
+    """A1.a A2.x A1.a: with the nonzero mean of x, its value needs the
+    moment of a a, past the degree-1 states."""
+    a, x = Monomial(D1, ("a",)), Monomial(D2, ("x",))
+    return normalize_word([(0, a), (1, x), (0, a)])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: JointFunctional([], ProductKind.TENSOR), ValueError, "at least one factor is required"),
+    (lambda: sum_moment(ProductKind.FREE, (total_state(U1, 2),), 0), ValueError, "order must be at least 1"),
+    (lambda: sum_moment(ProductKind.FREE, (total_state(U1, 2), total_state(U2, 2)), 2, generators=["a"]),
+     ValueError, "need one designated generator per state"),
+    (lambda: free_centering_oracle(total_state(P1, 2), total_state(P2, 2), word_aba()),
+     RegimeMismatch, "the centering oracle needs unital functionals"),
+    (lambda: free_centering_oracle(*_degree_one_states(), _alternating_word()),
+     DegreeExceeded, "monomial A1[a a] has length 2, beyond the stored maximum degree 1"),
+    (lambda: JointFunctional(_degree_one_states(), ProductKind.FREE)(_alternating_word()),
+     DegreeExceeded, "monomial A1[a a] has length 2, beyond the stored maximum degree 1"),
+    (lambda: parse_kind_label("q:q:tensor:2"), ValueError, "q-deformed label must look like q:<base>:<q>"),
+    (lambda: parse_kind_label("q:q:2"), ValueError, "unknown product kind 'q'"),
+], ids=["no-factors", "order-0", "generator-count", "oracle-non-unital", "oracle-degree", "free-degree",
+        "q-label-parts", "q-label-nested"])
+def test_refusals_name_their_cause(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert raised.type is error and str(raised.value) == message
+
+
 def test_sum_moment_of_a_thousand_coins_has_the_closed_forms():
     n = 1000
     coin = {"x": 0, "x x": 1, "x x x": 0, "x x x x": 1}

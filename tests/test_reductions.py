@@ -215,6 +215,12 @@ def test_embedding_refuses_a_bad_factor_count_before_any_work(monkeypatch, n, er
             embed_word(ReductionKind.BOOLEAN, n, word)
 
 
+def test_tensor_value_needs_one_factor_per_slot():
+    with pytest.raises(ValueError) as raised:
+        tensor_value([total_state(N1, 2)], ReducedWord(ONE, (m_slot("a"), m_slot("x"))))
+    assert raised.type is ValueError and str(raised.value) == "need exactly one factor per slot"
+
+
 # ---------------------------------------------------------------------------
 # enlarged states
 
